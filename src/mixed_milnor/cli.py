@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from . import __version__
@@ -54,29 +53,24 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _pmap(fn, items):
-    """Order-preserving map over a capped thread pool (results merge the same
-    regardless of completion order)."""
-    workers = min(worker_count(), max(len(items), 1))
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def parse_t_grid(text: str) -> tuple[float, ...]:
     """Either "start:end:step" or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InputError(f"t-grid must be start:end:step, got {text!r}")
-        start, end, step = (float(p) for p in parts)
-        if step <= 0:
-            raise InputError("t-grid step must be positive")
-        count = int(round((end - start) / step))
-        grid = tuple(min(start + k * step, end) for k in range(count + 1))
-    else:
-        grid = tuple(float(p) for p in text.split(","))
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise InputError(f"t-grid must be start:end:step, got {text!r}")
+            start, end, step = (float(p) for p in parts)
+            if not 0.0 <= start <= end <= 1.0:
+                raise InputError(f"t-grid needs 0 <= start <= end <= 1, got {text!r}")
+            if not step > 0:
+                raise InputError("t-grid step must be positive")
+            count = int(round((end - start) / step))
+            grid = tuple(min(start + k * step, end) for k in range(count + 1))
+        else:
+            grid = tuple(float(p) for p in text.split(","))
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"cannot parse t-grid {text!r}: {exc}") from exc
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise InputError("t-grid values must lie in [0, 1]")
     return grid
@@ -170,22 +164,18 @@ def cmd_certify_smooth(args) -> int:
     _, fam, raw = load_spec(args.family)
     fam = require_family(fam)
     grid = parse_t_grid(args.t_grid)
-    reports = _pmap(
-        lambda t: certify_smooth_shell(fam, [t], args.radius, args.restarts, args.seed),
-        list(grid),
-    )
-    best = min(reports, key=lambda r: r.min_residual_found)
+    rep = certify_smooth_shell(fam, grid, args.radius, args.restarts, args.seed)
     result = {
         "t_grid": list(grid),
         "radius": args.radius,
         "restarts": args.restarts,
-        "min_residual_found": best.min_residual_found,
-        "argmin_t": best.argmin_t,
-        "argmin_point": [[z.real, z.imag] for z in best.argmin_point],
-        "iterations": sum(r.iterations for r in reports),
-        "converged": all(r.converged for r in reports),
+        "min_residual_found": rep.min_residual_found,
+        "argmin_t": rep.argmin_t,
+        "argmin_point": [[z.real, z.imag] for z in rep.argmin_point],
+        "iterations": rep.iterations,
+        "converged": rep.converged,
         "threshold": args.tolerance,
-        "certified": best.min_residual_found > args.tolerance,
+        "certified": rep.min_residual_found > args.tolerance,
         "note": "numerical evidence, not proof",
     }
     ok = result["certified"]
@@ -346,10 +336,7 @@ def cmd_build_isotopy(args) -> int:
         raise InputError("points file is empty")
     radius = args.radius or math.sqrt(sum(abs(c) ** 2 for c in points[0]))
     tube = MilnorTubeSpec(radius, args.eta0)
-    traces = _pmap(
-        lambda z: integrate_isotopy(fam, z, args.t_end, args.steps, tube),
-        points,
-    )
+    traces = [integrate_isotopy(fam, z, args.t_end, args.steps, tube) for z in points]
     worst_value = max(tr.value_residual for tr in traces)
     worst_norm = max(tr.norm_residual for tr in traces)
     out_traces = []

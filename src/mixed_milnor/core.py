@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InputError
 
 # Desk-scale bounds: exact integer work (determinants, weight solving) is
@@ -178,6 +180,115 @@ def wirtinger_gradient(poly: MixedPolynomial, point: Sequence[complex]) -> Wirti
             if mono.mu[j]:
                 d_zbar[j] += rest * mono.mu[j] * conj[j] ** (mono.mu[j] - 1) * zpow[j]
     return WirtingerGradient(tuple(d_z), tuple(d_zbar))
+
+
+@dataclass(frozen=True, eq=False)
+class PolynomialArrays:
+    """Array form of K mixed polynomials in n variables over one shared
+    monomial list: row i of N and M holds the exponents of monomial i, row k
+    of C the coefficients of polynomial k (zero where it lacks the monomial)."""
+
+    N: np.ndarray  # m x n z-exponents
+    M: np.ndarray  # m x n zbar-exponents
+    C: np.ndarray  # K x m complex coefficients
+
+    def rows(self, index) -> "PolynomialArrays":
+        """The polynomials picked by `index` (anything that indexes C's rows)."""
+        return PolynomialArrays(self.N, self.M, self.C[index])
+
+
+def polynomial_arrays(polys: Sequence[MixedPolynomial]) -> PolynomialArrays:
+    """Stack polynomials of one arity over the union of their monomials, in
+    order of first appearance."""
+    if not polys:
+        raise InputError("polynomial_arrays needs at least one polynomial")
+    n = polys[0].n
+    if any(p.n != n for p in polys):
+        raise InputError("polynomials must share one variable count")
+    column: dict[tuple, int] = {}
+    for p in polys:
+        for mono in p.monomials:
+            column.setdefault((mono.nu, mono.mu), len(column))
+    C = np.zeros((len(polys), len(column)), dtype=complex)
+    for k, p in enumerate(polys):
+        for mono in p.monomials:
+            C[k, column[(mono.nu, mono.mu)]] = mono.coefficient
+    N = np.array([key[0] for key in column], dtype=int).reshape(len(column), n)
+    M = np.array([key[1] for key in column], dtype=int).reshape(len(column), n)
+    return PolynomialArrays(N, M, C)
+
+
+# The batched kernel works on (real, imaginary) pairs of float arrays.  Every
+# step is an elementwise IEEE operation and every sum runs in a fixed order, so
+# a point's result does not depend on the size or contents of its batch.
+
+
+def _cmul(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sum_leading(a: np.ndarray) -> np.ndarray:
+    total = a[0]
+    for row in a[1:]:
+        total = total + row
+    return total
+
+
+def wirtinger_gradient_batch(
+    arrays: PolynomialArrays, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_z f, d_zbar f) at a K x ... x n complex array of points, where the
+    points z[k] belong to polynomial k.  Both results have the shape of z.
+
+    z_j^(e-1) is raised directly, never formed as z_j^e / z_j, so the partials
+    stay exact at zero coordinates.
+    """
+    z = np.asarray(z, dtype=complex)
+    m, n = arrays.N.shape
+    if z.ndim < 2 or z.shape[0] != arrays.C.shape[0] or z.shape[-1] != n:
+        raise InputError(
+            f"points of shape {z.shape} do not fit {arrays.C.shape[0]} polynomials"
+            f" in {n} variables"
+        )
+    if m == 0:
+        return np.zeros_like(z), np.zeros_like(z)
+    # power[p] = z ** p by repeated multiplication
+    top = max(int(arrays.N.max()), int(arrays.M.max()))
+    pr = np.empty((top + 1,) + z.shape)
+    pi = np.empty_like(pr)
+    pr[0], pi[0] = 1.0, 0.0
+    for p in range(1, top + 1):
+        pr[p], pi[p] = _cmul((pr[p - 1], pi[p - 1]), (z.real, z.imag))
+    cols = np.arange(n)
+
+    def power(E: np.ndarray, conj: bool) -> tuple:
+        """z_j ** E[i, j] (or its conjugate) as m x n x K x ... arrays."""
+        return pr[E, ..., cols], (-pi[E, ..., cols] if conj else pi[E, ..., cols])
+
+    zpow = power(arrays.N, False)
+    cpow = power(arrays.M, True)
+    fr, fi = _cmul(zpow, cpow)
+    # rest[:, j] = c_i * prod_{k != j} z_k^N[i, k] zbar_k^M[i, k]
+    coef = arrays.C.T.reshape((m,) + z.shape[:1] + (1,) * (z.ndim - 2))
+    rest = np.empty_like(fr), np.empty_like(fi)
+    for j in range(n):
+        r = coef.real, coef.imag
+        for k in range(n):
+            if k != j:
+                r = _cmul(r, (fr[:, k], fi[:, k]))
+        rest[0][:, j], rest[1][:, j] = r
+
+    exponent_shape = (m, n) + (1,) * (z.ndim - 1)
+    back = tuple(range(1, z.ndim)) + (0,)
+    out = []
+    for E, other, conj in ((arrays.N, cpow, False), (arrays.M, zpow, True)):
+        re, im = _cmul(_cmul(rest, power(np.maximum(E - 1, 0), conj)), other)
+        e = E.astype(float).reshape(exponent_shape)
+        d = np.empty((n,) + z.shape[:-1], dtype=complex)
+        d.real = _sum_leading(re * e)
+        d.imag = _sum_leading(im * e)
+        out.append(d.transpose(back))
+    return out[0], out[1]
 
 
 def exponent_matrices(poly: MixedPolynomial) -> ExponentMatrices:

@@ -14,12 +14,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, evaluate, wirtinger_gradient
+from .core import (
+    MixedPolynomial,
+    PolynomialArrays,
+    evaluate,
+    polynomial_arrays,
+    wirtinger_gradient,
+    wirtinger_gradient_batch,
+)
 from .errors import InputError, PreconditionError
 from .families import DeformationFamily
-from .numerics import complexify, realify, rng_for
+from .numerics import complexify, rng_for
 
 FD_STEP = 1e-6
+MAX_ITER = 120
 
 
 @dataclass(frozen=True)
@@ -74,70 +82,146 @@ def singularity_residual(
     )
 
 
-def _shell_objective(poly: MixedPolynomial, x: np.ndarray) -> float:
-    return singularity_residual(poly, complexify(x)).residual ** 2
+def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
+    """Squared residual uu + vv - 2 |<u, v>| (floored at zero) at a
+    K x ... x 2n array of real points (x_1, y_1, ..., x_n, y_n), where the
+    points x[k] belong to polynomial k of `arrays`."""
+    z = np.ascontiguousarray(x, dtype=float).view(complex)
+    d_z, d_zbar = wirtinger_gradient_batch(arrays, z)
+    # |<u, v>| = |sum_j d_z f * d_zbar f|; sums run in a fixed order (see core)
+    uu = vv = re = im = 0.0
+    for j in range(d_z.shape[-1]):
+        a, b = d_z[..., j], d_zbar[..., j]
+        uu = uu + (a.real * a.real + a.imag * a.imag)
+        vv = vv + (b.real * b.real + b.imag * b.imag)
+        re = re + (a.real * b.real - a.imag * b.imag)
+        im = im + (a.real * b.imag + a.imag * b.real)
+    # scaled modulus: re * re would underflow where |<u, v>| itself does not
+    big = np.maximum(np.abs(re), np.abs(im))
+    ratio = np.minimum(np.abs(re), np.abs(im)) / np.where(big > 0, big, 1.0)
+    return np.fmax(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis, in a fixed order."""
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(x, x))
 
 
 def _project_tangent(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    xhat = x / np.linalg.norm(x)
-    return g - np.dot(g, xhat) * xhat
+    xhat = x / _norm(x)[..., None]
+    return g - _dot(g, xhat)[..., None] * xhat
 
 
-def _minimize_on_sphere(
-    poly: MixedPolynomial,
+def _line_search(
+    arrays: PolynomialArrays,
+    x: np.ndarray,
+    f: np.ndarray,
+    live: np.ndarray,
+    g: np.ndarray,
+    gn: np.ndarray,
+    radius: float,
+) -> np.ndarray:
+    """Backtracking along -g (30 halvings) for the rows `live` of x; a row
+    leaves as soon as it accepts a step.  Updates x, f; returns which rows
+    improved."""
+    alpha = 0.1 * radius / np.maximum(gn, 1e-12)
+    improved = np.zeros(live.size, dtype=bool)
+    todo = np.arange(live.size)
+    for _ in range(30):
+        if not todo.size:
+            break
+        rows = live[todo]
+        cand = x[rows] - alpha[todo, None] * g[todo]
+        cand *= (radius / _norm(cand))[:, None]
+        fc = shell_residual_sq(arrays.rows(rows), cand)
+        ok = fc < f[rows] - 1e-12 * np.abs(f[rows])
+        x[rows[ok]] = cand[ok]
+        f[rows[ok]] = fc[ok]
+        improved[todo[ok]] = True
+        todo = todo[~ok]
+        alpha[todo] *= 0.5
+    return improved
+
+
+def _pattern_search(
+    arrays: PolynomialArrays,
+    x: np.ndarray,
+    f: np.ndarray,
+    live: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    radius: float,
+) -> np.ndarray:
+    """A few random tangent probes (+d, then -d) at shrinking scale for the
+    rows `live` of x, each drawn from its row's own stream.  Updates x, f;
+    returns which rows improved."""
+    improved = np.zeros(live.size, dtype=bool)
+    todo = np.arange(live.size)
+    scale = 1e-3 * radius
+    for _ in range(10):
+        if not todo.size:
+            break
+        rows = live[todo]
+        xr = x[rows]
+        d = _project_tangent(np.stack([rngs[k].standard_normal(x.shape[1]) for k in rows]), xr)
+        d /= np.maximum(_norm(d), 1e-300)[:, None]
+        step = scale * d
+        cand = np.stack([xr + step, xr - step], axis=1)
+        cand *= (radius / _norm(cand))[..., None]
+        fc = shell_residual_sq(arrays.rows(rows), cand)
+        plus = fc[:, 0] < f[rows]
+        ok = plus | (fc[:, 1] < f[rows])
+        side = np.where(plus, 0, 1)[ok]
+        x[rows[ok]] = cand[ok, side]
+        f[rows[ok]] = fc[ok, side]
+        improved[todo[ok]] = True
+        todo = todo[~ok]
+        scale *= 0.5
+    return improved
+
+
+def _minimize_shell(
+    arrays: PolynomialArrays,
     x0: np.ndarray,
     radius: float,
-    rng: np.random.Generator,
-    max_iter: int = 120,
-) -> tuple[np.ndarray, float, int]:
-    """Projected gradient descent with backtracking; pattern-search fallback
-    when the line search stalls (the objective is only piecewise smooth)."""
-    x = x0 * (radius / np.linalg.norm(x0))
-    f = _shell_objective(poly, x)
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        g = np.empty_like(x)
-        for i in range(x.size):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += FD_STEP
-            xm[i] -= FD_STEP
-            g[i] = (_shell_objective(poly, xp) - _shell_objective(poly, xm)) / (2 * FD_STEP)
-        g = _project_tangent(g, x)
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize the squared residual on the sphere ||x|| = radius from every
+    row of x0 (row k under polynomial k, pattern probes from rngs[k]).
+
+    Projected gradient descent with a central-difference gradient and
+    backtracking; pattern-search fallback when the line search stalls (the
+    objective is only piecewise smooth).  All rows advance in lockstep, one
+    iteration per round, and leave when they stop; each row follows the path
+    it would follow alone.  Returns the final points, values and iteration
+    counts.
+    """
+    x = x0 * (radius / _norm(x0))[:, None]
+    f = shell_residual_sq(arrays, x)
+    iters = np.zeros(len(x), dtype=int)
+    dim = x.shape[1]
+    stencil = np.concatenate([np.eye(dim), -np.eye(dim)]) * FD_STEP
+    live = np.arange(len(x))
+    for _ in range(MAX_ITER):
+        if not live.size:
             break
-        alpha = 0.1 * radius / max(gn, 1e-12)
-        improved = False
-        for _ in range(30):
-            cand = x - alpha * g
-            cand *= radius / np.linalg.norm(cand)
-            fc = _shell_objective(poly, cand)
-            if fc < f - 1e-12 * abs(f):
-                x, f = cand, fc
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            # pattern search: a few random tangent probes at shrinking scale
-            scale = 1e-3 * radius
-            for _ in range(10):
-                d = _project_tangent(rng.standard_normal(x.size), x)
-                d /= max(np.linalg.norm(d), 1e-300)
-                for sgn in (1.0, -1.0):
-                    cand = x + sgn * scale * d
-                    cand *= radius / np.linalg.norm(cand)
-                    fc = _shell_objective(poly, cand)
-                    if fc < f:
-                        x, f = cand, fc
-                        improved = True
-                        break
-                if improved:
-                    break
-                scale *= 0.5
-            if not improved:
-                break
+        iters[live] += 1
+        xl = x[live]
+        vals = shell_residual_sq(arrays.rows(live), xl[:, None, :] + stencil)
+        g = _project_tangent((vals[:, :dim] - vals[:, dim:]) / (2 * FD_STEP), xl)
+        gn = _norm(g)
+        moving = ~(gn < 1e-12)
+        live, g, gn = live[moving], g[moving], gn[moving]
+        improved = _line_search(arrays, x, f, live, g, gn, radius)
+        stalled = live[~improved]
+        improved[~improved] = _pattern_search(arrays, x, f, stalled, rngs, radius)
+        live = live[improved]
     return x, f, iters
 
 
@@ -150,42 +234,47 @@ def certify_smooth_shell(
 ) -> ShellSearchReport:
     """Global-ish minimum of the singularity residual over the shell ||z|| = radius.
 
+    Runs `restarts` seeded searches at every t of the grid, all
+    len(t_grid) x restarts of them as one lockstep batch.  Restart k at grid
+    index ti draws its start point and its pattern-search probes from the
+    stream labelled "shell:t={ti}:restart:{k}".  `converged` means that every
+    t has at least one restart that stopped before the iteration cap.
+
     Numerical evidence only, never a proof: a positive minimum over all
     seeded restarts is the echo of the no-singularity lemma, reported with
     full provenance.
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
-    if any(not 0.0 <= t <= 1.0 for t in t_grid):
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"radius must be positive and finite, got {radius!r}")
+    if restarts < 1:
+        raise InputError(f"restarts must be at least 1, got {restarts!r}")
+    grid = tuple(float(t) for t in t_grid)
+    if not grid:
+        raise InputError("t_grid is empty")
+    if any(not 0.0 <= t <= 1.0 for t in grid):
         raise PreconditionError("t_grid must lie within [0, 1]")
-    best = math.inf
-    best_point: tuple[complex, ...] = ()
-    best_t = float("nan")
-    total_iters = 0
-    converged = False
-    for ti, t in enumerate(t_grid):
-        poly = fam.member(float(t))
-        for k in range(restarts):
-            rng = rng_for(seed, f"shell:t={ti}:restart:{k}")
-            x0 = rng.standard_normal(2 * fam.n)
-            x, f, iters = _minimize_on_sphere(poly, x0, radius, rng)
-            total_iters += iters
-            converged = converged or iters < 120
-            if f < best:
-                best = f
-                best_point = complexify(x)
-                best_t = float(t)
+    arrays = polynomial_arrays([fam.member(t) for t in grid])
+    rngs = [
+        rng_for(seed, f"shell:t={ti}:restart:{k}")
+        for ti in range(len(grid))
+        for k in range(restarts)
+    ]
+    x0 = np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
+    x, f, iters = _minimize_shell(
+        arrays.rows(np.repeat(np.arange(len(grid)), restarts)), x0, float(radius), rngs
+    )
+    best = int(np.argmin(f))
     return ShellSearchReport(
         spec=fam.spec,
-        t_grid=tuple(float(t) for t in t_grid),
+        t_grid=grid,
         radius=float(radius),
-        min_residual_found=math.sqrt(max(best, 0.0)),
-        argmin_point=best_point,
-        argmin_t=best_t,
+        min_residual_found=math.sqrt(max(float(f[best]), 0.0)),
+        argmin_point=complexify(x[best]),
+        argmin_t=grid[best // restarts],
         restarts=restarts,
-        iterations=total_iters,
+        iterations=int(iters.sum()),
         seed=seed,
-        converged=converged,
+        converged=bool(np.all(np.any(iters.reshape(len(grid), restarts) < MAX_ITER, axis=1))),
     )
 
 

@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
 from mixed_milnor.cli import parse_t_grid, run, worker_count
 from mixed_milnor.errors import InputError
 
@@ -153,6 +154,50 @@ def test_certify_smooth_below_threshold_exits_1(tmp_path, family_spec):
     assert code == 1
     assert report["result"]["certified"] is False
     assert len(report["result"]["argmin_point"]) == 2
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--restarts", "0"],
+        ["--t-grid", "a:b:c"],
+        ["--t-grid", "1:0:0.1"],
+        ["--t-grid", ""],
+        ["--radius", "nan"],
+        ["--radius", "inf"],
+    ],
+)
+def test_certify_smooth_bad_input_exits_2(family_spec, capsys, options):
+    assert run(["certify-smooth", "--family", family_spec, *options]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+def test_certify_smooth_matches_library(tmp_path, family_spec):
+    code, report = _run_json(
+        [
+            "certify-smooth",
+            "--family",
+            family_spec,
+            "--t-grid",
+            "0:1:0.5",
+            "--restarts",
+            "3",
+            "--seed",
+            "7",
+        ],
+        tmp_path / "r.json",
+    )
+    assert code == 0
+    fam = build_family(FamilySpec("brieskorn", (2, 3), (1, 0)))
+    rep = certify_smooth_shell(fam, (0.0, 0.5, 1.0), 1.0, restarts=3, seed=7)
+    res = report["result"]
+    assert res["min_residual_found"] == rep.min_residual_found
+    assert res["argmin_t"] == rep.argmin_t
+    assert res["argmin_point"] == [[z.real, z.imag] for z in rep.argmin_point]
+    assert res["iterations"] == rep.iterations
+    assert res["converged"] == rep.converged
 
 
 def test_check_transversality_both_methods(tmp_path, family_spec):

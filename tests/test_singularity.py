@@ -3,7 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brieskorn, poly, random_mixed
 from mixed_milnor import (
@@ -12,9 +15,12 @@ from mixed_milnor import (
     certify_smooth_shell,
     lemma_inequality_check,
     singularity_residual,
+    wirtinger_gradient,
 )
+from mixed_milnor.core import polynomial_arrays, wirtinger_gradient_batch
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.numerics import random_sphere_point, rng_for
+from mixed_milnor.singularity import _minimize_shell, shell_residual_sq
 
 
 def _linear_with_gradients(u, v):
@@ -141,6 +147,82 @@ def test_shell_search_validation():
         certify_smooth_shell(fam, (0.0,), -1.0)
     with pytest.raises(PreconditionError):
         certify_smooth_shell(fam, (0.0, 1.5), 1.0)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            certify_smooth_shell(fam, (0.0,), radius)
+    with pytest.raises(InputError):
+        certify_smooth_shell(fam, (), 1.0)
+    # zero restarts would certify on no evidence at all
+    with pytest.raises(InputError):
+        certify_smooth_shell(fam, (0.0,), 1.0, restarts=0)
+
+
+@st.composite
+def _families(draw):
+    kind = draw(st.sampled_from(("brieskorn", "type_i", "type_ii")))
+    n = draw(st.integers(min_value=1 if kind == "brieskorn" else 2, max_value=3))
+    a = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return build_family(FamilySpec(kind, tuple(a), tuple(b)))
+
+
+_coordinate = st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_value=1.5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_families(), st.data())
+def test_batched_kernel_matches_scalar(fam, data):
+    """Batched Wirtinger gradient and squared residual against the scalar
+    path, over several family members sharing one batch."""
+    ts = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3))
+    x = np.array(
+        data.draw(
+            st.lists(
+                st.lists(_coordinate, min_size=2 * fam.n, max_size=2 * fam.n),
+                min_size=len(ts),
+                max_size=len(ts),
+            )
+        )
+    ).reshape(len(ts), 1, 2 * fam.n)
+    arrays = polynomial_arrays([fam.member(t) for t in ts])
+    d_z, d_zbar = wirtinger_gradient_batch(arrays, x.view(complex))
+    res_sq = shell_residual_sq(arrays, x)
+    # below the normal range a double has no relative precision left
+    floor = np.finfo(float).tiny
+    for k, t in enumerate(ts):
+        z = x[k, 0].view(complex)
+        grad = wirtinger_gradient(fam.member(t), z)
+        exact = np.concatenate([grad.d_z, grad.d_zbar])
+        scale = np.max(np.abs(exact))
+        err = np.abs(np.concatenate([d_z[k, 0], d_zbar[k, 0]]) - exact)
+        assert np.all(err <= 1e-12 * scale + floor)
+        # the squared residual cancels down from uu + vv <= 2n * scale**2
+        expected = singularity_residual(fam.member(t), z).residual ** 2
+        assert abs(res_sq[k, 0] - expected) <= 1e-12 * scale**2 + floor
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    _families(),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=6),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_lockstep_restart_ignores_its_batch(fam, ts, seed):
+    """Each restart of a lockstep batch ends bit for bit where it ends alone."""
+    arrays = polynomial_arrays([fam.member(t) for t in ts])
+
+    def streams():
+        rngs = [rng_for(seed, f"lockstep:{k}") for k in range(len(ts))]
+        return rngs, np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
+
+    rngs, x0 = streams()
+    x, f, iters = _minimize_shell(arrays, x0, 1.0, rngs)
+    rngs, x0 = streams()
+    for k in range(len(ts)):
+        xk, fk, ik = _minimize_shell(arrays.rows([k]), x0[k : k + 1], 1.0, [rngs[k]])
+        assert xk[0].tobytes() == x[k].tobytes()
+        assert fk[0].tobytes() == f[k].tobytes()
+        assert ik[0] == iters[k]
 
 
 def test_inequality_brieskorn_example():
