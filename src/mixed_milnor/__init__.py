@@ -31,8 +31,7 @@ from .isotopy import (
     choose_tube_level,
     connection_velocity,
     integrate_isotopy,
-    transport_link,
-    transport_tube_fiber,
+    transport,
 )
 from .links import LinkSample, count_components, fibration_phase, project_svg, sample_link
 from .scaling import ScalingSolution, normalize_coefficients, verify_scaling
@@ -49,7 +48,6 @@ from .transversality import (
     conjecture_search_type_ii,
     radial_witness_brieskorn,
     rank_test,
-    real_gradients,
     sample_on_variety,
     solve_phi,
     type_i_witness,

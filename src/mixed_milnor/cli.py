@@ -1,7 +1,9 @@
-"""Command-line entry point.
+"""Command-line entry point (`mixed-milnor` or `python -m mixed_milnor`).
 
 Subcommands: analyze, normalize, certify-smooth, check-transversality,
-explore-conjecture, build-isotopy, trace-link.
+explore-conjecture, build-isotopy, trace-link.  Each is one row of
+SUBCOMMANDS; a single runner loads the spec, times the run, writes the report
+and maps the verdict to the exit code.
 
 Exit codes: 0 success, 1 property/certificate failure, 2 input error,
 3 internal/numerical failure.  All randomness flows from --seed through
@@ -17,15 +19,18 @@ import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import detect_weights, exponent_matrices, is_simplicial
 from .errors import CertificateFailure, InputError, MixedMilnorError, NumericalError
 from .families import MilnorTubeSpec
-from .isotopy import integrate_isotopy
+from .isotopy import transport
 from .links import count_components, project_svg, sample_link
-from .report import build_manifest, content_digest, dumps
+from .report import build_manifest, content_digest, dumps, jsonable
 from .scaling import normalize_coefficients, verify_scaling
 from .singularity import certify_smooth_shell
 from .specio import load_spec, require_family
@@ -76,44 +81,42 @@ def parse_t_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _emit(report: dict, out: Optional[str], to_stdout_line: Optional[str] = None) -> None:
-    text = dumps(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if to_stdout_line is not None:
-            print(to_stdout_line)
-    else:
-        sys.stdout.write(to_stdout_line + "\n" if to_stdout_line else text)
+def _checked(convert: Callable, accept: Callable, what: str) -> Callable:
+    """An argparse `type=` that also rejects converted values failing `accept`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
 
 
-def _finish(
-    args,
-    subcommand: str,
-    spec_raw: Optional[bytes],
-    parameters: dict,
-    result: dict,
-    outcome: str,
-    started: float,
-    stdout_line: Optional[str] = None,
-) -> None:
-    manifest = build_manifest(
-        subcommand=subcommand,
-        spec_digest=content_digest(spec_raw) if spec_raw is not None else None,
-        parameters=parameters,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        outcome=outcome,
-        canonical=args.canonical,
-        started=started,
-        finished=time.time(),
-    )
-    _emit({"manifest": manifest, "result": result}, args.out, stdout_line)
+POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+UNIT = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+COUNT = _checked(int, lambda k: k >= 0, "a non-negative integer")
+POSITIVE_COUNT = _checked(int, lambda k: k >= 1, "a positive integer")
 
 
-def cmd_analyze(args) -> int:
-    started = time.time()
-    poly, fam, raw = load_spec(args.spec)
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+SPEC = _arg("spec")
+FAMILY = _arg("--family", required=True)
+RADIUS = _arg("--radius", type=POSITIVE, default=1.0)
+TOLERANCE = _arg("--tolerance", type=POSITIVE, default=1e-3)
+
+
+def _fields(obj, *names: str) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _analyze(args, poly, fam):
     weights = detect_weights(poly)
     simp = is_simplicial(exponent_matrices(poly))
     result = {
@@ -121,12 +124,12 @@ def cmd_analyze(args) -> int:
         "monomial_count": len(poly.monomials),
         "max_degree": poly.max_degree,
         "polar": (
-            {"weights": list(weights.polar_weights), "degree": weights.polar_degree}
+            {"weights": weights.polar_weights, "degree": weights.polar_degree}
             if weights.has_polar
             else None
         ),
         "radial": (
-            {"weights": list(weights.radial_weights), "degree": weights.radial_degree}
+            {"weights": weights.radial_weights, "degree": weights.radial_degree}
             if weights.has_radial
             else None
         ),
@@ -135,187 +138,100 @@ def cmd_analyze(args) -> int:
         "det_minus": simp.det_minus,
         "family_kind": fam.spec.kind if fam is not None else None,
     }
-    _finish(args, "analyze", raw, {"spec": args.spec}, result, "ok", started)
-    return EXIT_OK
+    return result, "ok", True
 
 
-def cmd_normalize(args) -> int:
-    started = time.time()
-    poly, _, raw = load_spec(args.spec)
-    res = normalize_coefficients(poly)
-    check = verify_scaling(poly, res.scaling, samples=100, seed=args.seed)
-    result = {
-        "alpha": [[a.real, a.imag] for a in res.scaling.alpha],
-        "gamma": list(res.scaling.gamma),
-        "epsilon": list(res.scaling.epsilon),
-        "residual": res.scaling.residual,
-        "verify_residual": check,
-        "condition_number": res.scaling.condition_number,
-    }
-    line = json.dumps(
-        {"alpha": result["alpha"], "residual": result["residual"]}, sort_keys=True
-    )
-    _finish(args, "normalize", raw, {"spec": args.spec}, result, "ok", started, line)
-    return EXIT_OK if check <= args.tolerance else EXIT_CERT_FAIL
+def _normalize(args, poly, fam):
+    scaling = normalize_coefficients(poly).scaling
+    check = verify_scaling(poly, scaling, samples=100, seed=args.seed)
+    return asdict(scaling) | {"verify_residual": check}, "ok", check <= args.tolerance
 
 
-def cmd_certify_smooth(args) -> int:
-    started = time.time()
-    _, fam, raw = load_spec(args.family)
-    fam = require_family(fam)
+def _certify_smooth(args, poly, fam):
     grid = parse_t_grid(args.t_grid)
     rep = certify_smooth_shell(fam, grid, args.radius, args.restarts, args.seed)
+    certified = rep.min_residual_found > args.tolerance
     result = {
-        "t_grid": list(grid),
-        "radius": args.radius,
-        "restarts": args.restarts,
-        "min_residual_found": rep.min_residual_found,
-        "argmin_t": rep.argmin_t,
-        "argmin_point": [[z.real, z.imag] for z in rep.argmin_point],
-        "iterations": rep.iterations,
-        "converged": rep.converged,
+        **_fields(args, "radius", "restarts"),
+        **_fields(rep, "min_residual_found", "argmin_t", "argmin_point"),
+        **_fields(rep, "iterations", "converged"),
+        "t_grid": grid,
         "threshold": args.tolerance,
-        "certified": rep.min_residual_found > args.tolerance,
+        "certified": certified,
         "note": "numerical evidence, not proof",
     }
-    ok = result["certified"]
-    _finish(
-        args,
-        "certify-smooth",
-        raw,
-        {
-            "family": args.family,
-            "t_grid": args.t_grid,
-            "radius": args.radius,
-            "restarts": args.restarts,
-        },
-        result,
-        "certified" if ok else "below-threshold",
-        started,
-    )
-    return EXIT_OK if ok else EXIT_CERT_FAIL
+    return result, "certified" if certified else "below-threshold", certified
 
 
 def _witness_for(fam, t, point):
     if fam.spec.kind == "brieskorn":
         return radial_witness_brieskorn(fam, t, point), None
-    if fam.spec.kind == "type_i":
-        res = type_i_witness(fam, t, point)
-        return res.certificate, res.trace
-    raise InputError("no constructive witness is offered for type_ii (open problem)")
+    res = type_i_witness(fam, t, point)
+    return res.certificate, res.trace
 
 
-def cmd_check_transversality(args) -> int:
-    started = time.time()
-    _, fam, raw = load_spec(args.family)
-    fam = require_family(fam)
+def _check_transversality(args, poly, fam):
     grid = parse_t_grid(args.t_grid)
-    if args.method in ("witness", "both") and fam.spec.kind == "type_ii":
+    rank = args.method in ("rank", "both")
+    witness = args.method in ("witness", "both")
+    if witness and fam.spec.kind == "type_ii":
         raise InputError("no constructive witness is offered for type_ii (open problem)")
     certificates = []
-    min_margin = math.inf
     failures = 0
     for ti, t in enumerate(grid):
-        poly = fam.member(t)
         pts, missed = sample_on_variety(
-            poly, args.radius, args.samples, args.seed, label=f"ct:t={ti}"
+            fam.member(t), args.radius, args.samples, args.seed, label=f"ct:t={ti}"
         )
         failures += missed
         for z in pts:
-            entry = {"t": t, "point": [[c.real, c.imag] for c in z]}
-            if args.method in ("rank", "both"):
+            entry = {"t": t, "point": z}
+            if rank:
                 cert = rank_test(fam, t, z)
-                entry["rank_margin"] = cert.margin
-                entry["rank_transverse"] = cert.transverse
-                min_margin = min(min_margin, cert.margin)
-            if args.method in ("witness", "both"):
+                entry.update(rank_margin=cert.margin, rank_transverse=cert.transverse)
+            if witness:
                 cert, trace = _witness_for(fam, t, z)
-                entry["witness_margin"] = cert.margin
-                entry["witness_transverse"] = cert.transverse
-                entry["witness_vector"] = list(cert.witness_vector or ())
+                entry.update(
+                    witness_margin=cert.margin,
+                    witness_transverse=cert.transverse,
+                    witness_vector=cert.witness_vector or (),
+                )
                 if trace is not None:
-                    entry["trace"] = {
-                        "I0": list(trace.I0),
-                        "J": list(trace.J),
-                        "components": [list(c) for c in trace.components],
-                        "r_values": list(trace.r_values),
-                        "s_values": list(trace.s_values),
-                        "epsilon_flags": list(trace.epsilon_flags),
-                    }
-                min_margin = min(min_margin, cert.margin)
+                    entry["trace"] = _fields(
+                        trace, "I0", "J", "components", "r_values", "s_values", "epsilon_flags"
+                    )
             certificates.append(entry)
+    margins = [e[k] for e in certificates for k in ("rank_margin", "witness_margin") if k in e]
     all_transverse = bool(certificates) and all(
         entry.get("rank_transverse", True) and entry.get("witness_transverse", True)
         for entry in certificates
     )
     result = {
-        "method": args.method,
-        "t_grid": list(grid),
-        "radius": args.radius,
+        **_fields(args, "method", "radius"),
+        "t_grid": grid,
         "samples_per_t": args.samples,
         "sampler_failures": failures,
         "certificates": certificates,
-        "min_margin": min_margin if certificates else None,
+        "min_margin": min(margins, default=None),
         "all_transverse": all_transverse,
     }
-    _finish(
-        args,
-        "check-transversality",
-        raw,
-        {
-            "family": args.family,
-            "t_grid": args.t_grid,
-            "radius": args.radius,
-            "method": args.method,
-            "samples": args.samples,
-        },
-        result,
-        "transverse" if all_transverse else "not-certified",
-        started,
-    )
-    return EXIT_OK if all_transverse else EXIT_CERT_FAIL
+    return result, "transverse" if all_transverse else "not-certified", all_transverse
 
 
-def cmd_explore_conjecture(args) -> int:
-    started = time.time()
-    _, fam, raw = load_spec(args.family)
-    fam = require_family(fam)
+def _explore_conjecture(args, poly, fam):
     if fam.spec.kind != "type_ii":
         raise InputError("explore-conjecture applies to type_ii families only")
     grid = parse_t_grid(args.t_grid)
     rep = conjecture_search_type_ii(fam, grid, args.radius, args.samples, args.seed)
     result = {
-        "t_grid": list(grid),
+        **_fields(rep, "samples_requested", "samples_found", "sampler_failures"),
+        **_fields(rep, "min_margin", "argmin_t", "argmin_point", "note"),
+        "t_grid": grid,
         "radius": args.radius,
-        "samples_requested": rep.samples_requested,
-        "samples_found": rep.samples_found,
-        "sampler_failures": rep.sampler_failures,
-        "min_margin": rep.min_margin,
-        "argmin_t": rep.argmin_t,
-        "argmin_point": [[z.real, z.imag] for z in rep.argmin_point],
         "flagged_count": len(rep.flagged),
-        "flagged": [
-            {"t": c.t, "point": [[z.real, z.imag] for z in c.point], "margin": c.margin}
-            for c in rep.flagged
-        ],
-        "note": rep.note,
+        "flagged": [_fields(c, "t", "point", "margin") for c in rep.flagged],
     }
     ok = rep.samples_found > 0 and not rep.flagged
-    _finish(
-        args,
-        "explore-conjecture",
-        raw,
-        {
-            "family": args.family,
-            "t_grid": args.t_grid,
-            "radius": args.radius,
-            "samples": args.samples,
-        },
-        result,
-        "no-counterexample-found" if ok else "flagged",
-        started,
-    )
-    return EXIT_OK if ok else EXIT_CERT_FAIL
+    return result, "no-counterexample-found" if ok else "flagged", ok
 
 
 def _load_points(path: str) -> list[tuple[complex, ...]]:
@@ -327,196 +243,207 @@ def _load_points(path: str) -> list[tuple[complex, ...]]:
         raise InputError(f"cannot read points file {path!r}: {exc}") from exc
 
 
-def cmd_build_isotopy(args) -> int:
-    started = time.time()
-    _, fam, raw = load_spec(args.family)
-    fam = require_family(fam)
+def _build_isotopy(args, poly, fam):
     points = _load_points(args.points)
     if not points:
         raise InputError("points file is empty")
     radius = args.radius or math.sqrt(sum(abs(c) ** 2 for c in points[0]))
     tube = MilnorTubeSpec(radius, args.eta0)
-    traces = [integrate_isotopy(fam, z, args.t_end, args.steps, tube) for z in points]
-    worst_value = max(tr.value_residual for tr in traces)
-    worst_norm = max(tr.norm_residual for tr in traces)
-    out_traces = []
-    for tr in traces:
-        entry = {
-            "start": [[z.real, z.imag] for z in tr.start],
-            "value_residual": tr.value_residual,
-            "norm_residual": tr.norm_residual,
-            "failed": tr.failed,
-        }
+    # any sphere point is accepted, on the link or not
+    summary = transport(fam, points, args.t_end, args.steps, tube, level=None)
+    traces = []
+    for tr in summary.traces:
+        entry = _fields(tr, "start", "value_residual", "norm_residual", "failed")
         if args.endpoints_only:
-            entry["endpoint"] = [[z.real, z.imag] for z in tr.endpoint]
-            entry["t_end"] = tr.t_end
+            entry.update(_fields(tr, "endpoint", "t_end"))
         else:
-            entry["samples"] = [
-                {"t": t, "point": [[z.real, z.imag] for z in pt]}
-                for t, pt in tr.samples
-            ]
-        out_traces.append(entry)
-    partial = any(tr.failed for tr in traces)
+            entry["samples"] = [{"t": t, "point": pt} for t, pt in tr.samples]
+        traces.append(entry)
     result = {
-        "t_end": args.t_end,
-        "steps": args.steps,
+        **_fields(args, "t_end", "steps", "eta0"),
+        **_fields(summary, "worst_value_residual", "worst_norm_residual", "partial"),
         "radius": radius,
-        "eta0": args.eta0,
-        "worst_value_residual": worst_value,
-        "worst_norm_residual": worst_norm,
-        "partial": partial,
-        "traces": out_traces,
+        "traces": traces,
     }
-    _finish(
-        args,
-        "build-isotopy",
-        raw,
-        {
-            "family": args.family,
-            "points": args.points,
-            "t_end": args.t_end,
-            "steps": args.steps,
-            "eta0": args.eta0,
-        },
-        result,
-        "ok" if not partial else "partial",
-        started,
-    )
-    return EXIT_OK if not partial else EXIT_CERT_FAIL
+    return result, "partial" if summary.partial else "ok", not summary.partial
 
 
-def cmd_trace_link(args) -> int:
-    started = time.time()
-    _, fam, raw = load_spec(args.family)
-    fam = require_family(fam)
+def _trace_link(args, poly, fam):
     sample = sample_link(fam, args.t, args.radius, args.seeds, args.seed)
-    components = count_components(sample) if sample.orbits else 0
+    # one [re z1, im z1, re z2, im z2] row per traced point
+    orbits = np.asarray(sample.orbits, dtype=complex).view(float).tolist()
     if args.svg and sample.orbits:
         project_svg(sample, args.svg)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("orbit,re_z1,im_z1,re_z2,im_z2\n")
-            for i, orbit in enumerate(sample.orbits):
-                for z in orbit:
-                    fh.write(
-                        f"{i},{z[0].real!r},{z[0].imag!r},{z[1].real!r},{z[1].imag!r}\n"
-                    )
+            for i, orbit in enumerate(orbits):
+                fh.writelines(f"{i},{','.join(map(repr, row))}\n" for row in orbit)
     result = {
-        "t": args.t,
-        "radius": args.radius,
-        "polar_weights": list(sample.polar_weights),
-        "orbit_count": len(sample.orbits),
-        "component_count": components,
-        "seeds_used": sample.seeds_used,
-        "flagged": sample.flagged,
-        "orbits": [
-            [[z[0].real, z[0].imag, z[1].real, z[1].imag] for z in orbit]
-            for orbit in sample.orbits
-        ],
+        **_fields(args, "t", "radius"),
+        **_fields(sample, "polar_weights", "seeds_used", "flagged"),
+        "orbit_count": len(orbits),
+        "component_count": count_components(sample) if orbits else 0,
+        "orbits": orbits,
     }
-    _finish(
-        args,
+    return result, "empty-link" if sample.flagged else "ok", not sample.flagged
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    name: str
+    help: str
+    compute: Callable  # (args, poly, fam) -> (result, outcome, ok)
+    arguments: tuple  # (flags, options) pairs for add_argument
+    parameters: tuple[str, ...]  # manifest parameters, read from args by name
+    summary: tuple[str, ...] = ()  # result keys echoed on stdout when --out is given
+
+
+SUBCOMMANDS = (
+    Subcommand(
+        "analyze", "weights and simpliciality of a polynomial spec", _analyze, (SPEC,), ("spec",)
+    ),
+    Subcommand(
+        "normalize",
+        "coefficient-normalizing diagonal scaling",
+        _normalize,
+        (SPEC, TOLERANCE),
+        ("spec",),
+        summary=("alpha", "residual"),
+    ),
+    Subcommand(
+        "certify-smooth",
+        "shell search for mixed singular points",
+        _certify_smooth,
+        (
+            FAMILY,
+            _arg("--t-grid", default="0:1:0.1"),
+            RADIUS,
+            _arg("--restarts", type=POSITIVE_COUNT, default=32),
+            TOLERANCE,
+        ),
+        ("family", "t_grid", "radius", "restarts"),
+    ),
+    Subcommand(
+        "check-transversality",
+        "rank test / constructive witness",
+        _check_transversality,
+        (
+            FAMILY,
+            _arg("--t-grid", default="0:1:0.25"),
+            RADIUS,
+            _arg("--method", choices=("rank", "witness", "both"), default="rank"),
+            _arg("--samples", type=COUNT, default=20),
+        ),
+        ("family", "t_grid", "radius", "method", "samples"),
+    ),
+    Subcommand(
+        "explore-conjecture",
+        "type_ii transversality evidence",
+        _explore_conjecture,
+        (
+            FAMILY,
+            _arg("--t-grid", default="0:1:0.1"),
+            RADIUS,
+            _arg("--samples", type=COUNT, default=100),
+        ),
+        ("family", "t_grid", "radius", "samples"),
+    ),
+    Subcommand(
+        "build-isotopy",
+        "transport points from t=0 to t-end",
+        _build_isotopy,
+        (
+            FAMILY,
+            _arg("--points", required=True),
+            _arg("--t-end", type=UNIT, default=1.0),
+            _arg("--steps", type=POSITIVE_COUNT, default=200),
+            _arg("--eta0", type=POSITIVE, default=0.05),
+            _arg("--radius", type=POSITIVE, default=None),
+            _arg("--endpoints-only", action="store_true"),
+        ),
+        ("family", "points", "t_end", "steps", "eta0"),
+    ),
+    Subcommand(
         "trace-link",
-        raw,
-        {
-            "family": args.family,
-            "t": args.t,
-            "radius": args.radius,
-            "seeds": args.seeds,
-        },
-        result,
-        "ok" if not sample.flagged else "empty-link",
-        started,
+        "sample and trace the link K_t (n = 2)",
+        _trace_link,
+        (
+            FAMILY,
+            _arg("--t", type=UNIT, default=0.0),
+            RADIUS,
+            _arg("--seeds", type=COUNT, default=64),
+            _arg("--svg", default=None),
+            _arg("--csv", default=None),
+        ),
+        ("family", "t", "radius", "seeds"),
+    ),
+)
+
+
+def _execute(cmd: Subcommand, args) -> int:
+    started = time.time()
+    family = "family" in cmd.parameters
+    poly, fam, raw = load_spec(args.family if family else args.spec)
+    if family:
+        fam = require_family(fam)
+    result, outcome, ok = cmd.compute(args, poly, fam)
+    manifest = build_manifest(
+        subcommand=cmd.name,
+        spec_digest=content_digest(raw),
+        parameters=_fields(args, *cmd.parameters),
+        seed=args.seed,
+        version=__version__,
+        outcome=outcome,
+        canonical=args.canonical,
+        started=started,
+        finished=time.time(),
     )
-    return EXIT_OK if not sample.flagged else EXIT_CERT_FAIL
+    text = dumps({"manifest": manifest, "result": result})
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if cmd.summary:
+            print(json.dumps(jsonable({k: result[k] for k in cmd.summary}), sort_keys=True))
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_CERT_FAIL
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # usage errors are input errors: exit 2 with the usual message
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixed-milnor",
         description="Numerical certification toolkit for mixed Brieskorn-type families.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for cmd in SUBCOMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flags, options in cmd.arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--tolerance", type=float, default=1e-3)
         p.add_argument(
             "--canonical",
             action="store_true",
             help="omit timestamps so identical runs emit identical bytes",
         )
-
-    p = sub.add_parser("analyze", help="weights and simpliciality of a polynomial spec")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("normalize", help="coefficient-normalizing diagonal scaling")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("certify-smooth", help="shell search for mixed singular points")
-    p.add_argument("--family", required=True)
-    p.add_argument("--t-grid", default="0:1:0.1")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--restarts", type=int, default=32)
-    common(p)
-    p.set_defaults(fn=cmd_certify_smooth)
-
-    p = sub.add_parser("check-transversality", help="rank test / constructive witness")
-    p.add_argument("--family", required=True)
-    p.add_argument("--t-grid", default="0:1:0.25")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--method", choices=("rank", "witness", "both"), default="rank")
-    p.add_argument("--samples", type=int, default=20)
-    common(p)
-    p.set_defaults(fn=cmd_check_transversality)
-
-    p = sub.add_parser("explore-conjecture", help="type_ii transversality evidence")
-    p.add_argument("--family", required=True)
-    p.add_argument("--t-grid", default="0:1:0.1")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=100)
-    common(p)
-    p.set_defaults(fn=cmd_explore_conjecture)
-
-    p = sub.add_parser("build-isotopy", help="transport points from t=0 to t-end")
-    p.add_argument("--family", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--eta0", type=float, default=0.05)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--endpoints-only", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_build_isotopy)
-
-    p = sub.add_parser("trace-link", help="sample and trace the link K_t (n = 2)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--seeds", type=int, default=64)
-    p.add_argument("--svg", default=None)
-    p.add_argument("--csv", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_trace_link)
-
+        p.set_defaults(command=cmd)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already; preserve --version/-h
+        args = build_parser().parse_args(argv)
+        return _execute(args.command, args)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -530,3 +457,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,14 @@ import numpy as np
 from .core import evaluate
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily, MilnorTubeSpec, family_t_derivative
-from .numerics import complexify, real_jacobian_rows, realify
+from .numerics import (
+    complexify,
+    random_sphere_point,
+    real_jacobian_rows,
+    realify,
+    require_on_variety,
+    rng_for,
+)
 
 
 @dataclass(frozen=True)
@@ -186,53 +193,26 @@ class TransportSummary:
     partial: bool
 
 
-def transport_link(
+def transport(
     fam: DeformationFamily,
-    link0: Sequence[Sequence[complex]],
+    points: Sequence[Sequence[complex]],
     t_end: float,
     steps: int,
     tube: MilnorTubeSpec,
+    level: Optional[float] = 0.0,
     **kwargs,
 ) -> TransportSummary:
-    """Transport a finite point set of K_0 = V_0 on the sphere to t_end."""
-    from .transversality import on_variety_tolerance
+    """Transport sphere points with |f_0| = level to t_end.
 
+    Level 0 carries a finite point set of the link K_0 = V_0; level eta0
+    carries points of one phase fiber of the tube boundary.  With level None
+    the start points are not checked against any level.
+    """
     poly0 = fam.member(0.0)
     traces = []
-    for z in link0:
-        val = abs(evaluate(poly0, z))
-        if val > on_variety_tolerance(poly0, z):
-            raise PreconditionError(f"link point is not on V_0: |f_0| = {val:.3e}")
-        traces.append(integrate_isotopy(fam, z, t_end, steps, tube, **kwargs))
-    return TransportSummary(
-        tuple(traces),
-        max((tr.value_residual for tr in traces), default=0.0),
-        max((tr.norm_residual for tr in traces), default=0.0),
-        any(tr.failed for tr in traces),
-    )
-
-
-def transport_tube_fiber(
-    fam: DeformationFamily,
-    fiber0: Sequence[Sequence[complex]],
-    t_end: float,
-    steps: int,
-    tube: MilnorTubeSpec,
-    level_tol: float = 1e-6,
-    **kwargs,
-) -> TransportSummary:
-    """Transport points of one phase fiber of the tube boundary |f_0| = eta0."""
-    poly0 = fam.member(0.0)
-    traces = []
-    for z in fiber0:
-        val = abs(evaluate(poly0, z))
-        if abs(val - tube.tube_level) > level_tol * max(1.0, tube.tube_level):
-            raise PreconditionError(
-                f"fiber point has |f_0| = {val:.3e}, expected {tube.tube_level!r}"
-            )
-        nrm = math.sqrt(sum(abs(c) ** 2 for c in z))
-        if nrm > tube.radius * (1.0 + 1e-9):
-            raise PreconditionError("fiber point lies outside the ball of the tube")
+    for z in points:
+        if level is not None:
+            require_on_variety(poly0, z, level)
         traces.append(integrate_isotopy(fam, z, t_end, steps, tube, **kwargs))
     return TransportSummary(
         tuple(traces),
@@ -252,8 +232,6 @@ def choose_tube_level(
 ) -> float:
     """Desk-scale eta0 heuristic: a small fraction of the median |f_t| over
     the sphere, minimized over the t grid (recorded, not assumed safe)."""
-    from .numerics import random_sphere_point, rng_for
-
     rng = rng_for(seed, "tube-level")
     level = math.inf
     for t in t_grid:

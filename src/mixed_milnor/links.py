@@ -19,8 +19,13 @@ import numpy as np
 from .core import MixedPolynomial, detect_weights, evaluate, polar_action
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
-from .numerics import newton_on_sphere, random_sphere_point, rng_for
-from .transversality import on_variety_tolerance
+from .numerics import (
+    monotone_root,
+    newton_on_sphere,
+    on_variety_tolerance,
+    random_sphere_point,
+    rng_for,
+)
 
 DEFAULT_RESOLUTION = 720
 
@@ -75,17 +80,6 @@ def _trace_orbit(
     )
 
 
-def _bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
-    flo = fn(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) * (1 if flo > 0 else -1) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _brieskorn_representatives(
     fam: DeformationFamily, t: float, radius: float
 ) -> list[tuple[complex, complex]]:
@@ -103,7 +97,7 @@ def _brieskorn_representatives(
         return rho1**a1 * amp(rho1, b1) - rho2**a2 * amp(rho2, b2)
 
     eps = 1e-12 * radius
-    rho1 = _bisect_root(profile, eps, radius - eps)
+    rho1 = monotone_root(profile, 0.0, lo=eps, hi=radius - eps)
     rho2 = math.sqrt(max(radius**2 - rho1**2, 0.0))
     reps = []
     for k in range(a1):

@@ -1,15 +1,17 @@
 """Shared numerical machinery: monotone root finding, seeded RNG streams,
-real/complex coordinate shuffling and on-sphere Newton solving."""
+real/complex coordinate shuffling, the on-variety check and on-sphere Newton
+solving."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import MixedPolynomial, evaluate, wirtinger_gradient
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, PreconditionError
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -107,6 +109,24 @@ def real_jacobian_rows(poly: MixedPolynomial, point: Sequence[complex]) -> np.nd
         rows[1, 2 * j] = dx.imag
         rows[1, 2 * j + 1] = dy.imag
     return rows
+
+
+def on_variety_tolerance(poly: MixedPolynomial, point: Sequence[complex]) -> float:
+    nrm = math.sqrt(sum(abs(z) ** 2 for z in point))
+    return 1e-8 * (1.0 + nrm ** poly.max_degree)
+
+
+def require_on_variety(
+    poly: MixedPolynomial, point: Sequence[complex], level: float = 0.0
+) -> None:
+    """Raise PreconditionError unless |f(point)| = level within on_variety_tolerance."""
+    val = abs(evaluate(poly, point))
+    tol = on_variety_tolerance(poly, point)
+    if abs(val - level) > tol:
+        raise PreconditionError(
+            f"point is off the level set |f| = {level!r}: |f| = {val:.3e} "
+            f"(tolerance {tol:.3e})"
+        )
 
 
 def newton_on_sphere(

@@ -8,6 +8,7 @@ Two accepted shapes:
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .core import MixedMonomial, MixedPolynomial
@@ -15,26 +16,43 @@ from .errors import InputError
 from .families import DeformationFamily, FamilySpec, build_family
 
 
+def _integers(value, what: str) -> tuple[int, ...]:
+    # bool is an int subclass, and JSON true must not read as 1
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def _coefficient(value) -> complex:
+    parts = value if isinstance(value, list) else [value, 0]
+    if len(parts) != 2 or any(type(v) not in (int, float) or not math.isfinite(v) for v in parts):
+        raise InputError(f"coefficient must be a finite number or [re, im], got {value!r}")
+    return complex(parts[0], parts[1])
+
+
 def parse_spec(data: dict) -> tuple[MixedPolynomial, Optional[DeformationFamily]]:
     if not isinstance(data, dict):
         raise InputError("spec must be a JSON object")
     if "family" in data:
-        try:
-            spec = FamilySpec(data["family"], tuple(data["a"]), tuple(data.get("b", [0] * len(data["a"]))))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed family spec: {exc}") from exc
-        fam = build_family(spec)
+        a = _integers(data.get("a"), "a")
+        b = _integers(data["b"], "b") if "b" in data else (0,) * len(a)
+        fam = build_family(FamilySpec(data["family"], a, b))
         return fam.endpoint_mixed, fam
     try:
-        n = int(data["n"])
-        monomials = []
-        for entry in data["monomials"]:
-            c = entry["c"]
-            coeff = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-            monomials.append(MixedMonomial(coeff, tuple(entry["nu"]), tuple(entry["mu"])))
-    except (KeyError, TypeError, IndexError) as exc:
+        n = data["n"]
+        monomials = tuple(
+            MixedMonomial(
+                _coefficient(entry["c"]),
+                _integers(entry["nu"], "nu"),
+                _integers(entry["mu"], "mu"),
+            )
+            for entry in data["monomials"]
+        )
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polynomial spec: {exc}") from exc
-    return MixedPolynomial(n, tuple(monomials)), None
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
+    return MixedPolynomial(n, monomials), None
 
 
 def load_spec(path: str) -> tuple[MixedPolynomial, Optional[DeformationFamily], bytes]:

@@ -21,30 +21,15 @@ from .families import DeformationFamily
 from .numerics import (
     monotone_root,
     newton_on_sphere,
+    on_variety_tolerance,
     random_sphere_point,
     real_jacobian_rows,
     realify,
+    require_on_variety,
     rng_for,
 )
 
 DEFAULT_MARGIN_THRESHOLD = 1e-9
-
-
-def on_variety_tolerance(poly: MixedPolynomial, point: Sequence[complex]) -> float:
-    nrm = math.sqrt(sum(abs(z) ** 2 for z in point))
-    return 1e-8 * (1.0 + nrm ** poly.max_degree)
-
-
-@dataclass(frozen=True)
-class RealGradients:
-    grad_g: tuple[float, ...]
-    grad_h: tuple[float, ...]
-
-
-def real_gradients(poly: MixedPolynomial, point: Sequence[complex]) -> RealGradients:
-    """Gradients of Re f and Im f in (x_1, y_1, ..., x_n, y_n) coordinates."""
-    rows = real_jacobian_rows(poly, point)
-    return RealGradients(tuple(rows[0]), tuple(rows[1]))
 
 
 @dataclass(frozen=True)
@@ -65,12 +50,7 @@ def rank_test(
 ) -> TransversalityCertificate:
     """Smallest singular value of [w; grad Re f; grad Im f], rows unit-normalized."""
     poly = fam.member(t)
-    val = abs(evaluate(poly, point))
-    tol = on_variety_tolerance(poly, point)
-    if val > tol:
-        raise PreconditionError(
-            f"point is not on the variety: |f_t| = {val:.3e} > {tol:.3e}"
-        )
+    require_on_variety(poly, point)
     x = realify(point)
     if np.linalg.norm(x) == 0:
         raise PreconditionError("rank test is undefined at the origin")
@@ -115,15 +95,6 @@ def solve_phi(a: int, b: int, tau: float, w_abs: float, r: float) -> float:
     return monotone_root(fn, target, dfn=dfn)
 
 
-def _require_on_variety(poly: MixedPolynomial, point: Sequence[complex]) -> None:
-    val = abs(evaluate(poly, point))
-    tol = on_variety_tolerance(poly, point)
-    if val > tol:
-        raise PreconditionError(
-            f"point is not on the variety: |f_t| = {val:.3e} > {tol:.3e}"
-        )
-
-
 def radial_witness_brieskorn(
     fam: DeformationFamily,
     t: float,
@@ -140,7 +111,7 @@ def radial_witness_brieskorn(
         raise PreconditionError("radial witness requires a brieskorn family")
     poly = fam.member(t)
     w = [complex(z) for z in point]
-    _require_on_variety(poly, w)
+    require_on_variety(poly, w)
     a, b = fam.spec.a, fam.spec.b
     mods = [abs(z) for z in w]
 
@@ -224,7 +195,7 @@ def type_i_witness(
     w = [complex(z) for z in point]
     if len(w) != fam.n:
         raise InputError("point length mismatch")
-    _require_on_variety(poly, w)
+    require_on_variety(poly, w)
     n = fam.n
     mods = [abs(z) for z in w]
     eps = tuple(1 if j < n - 1 else 0 for j in range(n))

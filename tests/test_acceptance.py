@@ -25,8 +25,7 @@ from mixed_milnor import (
     sample_link,
     sample_on_variety,
     solve_phi,
-    transport_link,
-    transport_tube_fiber,
+    transport,
     type_i_witness,
     verify_scaling,
 )
@@ -189,7 +188,7 @@ def trefoil_transport():
     step = max(1, len(orbit_pts) // 200)
     pts = [orbit_pts[i] for i in range(0, len(orbit_pts), step)][:200]
     assert len(pts) == 200
-    return fam, pts, transport_link(fam, pts, 1.0, 200, TUBE)
+    return fam, pts, transport(fam, pts, 1.0, 200, TUBE)
 
 
 def test_criterion_06_isotopy_transport(announce, trefoil_transport):
@@ -200,7 +199,7 @@ def test_criterion_06_isotopy_transport(announce, trefoil_transport):
         holo = fam.member(1.0)
         for tr in fwd.traces:
             assert abs(evaluate(holo, tr.endpoint)) <= 1e-6
-        back = transport_link(
+        back = transport(
             fam.reversed(), [tr.endpoint for tr in fwd.traces], 1.0, 200, TUBE
         )
         for z0, tr in zip(pts, back.traces):
@@ -224,7 +223,7 @@ def test_criterion_07_tube_fiber_transport(announce):
             )
             if z is not None:
                 pts.append(z)
-        moved = transport_tube_fiber(fam, pts, 1.0, 200, TUBE)
+        moved = transport(fam, pts, 1.0, 200, TUBE, level=TUBE.tube_level)
         assert not moved.partial
         holo = fam.member(1.0)
         for tr in moved.traces:
@@ -248,7 +247,7 @@ def test_criterion_08_link_component_counts(announce):
             # independent confirmation: carry one representative per sampled
             # orbit across the family and count distinct orbits at the end
             reps = [orbit[0] for orbit in s0.orbits]
-            summary = transport_link(fam, reps, 1.0, 100, TUBE)
+            summary = transport(fam, reps, 1.0, 100, TUBE)
             assert not summary.partial
             ends = [tr.endpoint for tr in summary.traces]
             classes = []

@@ -1,13 +1,18 @@
 """End-to-end command-line behavior: reports, exit codes, determinism, schemas."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import mixed_milnor
 from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
-from mixed_milnor.cli import parse_t_grid, run, worker_count
+from mixed_milnor.cli import SUBCOMMANDS, parse_t_grid, run, worker_count
 from mixed_milnor.errors import InputError
 
 
@@ -24,6 +29,19 @@ def family_spec(tmp_path):
 @pytest.fixture
 def cyclic_spec(tmp_path):
     return _write(tmp_path / "cyclic.json", {"family": "type_ii", "a": [2, 2], "b": [1, 1]})
+
+
+@pytest.fixture
+def poly_spec(tmp_path):
+    return _write(
+        tmp_path / "poly.json", {"n": 1, "monomials": [{"c": [4, 0], "nu": [3], "mu": [1]}]}
+    )
+
+
+@pytest.fixture
+def points_file(tmp_path):
+    # two sphere points; build-isotopy accepts any point of the sphere
+    return _write(tmp_path / "points.json", [[[0.6, 0], [0, 0.8]], [[0.5, 0.5], [0.5, -0.5]]])
 
 
 def _validate(report, subcommand):
@@ -103,6 +121,13 @@ def test_normalize(tmp_path, capsys):
     _validate(report, "normalize")
 
 
+def test_normalize_without_out_prints_report(poly_spec, capsys):
+    assert run(["normalize", poly_spec, "--canonical"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["residual"] <= 1e-12
+    _validate(report, "normalize")
+
+
 def test_normalize_non_simplicial_exits_2(tmp_path, capsys):
     spec = _write(
         tmp_path / "poly.json",
@@ -165,10 +190,63 @@ def test_certify_smooth_below_threshold_exits_1(tmp_path, family_spec):
         ["--t-grid", ""],
         ["--radius", "nan"],
         ["--radius", "inf"],
+        ["--tolerance", "-1"],
     ],
 )
 def test_certify_smooth_bad_input_exits_2(family_spec, capsys, options):
     assert run(["certify-smooth", "--family", family_spec, *options]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": 1, "monomials": [{"c": "x", "nu": [3], "mu": [1]}]},
+        {"n": 1, "monomials": [{"c": [1, 0, 2], "nu": [3], "mu": [1]}]},
+        {"n": 1, "monomials": [{"c": [float("nan"), 0], "nu": [3], "mu": [1]}]},
+        {"n": "1", "monomials": [{"c": [1, 0], "nu": [3], "mu": [1]}]},
+        {"n": 1, "monomials": [{"c": [1, 0], "nu": [3.0], "mu": [1]}]},
+        {"family": "brieskorn", "a": "23"},
+        {"family": "brieskorn", "a": [2.7, 3]},
+        {"family": "brieskorn", "a": [2, 3], "b": [1, True]},
+        {"family": "brieskorn"},
+    ],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, spec):
+    assert run(["analyze", _write(tmp_path / "spec.json", spec)]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{poly}", "--tolerance", "1"],
+        ["normalize", "{poly}", "--tolerance", "nan"],
+        ["check-transversality", "--family", "{family}", "--radius", "nan"],
+        ["check-transversality", "--family", "{family}", "--samples", "-1"],
+        ["check-transversality", "--family", "{family}", "--method", "guess"],
+        ["explore-conjecture", "--family", "{cyclic}", "--radius", "inf"],
+        ["explore-conjecture", "--family", "{cyclic}", "--samples", "-3"],
+        ["build-isotopy", "--family", "{family}", "--points", "{points}", "--radius", "nan"],
+        ["build-isotopy", "--family", "{family}", "--points", "{points}", "--eta0", "nan"],
+        ["build-isotopy", "--family", "{family}", "--points", "{points}", "--t-end", "2"],
+        ["build-isotopy", "--family", "{family}", "--points", "{points}", "--steps", "0"],
+        ["trace-link", "--family", "{family}", "--t", "2"],
+        ["trace-link", "--family", "{family}", "--t", "nan"],
+        ["trace-link", "--family", "{family}", "--radius", "nan"],
+        ["trace-link", "--family", "{family}", "--seeds", "-1"],
+    ],
+)
+def test_bad_option_exits_2(
+    capsys, family_spec, cyclic_spec, poly_spec, points_file, argv
+):
+    paths = {"family": family_spec, "cyclic": cyclic_spec, "poly": poly_spec}
+    paths["points"] = points_file
+    assert run([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err
     assert captured.out == ""
@@ -322,3 +400,53 @@ def test_build_isotopy_empty_points_exits_2(tmp_path, family_spec):
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+# One small invocation per registered subcommand; a new subcommand needs a row.
+DETERMINISM_ARGV = {
+    "analyze": ["{family}"],
+    "normalize": ["{poly}"],
+    "certify-smooth": ["--family", "{family}", "--t-grid", "0,1", "--restarts", "2"],
+    "check-transversality": [
+        "--family", "{family}", "--t-grid", "0.5", "--method", "both", "--samples", "2"
+    ],
+    "explore-conjecture": ["--family", "{cyclic}", "--t-grid", "0.5", "--samples", "3"],
+    "build-isotopy": ["--family", "{family}", "--points", "{points}", "--steps", "5"],
+    "trace-link": ["--family", "{family}", "--t", "0.5"],
+}
+
+
+def test_determinism_table_covers_every_subcommand():
+    assert set(DETERMINISM_ARGV) == {cmd.name for cmd in SUBCOMMANDS}
+
+
+@pytest.mark.parametrize("name", [cmd.name for cmd in SUBCOMMANDS])
+def test_canonical_reports_are_deterministic(
+    tmp_path, family_spec, cyclic_spec, poly_spec, points_file, name
+):
+    paths = {"family": family_spec, "cyclic": cyclic_spec, "poly": poly_spec}
+    paths["points"] = points_file
+    argv = [name] + [a.format(**paths) for a in DETERMINISM_ARGV[name]] + ["--seed", "5"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(argv + ["--canonical", "--out", str(first)]) == 0
+    assert run(argv + ["--canonical", "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    report = json.loads(first.read_text())
+    assert report["manifest"]["subcommand"] == name
+    _validate(report, name)
+
+
+@pytest.mark.parametrize("module", ["mixed_milnor", "mixed_milnor.cli"])
+def test_python_dash_m_runs_the_cli(family_spec, module):
+    env = dict(os.environ)
+    package_root = str(Path(mixed_milnor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "analyze", family_spec, "--canonical"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["family_kind"] == "brieskorn"

@@ -14,8 +14,7 @@ from mixed_milnor import (
     evaluate,
     integrate_isotopy,
     sample_link,
-    transport_link,
-    transport_tube_fiber,
+    transport,
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec, family_t_derivative
@@ -96,7 +95,7 @@ def test_integrate_constant_family_is_identity():
 def test_transport_link_reaches_holomorphic_link():
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 20)
-    summary = transport_link(fam, pts, 1.0, 100, TUBE)
+    summary = transport(fam, pts, 1.0, 100, TUBE)
     assert not summary.partial
     assert summary.worst_norm_residual <= 1e-8
     holo = fam.member(1.0)
@@ -109,8 +108,8 @@ def test_transport_link_reaches_holomorphic_link():
 def test_round_trip_returns_to_start():
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 5)
-    fwd = transport_link(fam, pts, 1.0, 100, TUBE)
-    back = transport_link(
+    fwd = transport(fam, pts, 1.0, 100, TUBE)
+    back = transport(
         fam.reversed(), [tr.endpoint for tr in fwd.traces], 1.0, 100, TUBE
     )
     for z0, tr in zip(pts, back.traces):
@@ -120,7 +119,7 @@ def test_round_trip_returns_to_start():
 def test_endpoints_do_not_collide():
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 10)
-    summary = transport_link(fam, pts, 1.0, 100, TUBE)
+    summary = transport(fam, pts, 1.0, 100, TUBE)
     ends = [tr.endpoint for tr in summary.traces]
 
     def min_dist(points):
@@ -144,12 +143,12 @@ def test_fourth_order_convergence():
 def test_transport_link_rejects_off_variety_points():
     fam = brieskorn((2, 3), (1, 0))
     with pytest.raises(PreconditionError):
-        transport_link(fam, [(1 / math.sqrt(2), 1 / math.sqrt(2))], 1.0, 10, TUBE)
+        transport(fam, [(1 / math.sqrt(2), 1 / math.sqrt(2))], 1.0, 10, TUBE)
 
 
 def test_transport_empty_link():
     fam = brieskorn((2, 3), (1, 0))
-    summary = transport_link(fam, [], 1.0, 10, TUBE)
+    summary = transport(fam, [], 1.0, 10, TUBE)
     assert summary.traces == ()
     assert summary.worst_value_residual == 0
     assert not summary.partial
@@ -168,10 +167,10 @@ def test_tube_fiber_identity_cases():
         )
         if z is not None:
             pts.append(z)
-    still = transport_tube_fiber(fam, pts, 0.0, 10, TUBE)
+    still = transport(fam, pts, 0.0, 10, TUBE, level=TUBE.tube_level)
     for z, tr in zip(pts, still.traces):
         assert tr.endpoint == tuple(z)
-    moved = transport_tube_fiber(fam, pts, 1.0, 100, TUBE)
+    moved = transport(fam, pts, 1.0, 100, TUBE, level=TUBE.tube_level)
     holo = fam.member(1.0)
     for tr in moved.traces:
         assert abs(abs(evaluate(holo, tr.endpoint)) - TUBE.tube_level) <= 1e-6
@@ -181,7 +180,7 @@ def test_tube_fiber_rejects_wrong_level():
     fam = brieskorn((2, 2), (1, 1))
     z = (1 / math.sqrt(2), 1j / math.sqrt(2))  # on V_0, so |f_0| = 0 != eta0
     with pytest.raises(PreconditionError):
-        transport_tube_fiber(fam, [z], 1.0, 10, TUBE)
+        transport(fam, [z], 1.0, 10, TUBE, level=TUBE.tube_level)
 
 
 def test_choose_tube_level_positive():

@@ -17,8 +17,8 @@ from mixed_milnor import (
     sample_link,
 )
 from mixed_milnor.errors import InputError, PreconditionError
-from mixed_milnor.links import LinkSample
-from mixed_milnor.transversality import on_variety_tolerance
+from mixed_milnor.links import LinkSample, _brieskorn_representatives
+from mixed_milnor.numerics import on_variety_tolerance
 
 
 def test_hopf_link_has_two_components():
@@ -56,6 +56,19 @@ def test_sampled_points_lie_on_link():
     for z in sample.points:
         assert abs(evaluate(f, z)) <= on_variety_tolerance(f, z)
         assert abs(math.sqrt(sum(abs(c) ** 2 for c in z)) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "a, b", [((2, 3), (1, 0)), ((3, 5), (2, 1)), ((2, 4), (0, 1)), ((6, 6), (0, 0))]
+)
+def test_brieskorn_representatives_lie_on_link_before_polish(a, b):
+    fam = brieskorn(a, b)
+    for t in (0.0, 0.3, 1.0):
+        f = fam.member(t)
+        for radius in (0.5, 1.0, 2.0):
+            for z in _brieskorn_representatives(fam, t, radius):
+                assert abs(evaluate(f, z)) <= on_variety_tolerance(f, z)
+                assert math.sqrt(sum(abs(c) ** 2 for c in z)) == pytest.approx(radius)
 
 
 def test_orbit_closure():
