@@ -234,13 +234,29 @@ def _explore_conjecture(args, poly, fam):
     return result, "no-counterexample-found" if ok else "flagged", ok
 
 
+def _coordinate(value, path: str) -> complex:
+    """One [re, im] pair of finite numbers; a boolean is not a number here."""
+    if isinstance(value, list) and len(value) == 2 and all(type(v) in (int, float) for v in value):
+        try:
+            re, im = float(value[0]), float(value[1])
+        except OverflowError:  # an integer beyond the float range
+            re = im = math.inf
+        if math.isfinite(re) and math.isfinite(im):
+            return complex(re, im)
+    raise InputError(
+        f"points file {path!r}: coordinate {value!r} is not a pair [re, im] of finite numbers"
+    )
+
+
 def _load_points(path: str) -> list[tuple[complex, ...]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return [tuple(complex(c[0], c[1]) for c in pt) for pt in data]
-    except (OSError, json.JSONDecodeError, TypeError, IndexError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read points file {path!r}: {exc}") from exc
+    if not isinstance(data, list) or not all(isinstance(pt, list) for pt in data):
+        raise InputError(f"points file {path!r} must hold a list of points")
+    return [tuple(_coordinate(c, path) for c in pt) for pt in data]
 
 
 def _build_isotopy(args, poly, fam):
@@ -253,7 +269,9 @@ def _build_isotopy(args, poly, fam):
     summary = transport(fam, points, args.t_end, args.steps, tube, level=None)
     traces = []
     for tr in summary.traces:
-        entry = _fields(tr, "start", "value_residual", "norm_residual", "failed")
+        entry = _fields(
+            tr, "start", "value_residual", "norm_residual", "failed", "failure_step"
+        )
         if args.endpoints_only:
             entry.update(_fields(tr, "endpoint", "t_end"))
         else:

@@ -182,6 +182,34 @@ def wirtinger_gradient(poly: MixedPolynomial, point: Sequence[complex]) -> Wirti
     return WirtingerGradient(tuple(d_z), tuple(d_zbar))
 
 
+@dataclass(frozen=True)
+class _KernelLayout:
+    """Index and exponent arrays the batched kernel derives from N and M."""
+
+    top: int  # highest exponent
+    # rows (e * n + j) of the power table holding z_j^e for the exponents
+    # e = N[i, j], M[i, j] (in that order along the first axis) ...
+    power_rows: np.ndarray  # 2 x m x n
+    # ... and for e = N[i, j] - 1, M[i, j] - 1 (floored at 0)
+    lowered_rows: np.ndarray  # 2 x m x n
+    weights: np.ndarray  # 2 x m x n: N, M as floats, the factors of the partials
+    others: tuple[np.ndarray, ...]  # others[p][j]: the p-th index k != j
+
+
+def _kernel_layout(N: np.ndarray, M: np.ndarray) -> _KernelLayout:
+    n = N.shape[1]
+    powers = np.stack([N, M])
+    cols = np.arange(n)
+    others = [[k for k in range(n) if k != j] for j in range(n)]
+    return _KernelLayout(
+        top=int(powers.max(initial=0)),
+        power_rows=powers * n + cols,
+        lowered_rows=np.maximum(powers - 1, 0) * n + cols,
+        weights=powers.astype(float),
+        others=tuple(np.array([row[p] for row in others]) for p in range(n - 1)),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PolynomialArrays:
     """Array form of K mixed polynomials in n variables over one shared
@@ -191,10 +219,19 @@ class PolynomialArrays:
     N: np.ndarray  # m x n z-exponents
     M: np.ndarray  # m x n zbar-exponents
     C: np.ndarray  # K x m complex coefficients
+    layout: Optional[_KernelLayout] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.layout is None:
+            object.__setattr__(self, "layout", _kernel_layout(self.N, self.M))
 
     def rows(self, index) -> "PolynomialArrays":
         """The polynomials picked by `index` (anything that indexes C's rows)."""
-        return PolynomialArrays(self.N, self.M, self.C[index])
+        return self.with_coefficients(self.C[index])
+
+    def with_coefficients(self, C: np.ndarray) -> "PolynomialArrays":
+        """Other polynomials over the same monomial list."""
+        return PolynomialArrays(self.N, self.M, C, self.layout)
 
 
 def polynomial_arrays(polys: Sequence[MixedPolynomial]) -> PolynomialArrays:
@@ -223,22 +260,29 @@ def polynomial_arrays(polys: Sequence[MixedPolynomial]) -> PolynomialArrays:
 # a point's result does not depend on the size or contents of its batch.
 
 
-def _cmul(a: tuple, b: tuple) -> tuple:
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+def _cmul(a: tuple, b: tuple, out: tuple = (None, None)) -> tuple:
+    """(a0 b0 - a1 b1, a0 b1 + a1 b0), updated in place to keep one temporary."""
+    re = np.multiply(a[0], b[0], out=out[0])
+    re -= a[1] * b[1]
+    im = np.multiply(a[0], b[1], out=out[1])
+    im += a[1] * b[0]
+    return re, im
 
 
-def _sum_leading(a: np.ndarray) -> np.ndarray:
+def sum_leading(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, in index order."""
     total = a[0]
     for row in a[1:]:
         total = total + row
     return total
 
 
-def wirtinger_gradient_batch(
+def value_and_gradient_batch(
     arrays: PolynomialArrays, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d_z f, d_zbar f) at a K x ... x n complex array of points, where the
-    points z[k] belong to polynomial k.  Both results have the shape of z.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, d_z f, d_zbar f) at a K x ... x n complex array of points, where
+    the points z[k] belong to polynomial k.  The partials have the shape of z,
+    the values that shape without its last axis.
 
     z_j^(e-1) is raised directly, never formed as z_j^e / z_j, so the partials
     stay exact at zero coordinates.
@@ -251,44 +295,48 @@ def wirtinger_gradient_batch(
             f" in {n} variables"
         )
     if m == 0:
-        return np.zeros_like(z), np.zeros_like(z)
-    # power[p] = z ** p by repeated multiplication
-    top = max(int(arrays.N.max()), int(arrays.M.max()))
-    pr = np.empty((top + 1,) + z.shape)
+        return np.zeros(z.shape[:-1], dtype=complex), np.zeros_like(z), np.zeros_like(z)
+    layout = arrays.layout
+    batch = z.shape[:-1]
+    extra = (1,) * (z.ndim - 1)
+    # table[p, j] = z_j ** p by repeated multiplication, one row per (p, j)
+    zt = z.transpose((z.ndim - 1,) + tuple(range(z.ndim - 1)))
+    pr = np.empty((max(layout.top, 1) + 1, n) + batch)
     pi = np.empty_like(pr)
     pr[0], pi[0] = 1.0, 0.0
-    for p in range(1, top + 1):
-        pr[p], pi[p] = _cmul((pr[p - 1], pi[p - 1]), (z.real, z.imag))
-    cols = np.arange(n)
+    pr[1], pi[1] = zt.real, zt.imag
+    for p in range(2, layout.top + 1):
+        _cmul((pr[p - 1], pi[p - 1]), (pr[1], pi[1]), out=(pr[p], pi[p]))
+    pr, pi = pr.reshape((-1,) + batch), pi.reshape((-1,) + batch)
+    conj = np.array([1.0, -1.0]).reshape((2, 1, 1) + extra)
 
-    def power(E: np.ndarray, conj: bool) -> tuple:
-        """z_j ** E[i, j] (or its conjugate) as m x n x K x ... arrays."""
-        return pr[E, ..., cols], (-pi[E, ..., cols] if conj else pi[E, ..., cols])
+    def power(rows: np.ndarray) -> tuple:
+        """z_j ** E[0, i, j] and zbar_j ** E[1, i, j] as 2 x m x n x K x ... arrays,
+        where rows = E * n + j."""
+        return pr[rows], pi[rows] * conj
 
-    zpow = power(arrays.N, False)
-    cpow = power(arrays.M, True)
-    fr, fi = _cmul(zpow, cpow)
-    # rest[:, j] = c_i * prod_{k != j} z_k^N[i, k] zbar_k^M[i, k]
-    coef = arrays.C.T.reshape((m,) + z.shape[:1] + (1,) * (z.ndim - 2))
-    rest = np.empty_like(fr), np.empty_like(fi)
-    for j in range(n):
-        r = coef.real, coef.imag
-        for k in range(n):
-            if k != j:
-                r = _cmul(r, (fr[:, k], fi[:, k]))
-        rest[0][:, j], rest[1][:, j] = r
-
-    exponent_shape = (m, n) + (1,) * (z.ndim - 1)
+    zr, zi = power(layout.power_rows)
+    # factor[i, j] = z_j^N[i, j] zbar_j^M[i, j]
+    fr, fi = _cmul((zr[0], zi[0]), (zr[1], zi[1]))
+    # rest[i, j] = c_i * prod_{k != j} factor[i, k], multiplied in increasing k
+    coef = arrays.C.T.reshape((m, 1) + z.shape[:1] + (1,) * (z.ndim - 2))
+    rest = coef.real, coef.imag
+    if n == 1:
+        rest = np.broadcast_to(rest[0], fr.shape), np.broadcast_to(rest[1], fr.shape)
+    for k in layout.others:
+        rest = _cmul(rest, (fr[:, k], fi[:, k]))
+    vr, vi = _cmul((rest[0][:, -1], rest[1][:, -1]), (fr[:, -1], fi[:, -1]))
+    value = np.empty(z.shape[:-1], dtype=complex)
+    value.real, value.imag = sum_leading(vr), sum_leading(vi)
+    # d_z: rest * z^(N-1) * zbar^M * N;  d_zbar: rest * zbar^(M-1) * z^N * M
+    dr, di = _cmul(_cmul(rest, power(layout.lowered_rows)), (zr[::-1], zi[::-1]))
+    weights = layout.weights.reshape(layout.weights.shape + extra)
+    dr *= weights
+    di *= weights
+    d = np.empty((2, n) + z.shape[:-1], dtype=complex)
+    d.real, d.imag = sum_leading(dr.swapaxes(0, 1)), sum_leading(di.swapaxes(0, 1))
     back = tuple(range(1, z.ndim)) + (0,)
-    out = []
-    for E, other, conj in ((arrays.N, cpow, False), (arrays.M, zpow, True)):
-        re, im = _cmul(_cmul(rest, power(np.maximum(E - 1, 0), conj)), other)
-        e = E.astype(float).reshape(exponent_shape)
-        d = np.empty((n,) + z.shape[:-1], dtype=complex)
-        d.real = _sum_leading(re * e)
-        d.imag = _sum_leading(im * e)
-        out.append(d.transpose(back))
-    return out[0], out[1]
+    return value, d[0].transpose(back), d[1].transpose(back)
 
 
 def exponent_matrices(poly: MixedPolynomial) -> ExponentMatrices:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import MixedMonomial, MixedPolynomial, evaluate
+from .core import MixedMonomial, MixedPolynomial, PolynomialArrays, evaluate, polynomial_arrays
 from .errors import InputError
 from .numerics import monotone_root
 
@@ -76,7 +76,8 @@ def _endpoints(spec: FamilySpec) -> tuple[MixedPolynomial, MixedPolynomial]:
 
 @functools.lru_cache(maxsize=512)
 def _blend(mixed: MixedPolynomial, holo: MixedPolynomial, t: float) -> MixedPolynomial:
-    # hot in the isotopy integrator, hence the cache
+    # rank_test and the witnesses ask for member(t) once per sampled point at
+    # a handful of t; the cache builds each member once
     return mixed.scaled(1.0 - t) + holo.scaled(t)
 
 
@@ -89,6 +90,12 @@ class DeformationFamily:
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @functools.cached_property
+    def endpoint_arrays(self) -> PolynomialArrays:
+        """f and g as rows 0 and 1 of one array form.  f_t = (1-t) f + t g is
+        linear in t, so every member's value and partials blend from these."""
+        return polynomial_arrays([self.endpoint_mixed, self.endpoint_holomorphic])
 
     def member(self, t: float) -> MixedPolynomial:
         """(1-t) f + t g as a genuine mixed polynomial (merged monomials)."""

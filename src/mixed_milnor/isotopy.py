@@ -1,7 +1,16 @@
 """Numerical realization of the isotopy theorem: integrate a sphere-tangent,
 value-preserving velocity field carrying points of the t = 0 member to any
 t in [0, 1], with per-step projection back onto the sphere and a Newton
-correction restoring the preserved f-value."""
+correction restoring the preserved f-value.
+
+All points of one call move in lockstep.  f_t = (1-t) f + t g is linear in t,
+so each RK4 stage is one pass of the batched polynomial kernel over two
+coefficient rows on the endpoints' monomials (giving f_t, its gradient and
+d f_t / dt = g - f at every point), then one batched SVD that serves both the
+rank test and the minimum-norm solve.  Each point is computed on its own and
+in a fixed order, so its trace is bit for bit the same whatever else shares
+its batch.
+"""
 
 from __future__ import annotations
 
@@ -11,16 +20,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import evaluate
+from .core import evaluate, sum_leading, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
-from .families import DeformationFamily, MilnorTubeSpec, family_t_derivative
+from .families import DeformationFamily, MilnorTubeSpec
 from .numerics import (
     complexify,
     random_sphere_point,
-    real_jacobian_rows,
-    realify,
     require_on_variety,
     rng_for,
+    row_dot,
+    row_norm,
 )
 
 
@@ -44,79 +53,241 @@ class IsotopyTrace:
         return self.samples[-1][0]
 
 
-def _cutoff(level: float, eta0: float) -> float:
+def _cutoff(level, eta0: float):
     """C^1 (quintic smoothstep) blend: 1 below eta0, 0 above 2*eta0."""
-    if level <= eta0:
-        return 1.0
-    if level >= 2.0 * eta0:
-        return 0.0
-    u = (level - eta0) / eta0
-    return 1.0 - (10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5)
+    u = np.minimum(np.maximum((level - eta0) / eta0, 0.0), 1.0)
+    return 1.0 - u * u * u * (10.0 + u * (6.0 * u - 15.0))
+
+
+def _modulus(w: np.ndarray) -> np.ndarray:
+    return np.hypot(w.real, w.imag)
+
+
+def _jet(fam: DeformationFamily, t: float, x: np.ndarray):
+    """f_t, its real Jacobian rows (K x 2 x 2n: gradients of Re f_t and Im f_t)
+    and d f_t / dt at the rows of x (K x 2n, C-contiguous)."""
+    ends = fam.endpoint_arrays
+    f, g = ends.C
+    # f_t and d f_t / dt = g - f are fixed coefficient rows over f's and g's monomials
+    arrays = ends.with_coefficients(np.array([(1.0 - t) * f + t * g, g - f]))
+    z = x.view(complex)
+    both = np.empty((2,) + z.shape, dtype=complex)
+    both[...] = z
+    value, d_z, d_zbar = value_and_gradient_batch(arrays, both)
+    plus, minus = d_z[0] + d_zbar[0], d_z[0] - d_zbar[0]
+    J = np.empty((len(x), 2, x.shape[1]))
+    J[:, 0, 0::2] = plus.real
+    J[:, 0, 1::2] = -minus.imag
+    J[:, 1, 0::2] = plus.imag
+    J[:, 1, 1::2] = minus.real
+    return value[0], J, value[1]
 
 
 def connection_velocity(
     fam: DeformationFamily,
     t: float,
-    point: Sequence[complex],
+    points,
     tube: MilnorTubeSpec,
     norm_tol: float = 1e-6,
 ) -> np.ndarray:
     """Minimum-norm real velocity tangent to the sphere whose flow keeps
-    f_t constant inside the Milnor tube (blended off smoothly outside)."""
-    x = realify(point)
-    r = float(np.linalg.norm(x))
-    if abs(r - tube.radius) > norm_tol * max(1.0, tube.radius):
+    f_t constant inside the Milnor tube (blended off smoothly outside).
+
+    `points` is a K x n batch (the result is K x 2n) or a single point (the
+    result is one 2n vector).  A point with a non-finite coordinate gets a NaN
+    velocity; every other point must lie on the sphere.
+    """
+    z = np.asarray(points, dtype=complex)
+    if z.ndim not in (1, 2) or z.shape[-1] != fam.n:
+        raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
+    x = np.ascontiguousarray(z).view(float).reshape(-1, 2 * fam.n)
+    r = row_norm(x)
+    off = np.abs(r - tube.radius) > norm_tol * max(1.0, tube.radius)
+    if off.any():
+        i = int(np.argmax(off))
         raise PreconditionError(
-            f"point norm {r!r} is off the sphere of radius {tube.radius!r}"
+            f"point {i} at t={t!r} has norm {float(r[i])!r}, off the sphere of radius"
+            f" {tube.radius!r}"
         )
-    z = complexify(x)
-    poly = fam.member(t)
-    level = abs(evaluate(poly, z))
-    c = _cutoff(level, tube.tube_level)
-    rows = [x / r]
-    rhs = [0.0]
-    if c > 0.0:
-        J = real_jacobian_rows(poly, z)
-        dft = family_t_derivative(fam, t, z)
-        sv = np.linalg.svd(np.vstack([rows[0], J]), compute_uv=False)
-        if level <= tube.tube_level and sv[-1] < 1e-10:
-            raise NumericalError(
-                "constraint matrix rank-deficient inside the tube "
-                f"(smallest singular value {sv[-1]:.3e})"
-            )
-        rows.extend(J)
-        rhs.extend([-c * dft.real, -c * dft.imag])
-    A = np.vstack(rows)
-    b = np.asarray(rhs)
-    G = A @ A.T + 1e-14 * np.eye(A.shape[0])
-    return A.T @ np.linalg.solve(G, b)
+    value, J, dft = _jet(fam, t, x)
+    level = _modulus(value)
+    inside = level <= tube.tube_level
+    c = 1.0 if inside.all() else _cutoff(level, tube.tube_level)
+    # constraint rows: the sphere normal, then grad Re f_t and grad Im f_t
+    A = np.empty((len(x), 3, x.shape[1]))
+    A[:, 0] = x / r[:, None]
+    A[:, 1:] = J
+    # a non-finite f_t or d f_t / dt still makes b, hence v, NaN
+    ok = np.isfinite(A).all(axis=(1, 2))
+    v = np.full_like(x, np.nan)
+    U, S, Vt = np.linalg.svd(A[ok], full_matrices=False)
+    low = inside[ok] & (S[:, -1] < 1e-10)
+    if low.any():
+        k = int(np.argmax(low))
+        i = int(np.nonzero(ok)[0][k])
+        raise NumericalError(
+            f"constraint matrix rank-deficient inside the tube at t={t!r} for"
+            f" point {i} {complexify(x[i])} (smallest singular value {S[k, -1]:.3e})"
+        )
+    # v = A^T (A A^T + 1e-14)^-1 b = V S (S^2 + 1e-14)^-1 U^T b with
+    # b = (0, -c dft): zero where the cutoff c is
+    b1, b2 = (-c * dft.real)[ok], (-c * dft.imag)[ok]
+    w = (U[:, 1] * b1[:, None] + U[:, 2] * b2[:, None]) * (S / (S * S + 1e-14))
+    v[ok] = sum_leading((w[:, :, None] * Vt).swapaxes(0, 1))
+    return v[0] if z.ndim == 1 else v
 
 
 def _newton_value_correction(
-    poly, x: np.ndarray, target: complex, radius: float, tol: float, max_iter: int = 5
-) -> Optional[np.ndarray]:
-    """Move along span{grad Re f, grad Im f} until f equals the target,
-    renormalizing to the sphere after each move."""
-    for _ in range(max_iter):
-        z = complexify(x)
-        val = evaluate(poly, z) - target
-        if abs(val) <= tol:
-            return x
-        J = real_jacobian_rows(poly, z)
-        G = J @ J.T + 1e-14 * np.eye(2)
-        try:
-            coef = np.linalg.solve(G, -np.array([val.real, val.imag]))
-        except np.linalg.LinAlgError:
-            return None
-        x = x + J.T @ coef
-        nrm = np.linalg.norm(x)
-        if nrm == 0 or not np.all(np.isfinite(x)):
-            return None
-        x = x * (radius / nrm)
-    z = complexify(x)
-    if abs(evaluate(poly, z) - target) <= 10 * tol:
-        return x
-    return None
+    fam: DeformationFamily,
+    t: float,
+    x: np.ndarray,
+    target: np.ndarray,
+    residual: np.ndarray,
+    radius: float,
+    tol: float,
+    max_iter: int = 5,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move each row of x along span{grad Re f_t, grad Im f_t} until f_t
+    equals its target, renormalizing to the sphere after each move.
+
+    `residual` is f_t - target at x.  Returns the rows (corrected, or left as
+    they were where the correction failed), which rows were corrected, and
+    f_t - target at the rows returned.  Rows already within tol are untouched.
+    """
+    out, residual = x.copy(), residual.copy()
+    fixed = np.zeros(len(x), dtype=bool)
+    todo, xs, res, J = np.arange(len(x)), x, residual, None
+    for it in range(max_iter + 1):
+        hit = _modulus(res) <= (tol if it < max_iter else 10 * tol)
+        done = todo[hit]
+        fixed[done], out[done], residual[done] = True, xs[hit], res[hit]
+        todo, xs, res = todo[~hit], xs[~hit], res[~hit]
+        if it == max_iter or not todo.size:
+            break
+        J = _jet(fam, t, xs)[1] if J is None else J[~hit]
+        # 2 x 2 normal equations (J J^T + 1e-14) coef = -res by Cramer's rule
+        g00 = row_dot(J[:, 0], J[:, 0]) + 1e-14
+        g01 = row_dot(J[:, 0], J[:, 1])
+        g11 = row_dot(J[:, 1], J[:, 1]) + 1e-14
+        det = g00 * g11 - g01 * g01
+        c0 = (g01 * res.imag - g11 * res.real) / det
+        c1 = (g01 * res.real - g00 * res.imag) / det
+        xs = xs + c0[:, None] * J[:, 0] + c1[:, None] * J[:, 1]
+        nrm = row_norm(xs)
+        good = np.isfinite(xs).all(axis=1) & (nrm != 0)
+        todo, xs, nrm = todo[good], xs[good], nrm[good]
+        xs = xs * (radius / nrm)[:, None]
+        val, J, _ = _jet(fam, t, xs)
+        res = val - target[todo]
+    return out, fixed, residual
+
+
+def _point_array(fam: DeformationFamily, points) -> np.ndarray:
+    """Points as a C-contiguous K x n complex array."""
+    try:
+        z = np.array(points, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"points must form a K x {fam.n} array of complex numbers: {exc}"
+        ) from exc
+    if z.shape == (0,):  # no points at all
+        z = z.reshape(0, fam.n)
+    if z.ndim != 2 or z.shape[1] != fam.n:
+        raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
+    return z
+
+
+def _integrate(
+    fam: DeformationFamily,
+    points,
+    t_end: float,
+    steps: int,
+    tube: MilnorTubeSpec,
+    newton_correct: bool = True,
+    value_tol: float = 1e-9,
+    residual_tol: float = 1e-6,
+) -> tuple[IsotopyTrace, ...]:
+    """Classical RK4 transport of every point from t = 0 to t_end, in lockstep.
+
+    Per step: integrate the connection velocity, rescale back to the sphere,
+    then (for points starting inside the tube) Newton-correct the f-value
+    toward f_0(z0).  A point whose state turns non-finite fails at that step.
+    """
+    if not 0.0 <= t_end <= 1.0:
+        raise InputError("t_end must lie in [0, 1]")
+    if steps < 1:
+        raise InputError("need at least one step")
+    z0 = _point_array(fam, points)
+    if not len(z0):
+        return ()
+    x = z0.view(float)
+    r = tube.radius
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise PreconditionError(f"start point {int(np.argmax(bad))} has a non-finite coordinate")
+    norm = row_norm(x)
+    off = np.abs(norm - r) > 1e-6 * max(1.0, r)
+    if off.any():
+        i = int(np.argmax(off))
+        raise PreconditionError(
+            f"start point {i} must lie on the sphere of radius {r!r}; its norm is"
+            f" {float(norm[i])!r}"
+        )
+    f0 = _jet(fam, 0.0, x)[0]
+    preserve = _modulus(f0) <= tube.tube_level
+    K = len(x)
+    times = [0.0]
+    states = [x]
+    value_residual = np.zeros(K)
+    norm_residual = np.zeros(K)
+    failure_step = np.zeros(K, dtype=int)  # 0: no failure
+    dead = np.zeros(K, dtype=bool)
+
+    def vel(t: float, x: np.ndarray) -> np.ndarray:
+        return connection_velocity(fam, t, x.view(complex), tube)
+
+    if t_end > 0.0:
+        h = t_end / steps
+        for k in range(steps):
+            t = k * h
+            k1 = vel(t, x)
+            k2 = vel(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = vel(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = vel(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = x * (r / row_norm(x))[:, None]
+            t_next = (k + 1) * h
+            broke = ~dead & ~np.isfinite(x).all(axis=1)
+            dead |= broke
+            failure_step[broke] = k + 1
+            value_residual[broke & preserve] = np.nan
+            rows = np.nonzero(preserve & ~dead)[0]
+            if rows.size:
+                res = _jet(fam, t_next, x[rows])[0] - f0[rows]
+                if newton_correct:
+                    x[rows], fixed, res = _newton_value_correction(
+                        fam, t_next, x[rows], f0[rows], res, r, value_tol
+                    )
+                    failure_step[rows[~fixed]] = k + 1
+                value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
+            norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - r))
+            times.append(t_next)
+            states.append(x)
+    failed = (failure_step > 0) | (value_residual > residual_tol) | (norm_residual > residual_tol)
+    paths = np.stack(states, axis=1).view(complex).tolist()  # K x samples x n
+    return tuple(
+        IsotopyTrace(
+            tuple(path[0]),
+            r,
+            tube,
+            tuple(zip(times, map(tuple, path))),
+            float(value_residual[i]),
+            float(norm_residual[i]),
+            bool(failed[i]),
+            int(failure_step[i]) or None,
+        )
+        for i, path in enumerate(paths)
+    )
 
 
 def integrate_isotopy(
@@ -129,60 +300,16 @@ def integrate_isotopy(
     value_tol: float = 1e-9,
     residual_tol: float = 1e-6,
 ) -> IsotopyTrace:
-    """Classical RK4 transport of one point from t = 0 to t_end.
+    """Classical RK4 transport of one point from t = 0 to t_end: the
+    one-point case of `transport`.
 
     Per step: integrate the connection velocity, rescale back to the sphere,
     then (inside the tube) Newton-correct the f-value toward f_0(z0).
     """
-    if not 0.0 <= t_end <= 1.0:
-        raise InputError("t_end must lie in [0, 1]")
-    if steps < 1:
-        raise InputError("need at least one step")
-    z0 = tuple(complex(z) for z in z0)
-    x = realify(z0)
-    r = tube.radius
-    if abs(np.linalg.norm(x) - r) > 1e-6 * max(1.0, r):
-        raise PreconditionError("start point must lie on the sphere")
-    f0 = evaluate(fam.member(0.0), z0)
-    preserve = abs(f0) <= tube.tube_level
-    samples: list[tuple[float, tuple[complex, ...]]] = [(0.0, z0)]
-    value_residual = 0.0
-    norm_residual = 0.0
-    failed = False
-    failure_step: Optional[int] = None
-    if t_end > 0.0:
-        h = t_end / steps
-        for k in range(steps):
-            t = k * h
-
-            def vel(tt: float, xx: np.ndarray) -> np.ndarray:
-                return connection_velocity(fam, tt, complexify(xx), tube)
-
-            k1 = vel(t, x)
-            k2 = vel(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = vel(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = vel(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = x * (r / np.linalg.norm(x))
-            t_next = (k + 1) * h
-            poly = fam.member(t_next)
-            if preserve and newton_correct:
-                corrected = _newton_value_correction(poly, x, f0, r, value_tol)
-                if corrected is None:
-                    failed = True
-                    failure_step = k + 1
-                else:
-                    x = corrected
-            z = complexify(x)
-            samples.append((t_next, z))
-            norm_residual = max(norm_residual, abs(float(np.linalg.norm(x)) - r))
-            if preserve:
-                value_residual = max(value_residual, abs(evaluate(poly, z) - f0))
-    if value_residual > residual_tol or norm_residual > residual_tol:
-        failed = True
-    return IsotopyTrace(
-        z0, r, tube, tuple(samples), value_residual, norm_residual, failed, failure_step
+    (trace,) = _integrate(
+        fam, [z0], t_end, steps, tube, newton_correct, value_tol, residual_tol
     )
+    return trace
 
 
 @dataclass(frozen=True)
@@ -202,22 +329,22 @@ def transport(
     level: Optional[float] = 0.0,
     **kwargs,
 ) -> TransportSummary:
-    """Transport sphere points with |f_0| = level to t_end.
+    """Transport sphere points with |f_0| = level to t_end, all in lockstep.
 
     Level 0 carries a finite point set of the link K_0 = V_0; level eta0
     carries points of one phase fiber of the tube boundary.  With level None
     the start points are not checked against any level.
     """
-    poly0 = fam.member(0.0)
-    traces = []
-    for z in points:
-        if level is not None:
+    if level is not None:
+        poly0 = fam.member(0.0)
+        for z in points:
             require_on_variety(poly0, z, level)
-        traces.append(integrate_isotopy(fam, z, t_end, steps, tube, **kwargs))
+    traces = _integrate(fam, points, t_end, steps, tube, **kwargs)
+    # np.max keeps a NaN residual (a point whose state broke) where max() drops it
     return TransportSummary(
-        tuple(traces),
-        max((tr.value_residual for tr in traces), default=0.0),
-        max((tr.norm_residual for tr in traces), default=0.0),
+        traces,
+        float(np.max([tr.value_residual for tr in traces], initial=0.0)),
+        float(np.max([tr.norm_residual for tr in traces], initial=0.0)),
         any(tr.failed for tr in traces),
     )
 

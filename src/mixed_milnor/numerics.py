@@ -91,6 +91,18 @@ def realify(point: Sequence[complex]) -> np.ndarray:
     return out
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis, in a fixed order."""
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_dot(x, x))
+
+
 def complexify(x: np.ndarray) -> tuple[complex, ...]:
     x = np.asarray(x, dtype=float)
     return tuple(complex(a, b) for a, b in zip(x[0::2], x[1::2]))

@@ -19,12 +19,12 @@ from .core import (
     PolynomialArrays,
     evaluate,
     polynomial_arrays,
+    value_and_gradient_batch,
     wirtinger_gradient,
-    wirtinger_gradient_batch,
 )
 from .errors import InputError, PreconditionError
 from .families import DeformationFamily
-from .numerics import complexify, rng_for
+from .numerics import complexify, rng_for, row_dot, row_norm
 
 FD_STEP = 1e-6
 MAX_ITER = 120
@@ -87,7 +87,7 @@ def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
     K x ... x 2n array of real points (x_1, y_1, ..., x_n, y_n), where the
     points x[k] belong to polynomial k of `arrays`."""
     z = np.ascontiguousarray(x, dtype=float).view(complex)
-    d_z, d_zbar = wirtinger_gradient_batch(arrays, z)
+    _, d_z, d_zbar = value_and_gradient_batch(arrays, z)
     # |<u, v>| = |sum_j d_z f * d_zbar f|; sums run in a fixed order (see core)
     uu = vv = re = im = 0.0
     for j in range(d_z.shape[-1]):
@@ -102,21 +102,9 @@ def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
     return np.fmax(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product over the last axis, in a fixed order."""
-    total = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        total = total + a[..., j] * b[..., j]
-    return total
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(x, x))
-
-
 def _project_tangent(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    xhat = x / _norm(x)[..., None]
-    return g - _dot(g, xhat)[..., None] * xhat
+    xhat = x / row_norm(x)[..., None]
+    return g - row_dot(g, xhat)[..., None] * xhat
 
 
 def _line_search(
@@ -139,7 +127,7 @@ def _line_search(
             break
         rows = live[todo]
         cand = x[rows] - alpha[todo, None] * g[todo]
-        cand *= (radius / _norm(cand))[:, None]
+        cand *= (radius / row_norm(cand))[:, None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
         ok = fc < f[rows] - 1e-12 * np.abs(f[rows])
         x[rows[ok]] = cand[ok]
@@ -170,10 +158,10 @@ def _pattern_search(
         rows = live[todo]
         xr = x[rows]
         d = _project_tangent(np.stack([rngs[k].standard_normal(x.shape[1]) for k in rows]), xr)
-        d /= np.maximum(_norm(d), 1e-300)[:, None]
+        d /= np.maximum(row_norm(d), 1e-300)[:, None]
         step = scale * d
         cand = np.stack([xr + step, xr - step], axis=1)
-        cand *= (radius / _norm(cand))[..., None]
+        cand *= (radius / row_norm(cand))[..., None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
         plus = fc[:, 0] < f[rows]
         ok = plus | (fc[:, 1] < f[rows])
@@ -202,7 +190,7 @@ def _minimize_shell(
     it would follow alone.  Returns the final points, values and iteration
     counts.
     """
-    x = x0 * (radius / _norm(x0))[:, None]
+    x = x0 * (radius / row_norm(x0))[:, None]
     f = shell_residual_sq(arrays, x)
     iters = np.zeros(len(x), dtype=int)
     dim = x.shape[1]
@@ -215,7 +203,7 @@ def _minimize_shell(
         xl = x[live]
         vals = shell_residual_sq(arrays.rows(live), xl[:, None, :] + stencil)
         g = _project_tangent((vals[:, :dim] - vals[:, dim:]) / (2 * FD_STEP), xl)
-        gn = _norm(g)
+        gn = row_norm(g)
         moving = ~(gn < 1e-12)
         live, g, gn = live[moving], g[moving], gn[moving]
         improved = _line_search(arrays, x, f, live, g, gn, radius)

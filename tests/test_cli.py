@@ -397,6 +397,44 @@ def test_build_isotopy_empty_points_exits_2(tmp_path, family_spec):
     assert run(["build-isotopy", "--family", family_spec, "--points", points_file]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[[true, 0], [0, 1]]]",  # a boolean is not a coordinate
+        "[[[1, 0, 5], [0, 1]]]",  # an extra entry is not dropped
+        "[[[NaN, 0], [0, 1]]]",
+        "[[[Infinity, 0], [0, 1]]]",
+        "[[[0.6, -Infinity], [0, 0.8]]]",
+        "[[[1e999, 0], [0, 1]]]",
+        pytest.param("[[[" + "1" * 400 + ", 0], [0, 1]]]", id="integer-beyond-float"),
+        "[[[1, 0], [0, 0]], [[1, 0]]]",  # ragged points
+        "[[[1, 0], [0, 0], [0, 0]]]",  # three coordinates for a family in two
+        "[[1, 0], [0, 1]]",  # coordinates that are not pairs
+        '[[["1", 0], [0, 1]]]',
+        '{"points": []}',
+        "[[[0.6, 0], [0, 0.8]]",  # not JSON
+    ],
+)
+def test_bad_points_file_exits_2(capsys, tmp_path, family_spec, text):
+    points_file = tmp_path / "points.json"
+    points_file.write_text(text)
+    argv = ["build-isotopy", "--family", family_spec, "--points", str(points_file)]
+    assert run(argv + ["--steps", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+def test_build_isotopy_traces_name_their_failure_step(tmp_path, family_spec, points_file):
+    code, report = _run_json(
+        ["build-isotopy", "--family", family_spec, "--points", points_file, "--steps", "5"],
+        tmp_path / "r.json",
+    )
+    assert code == 0
+    assert [tr["failure_step"] for tr in report["result"]["traces"]] == [None, None]
+    _validate(report, "build-isotopy")
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.strip()

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,13 @@ from mixed_milnor import (
     polar_action,
     wirtinger_gradient,
 )
-from mixed_milnor.core import MixedMonomial, MixedPolynomial, integer_determinant
+from mixed_milnor.core import (
+    MixedMonomial,
+    MixedPolynomial,
+    integer_determinant,
+    polynomial_arrays,
+    value_and_gradient_batch,
+)
 from mixed_milnor.errors import InputError
 from mixed_milnor.numerics import complexify, random_sphere_point, realify, rng_for
 
@@ -240,3 +247,48 @@ def test_polynomial_validation():
         MixedPolynomial(0, ())
     with pytest.raises(InputError):
         MixedPolynomial(2, (MixedMonomial(1.0, (1,), (0,)),))
+
+
+@st.composite
+def _family_members(draw):
+    """Up to three members (both endpoints included) of a family of any kind."""
+    kind = draw(st.sampled_from(("brieskorn", "type_i", "type_ii")))
+    n = draw(st.integers(min_value=1 if kind == "brieskorn" else 2, max_value=3))
+    a = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    fam = build_family(FamilySpec(kind, tuple(a), tuple(b)))
+    ts = draw(st.lists(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0), min_size=1, max_size=3))
+    return [fam.member(t) for t in ts]
+
+
+_coordinate = st.just(0.0) | st.floats(min_value=-1.5, max_value=1.5)
+
+
+def _term_scale(poly, z):
+    """Sum over monomials of |coefficient| * (degree + 1) * (1 + max |z_j|)^degree:
+    bounds every term summed into f and into each of its partials."""
+    big = 1.0 + max(abs(w) for w in z)
+    return sum(
+        abs(m.coefficient) * (m.total_degree + 1) * big**m.total_degree for m in poly.monomials
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_members(), st.integers(min_value=1, max_value=3), st.data())
+def test_fused_kernel_matches_scalar(polys, count, data):
+    """Value and Wirtinger partials of the batched kernel against scalar
+    `evaluate` / `wirtinger_gradient`, relative to the size of the terms."""
+    n = polys[0].n
+    size = len(polys) * count * 2 * n
+    x = np.array(data.draw(st.lists(_coordinate, min_size=size, max_size=size)))
+    z = x.reshape(len(polys), count, 2 * n).view(complex)
+    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays(polys), z)
+    assert value.shape == z.shape[:-1] and d_z.shape == d_zbar.shape == z.shape
+    for k, p in enumerate(polys):
+        for i in range(count):
+            point = tuple(z[k, i])
+            tol = 1e-12 * _term_scale(p, point) + 1e-300
+            grad = wirtinger_gradient(p, point)
+            assert abs(value[k, i] - evaluate(p, point)) <= tol
+            assert np.all(np.abs(d_z[k, i] - np.array(grad.d_z)) <= tol)
+            assert np.all(np.abs(d_zbar[k, i] - np.array(grad.d_zbar)) <= tol)

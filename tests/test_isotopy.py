@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brieskorn
 from mixed_milnor import (
@@ -16,7 +18,8 @@ from mixed_milnor import (
     sample_link,
     transport,
 )
-from mixed_milnor.errors import InputError, PreconditionError
+from mixed_milnor import isotopy
+from mixed_milnor.errors import InputError, NumericalError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec, family_t_derivative
 from mixed_milnor.isotopy import _cutoff
 from mixed_milnor.numerics import real_jacobian_rows, realify, rng_for
@@ -198,3 +201,118 @@ def test_integrate_validation():
         integrate_isotopy(fam, z0, 1.0, 0, TUBE)
     with pytest.raises(PreconditionError):
         integrate_isotopy(fam, tuple(0.5 * c for c in z0), 1.0, 10, TUBE)
+
+
+def _unit(angle):
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def _bits(trace):
+    """Everything a trace records, with floats as their exact bit patterns."""
+    points = np.array([pt for _, pt in trace.samples], dtype=complex)
+    residuals = (trace.value_residual.hex(), trace.norm_residual.hex())
+    times = tuple(t.hex() for t, _ in trace.samples)
+    return points.tobytes(), times, residuals, trace.failed, trace.failure_step
+
+
+_angle = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(st.tuples(_angle, _angle, _angle), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=0.002, max_value=0.01),
+)
+def test_lockstep_trace_ignores_its_batch(angles, steps, h):
+    """Each point's trace is bit for bit the one it gets when transported alone,
+    in a batch that mixes points inside the tube (|f_0| <= eta0, value kept and
+    Newton-corrected) with points far outside it (|f_0| > 2 eta0, no motion)."""
+    fam = brieskorn((2, 3), (1, 0))
+    inside = _link_points(fam, 2)
+    outside = (1 / math.sqrt(2), 1 / math.sqrt(2))
+    assert abs(evaluate(fam.member(0.0), outside)) > 2 * TUBE.tube_level
+    drawn = [
+        (math.cos(r) * _unit(a), math.sin(r) * _unit(b)) for r, a, b in angles
+    ]
+    batch = [inside[0], outside] + drawn + [inside[1]]
+    t_end = min(1.0, steps * h)
+    together = transport(fam, batch, t_end, steps, TUBE, level=None)
+    for z, trace in zip(batch, together.traces):
+        (alone,) = transport(fam, [z], t_end, steps, TUBE, level=None).traces
+        assert _bits(alone) == _bits(trace)
+    # the point outside the tube does not move (up to renormalization)
+    assert max(abs(a - b) for a, b in zip(together.traces[1].endpoint, outside)) <= 1e-15
+
+
+def test_integrate_isotopy_is_the_one_point_transport():
+    fam = brieskorn((2, 3), (1, 0))
+    pts = _link_points(fam, 3)
+    summary = transport(fam, pts, 1.0, 100, TUBE)
+    assert _bits(integrate_isotopy(fam, pts[2], 1.0, 100, TUBE)) == _bits(summary.traces[2])
+
+
+def test_off_sphere_point_in_a_batch_is_rejected():
+    fam = brieskorn((2, 3), (1, 0))
+    pts = _link_points(fam, 3)
+    off = tuple(0.5 * c for c in pts[1])
+    with pytest.raises(PreconditionError, match="point 1"):
+        transport(fam, [pts[0], off, pts[2]], 1.0, 10, TUBE, level=None)
+    with pytest.raises(PreconditionError, match="point 2"):
+        connection_velocity(fam, 0.5, [pts[0], pts[1], off], TUBE)
+
+
+def test_velocity_batch_matches_single_points():
+    fam = brieskorn((2, 3), (1, 0))
+    pts = _link_points(fam, 4)
+    batch = connection_velocity(fam, 0.3, pts, TUBE)
+    assert batch.shape == (4, 4)
+    for z, v in zip(pts, batch):
+        assert connection_velocity(fam, 0.3, z, TUBE).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_point_is_rejected(bad):
+    fam = brieskorn((2, 3), (1, 0))
+    z0 = _link_points(fam, 1)[0]
+    broken = (complex(bad, 0.0), z0[1])
+    with pytest.raises(PreconditionError, match="non-finite"):
+        integrate_isotopy(fam, broken, 1.0, 10, TUBE)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        transport(fam, [z0, broken], 1.0, 10, TUBE, level=None)
+
+
+def test_state_turning_non_finite_fails_its_point_only(monkeypatch):
+    """A point whose velocity breaks mid-run fails at that step with a NaN
+    residual (never a vacuous 0), and the rest of its batch is unaffected."""
+    fam = brieskorn((2, 3), (1, 0))
+    pts = _link_points(fam, 3)
+    clean = transport(fam, pts, 1.0, 100, TUBE)
+    velocity = isotopy.connection_velocity
+
+    def breaks_point_1(fam, t, points, tube):
+        v = velocity(fam, t, points, tube)
+        if t > 0.507:  # first passed by the last stage of step 51, t = 0.51
+            v[1] = np.nan
+        return v
+
+    monkeypatch.setattr(isotopy, "connection_velocity", breaks_point_1)
+    summary = transport(fam, pts, 1.0, 100, TUBE)
+    broken = summary.traces[1]
+    assert broken.failed and broken.failure_step == 51
+    assert math.isnan(broken.norm_residual) and math.isnan(broken.value_residual)
+    assert summary.partial
+    assert math.isnan(summary.worst_norm_residual)
+    for k in (0, 2):
+        assert _bits(summary.traces[k]) == _bits(clean.traces[k])
+
+
+def test_rank_deficiency_names_t_and_point():
+    # on the sphere, x = (1, 1)/sqrt(2) is a combination of grad Re f and
+    # grad Im f for f = z1^2 + z2^2, and |f| = 1 lies inside a tube of level 2
+    fam = brieskorn((2, 2))
+    wide = MilnorTubeSpec(1.0, 2.0)
+    good = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    bad = (1 / math.sqrt(2), 1 / math.sqrt(2))
+    with pytest.raises(NumericalError, match=r"t=0\.5 for point 1 \("):
+        connection_velocity(fam, 0.5, [good, bad], wide)
