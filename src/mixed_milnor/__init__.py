@@ -44,9 +44,12 @@ from .singularity import (
 )
 from .transversality import (
     TransversalityCertificate,
+    TransversalitySweep,
     TypeIWitnessTrace,
+    check_transversality,
     conjecture_search_type_ii,
     radial_witness_brieskorn,
+    rank_margins,
     rank_test,
     sample_on_variety,
     solve_phi,

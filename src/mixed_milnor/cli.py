@@ -34,13 +34,7 @@ from .report import build_manifest, content_digest, dumps, jsonable
 from .scaling import normalize_coefficients, verify_scaling
 from .singularity import certify_smooth_shell
 from .specio import load_spec, require_family
-from .transversality import (
-    conjecture_search_type_ii,
-    radial_witness_brieskorn,
-    rank_test,
-    sample_on_variety,
-    type_i_witness,
-)
+from .transversality import METHODS, check_transversality, conjecture_search_type_ii
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -163,58 +157,16 @@ def _certify_smooth(args, poly, fam):
     return result, "certified" if certified else "below-threshold", certified
 
 
-def _witness_for(fam, t, point):
-    if fam.spec.kind == "brieskorn":
-        return radial_witness_brieskorn(fam, t, point), None
-    res = type_i_witness(fam, t, point)
-    return res.certificate, res.trace
-
-
 def _check_transversality(args, poly, fam):
     grid = parse_t_grid(args.t_grid)
-    rank = args.method in ("rank", "both")
-    witness = args.method in ("witness", "both")
-    if witness and fam.spec.kind == "type_ii":
-        raise InputError("no constructive witness is offered for type_ii (open problem)")
-    certificates = []
-    failures = 0
-    for ti, t in enumerate(grid):
-        pts, missed = sample_on_variety(
-            fam.member(t), args.radius, args.samples, args.seed, label=f"ct:t={ti}"
-        )
-        failures += missed
-        for z in pts:
-            entry = {"t": t, "point": z}
-            if rank:
-                cert = rank_test(fam, t, z)
-                entry.update(rank_margin=cert.margin, rank_transverse=cert.transverse)
-            if witness:
-                cert, trace = _witness_for(fam, t, z)
-                entry.update(
-                    witness_margin=cert.margin,
-                    witness_transverse=cert.transverse,
-                    witness_vector=cert.witness_vector or (),
-                )
-                if trace is not None:
-                    entry["trace"] = _fields(
-                        trace, "I0", "J", "components", "r_values", "s_values", "epsilon_flags"
-                    )
-            certificates.append(entry)
-    margins = [e[k] for e in certificates for k in ("rank_margin", "witness_margin") if k in e]
-    all_transverse = bool(certificates) and all(
-        entry.get("rank_transverse", True) and entry.get("witness_transverse", True)
-        for entry in certificates
-    )
+    rep = check_transversality(fam, grid, args.radius, args.samples, args.seed, args.method)
     result = {
-        **_fields(args, "method", "radius"),
-        "t_grid": grid,
-        "samples_per_t": args.samples,
-        "sampler_failures": failures,
-        "certificates": certificates,
-        "min_margin": min(margins, default=None),
-        "all_transverse": all_transverse,
+        **_fields(rep, "method", "radius", "t_grid", "samples_per_t"),
+        **_fields(rep, "sampler_failures", "sampler_failures_per_t"),
+        **_fields(rep, "certificates", "min_margin", "all_transverse"),
     }
-    return result, "transverse" if all_transverse else "not-certified", all_transverse
+    ok = rep.all_transverse
+    return result, "transverse" if ok else "not-certified", ok
 
 
 def _explore_conjecture(args, poly, fam):
@@ -224,6 +176,7 @@ def _explore_conjecture(args, poly, fam):
     rep = conjecture_search_type_ii(fam, grid, args.radius, args.samples, args.seed)
     result = {
         **_fields(rep, "samples_requested", "samples_found", "sampler_failures"),
+        **_fields(rep, "sampler_failures_per_t"),
         **_fields(rep, "min_margin", "argmin_t", "argmin_point", "note"),
         "t_grid": grid,
         "radius": args.radius,
@@ -350,7 +303,7 @@ SUBCOMMANDS = (
             FAMILY,
             _arg("--t-grid", default="0:1:0.25"),
             RADIUS,
-            _arg("--method", choices=("rank", "witness", "both"), default="rank"),
+            _arg("--method", choices=METHODS, default="rank"),
             _arg("--samples", type=COUNT, default=20),
         ),
         ("family", "t_grid", "radius", "method", "samples"),

@@ -76,8 +76,8 @@ def _endpoints(spec: FamilySpec) -> tuple[MixedPolynomial, MixedPolynomial]:
 
 @functools.lru_cache(maxsize=512)
 def _blend(mixed: MixedPolynomial, holo: MixedPolynomial, t: float) -> MixedPolynomial:
-    # rank_test and the witnesses ask for member(t) once per sampled point at
-    # a handful of t; the cache builds each member once
+    # the witnesses ask for member(t) once per point, at a handful of t, and
+    # the cache builds each member once; perfbench clears it between runs
     return mixed.scaled(1.0 - t) + holo.scaled(t)
 
 

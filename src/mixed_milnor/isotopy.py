@@ -25,12 +25,17 @@ from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily, MilnorTubeSpec
 from .numerics import (
     complexify,
+    normal_coefficients,
     random_sphere_point,
+    real_jacobian,
     require_on_variety,
     rng_for,
-    row_dot,
     row_norm,
 )
+
+
+# relative tolerance on the norm of a point given as lying on the sphere
+SPHERE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,7 @@ def _jet(fam: DeformationFamily, t: float, x: np.ndarray):
     both = np.empty((2,) + z.shape, dtype=complex)
     both[...] = z
     value, d_z, d_zbar = value_and_gradient_batch(arrays, both)
-    plus, minus = d_z[0] + d_zbar[0], d_z[0] - d_zbar[0]
-    J = np.empty((len(x), 2, x.shape[1]))
-    J[:, 0, 0::2] = plus.real
-    J[:, 0, 1::2] = -minus.imag
-    J[:, 1, 0::2] = plus.imag
-    J[:, 1, 1::2] = minus.real
-    return value[0], J, value[1]
+    return value[0], real_jacobian(d_z[0], d_zbar[0]), value[1]
 
 
 def connection_velocity(
@@ -88,7 +87,7 @@ def connection_velocity(
     t: float,
     points,
     tube: MilnorTubeSpec,
-    norm_tol: float = 1e-6,
+    norm_tol: float = SPHERE_TOL,
 ) -> np.ndarray:
     """Minimum-norm real velocity tangent to the sphere whose flow keeps
     f_t constant inside the Milnor tube (blended off smoothly outside).
@@ -102,13 +101,28 @@ def connection_velocity(
         raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
     x = np.ascontiguousarray(z).view(float).reshape(-1, 2 * fam.n)
     r = row_norm(x)
-    off = np.abs(r - tube.radius) > norm_tol * max(1.0, tube.radius)
+    off = _off_sphere(r, tube.radius, norm_tol)
     if off.any():
         i = int(np.argmax(off))
         raise PreconditionError(
             f"point {i} at t={t!r} has norm {float(r[i])!r}, off the sphere of radius"
             f" {tube.radius!r}"
         )
+    v = _velocity(fam, t, x, r, tube)
+    return v[0] if z.ndim == 1 else v
+
+
+def _off_sphere(norm: np.ndarray, radius: float, norm_tol: float) -> np.ndarray:
+    """Which norms miss the radius by more than norm_tol (relative to a radius
+    of at least 1); a NaN norm does not."""
+    return np.abs(norm - radius) > norm_tol * max(1.0, radius)
+
+
+def _velocity(
+    fam: DeformationFamily, t: float, x: np.ndarray, r: np.ndarray, tube: MilnorTubeSpec
+) -> np.ndarray:
+    """The connection velocity at the rows of x (K x 2n, C-contiguous) of
+    norms r, tangent to the sphere through each row, whatever its radius."""
     value, J, dft = _jet(fam, t, x)
     level = _modulus(value)
     inside = level <= tube.tube_level
@@ -134,7 +148,7 @@ def connection_velocity(
     b1, b2 = (-c * dft.real)[ok], (-c * dft.imag)[ok]
     w = (U[:, 1] * b1[:, None] + U[:, 2] * b2[:, None]) * (S / (S * S + 1e-14))
     v[ok] = sum_leading((w[:, :, None] * Vt).swapaxes(0, 1))
-    return v[0] if z.ndim == 1 else v
+    return v
 
 
 def _newton_value_correction(
@@ -165,13 +179,7 @@ def _newton_value_correction(
         if it == max_iter or not todo.size:
             break
         J = _jet(fam, t, xs)[1] if J is None else J[~hit]
-        # 2 x 2 normal equations (J J^T + 1e-14) coef = -res by Cramer's rule
-        g00 = row_dot(J[:, 0], J[:, 0]) + 1e-14
-        g01 = row_dot(J[:, 0], J[:, 1])
-        g11 = row_dot(J[:, 1], J[:, 1]) + 1e-14
-        det = g00 * g11 - g01 * g01
-        c0 = (g01 * res.imag - g11 * res.real) / det
-        c1 = (g01 * res.real - g00 * res.imag) / det
+        c0, c1 = normal_coefficients(J, res)
         xs = xs + c0[:, None] * J[:, 0] + c1[:, None] * J[:, 1]
         nrm = row_norm(xs)
         good = np.isfinite(xs).all(axis=1) & (nrm != 0)
@@ -226,7 +234,7 @@ def _integrate(
     if bad.any():
         raise PreconditionError(f"start point {int(np.argmax(bad))} has a non-finite coordinate")
     norm = row_norm(x)
-    off = np.abs(norm - r) > 1e-6 * max(1.0, r)
+    off = _off_sphere(norm, r, SPHERE_TOL)
     if off.any():
         i = int(np.argmax(off))
         raise PreconditionError(
@@ -243,8 +251,14 @@ def _integrate(
     failure_step = np.zeros(K, dtype=int)  # 0: no failure
     dead = np.zeros(K, dtype=bool)
 
-    def vel(t: float, x: np.ndarray) -> np.ndarray:
-        return connection_velocity(fam, t, x.view(complex), tube)
+    def vel(t: float, y: np.ndarray) -> np.ndarray:
+        try:
+            return connection_velocity(fam, t, y.view(complex), tube)
+        except PreconditionError:
+            # A stage state x + c h k leaves the sphere by O(h^2), which the
+            # check on caller points may reject; the field is defined there
+            # all the same and gives the same bits without the check.
+            return _velocity(fam, t, y, row_norm(y), tube)
 
     if t_end > 0.0:
         h = t_end / steps

@@ -21,7 +21,7 @@ from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
     monotone_root,
-    newton_on_sphere,
+    newton_on_sphere_batch,
     on_variety_tolerance,
     random_sphere_point,
     rng_for,
@@ -141,29 +141,25 @@ def sample_link(
     P = weights.polar_weights
     merge_tol = 1e-4 * radius
 
-    candidates: list[tuple[complex, ...]] = []
-    seeds_used = 0
     if fam.spec.kind == "brieskorn":
-        candidates.extend(_brieskorn_representatives(fam, float(t), radius))
+        candidates = np.array(_brieskorn_representatives(fam, float(t), radius))
+        seeds_used = 0
     else:
-        candidates.extend(_coordinate_circle_orbits(poly, radius))
-        for k in range(seeds):
-            rng = rng_for(seed, f"link:seed:{k}")
-            start = random_sphere_point(rng, 2, radius)
-            found = newton_on_sphere(poly, 0j, radius, start)
-            seeds_used += 1
-            if found is not None:
-                candidates.append(found)
+        starts = np.array(
+            [random_sphere_point(rng_for(seed, f"link:seed:{k}"), 2, radius) for k in range(seeds)]
+        )
+        found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
+        seeds_used = seeds
+        candidates = np.concatenate(
+            [np.array(_coordinate_circle_orbits(poly, radius)).reshape(-1, 2), found[hit]]
+        )
 
     # Newton polish, then dedupe by exact orbit membership.
+    polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
     orbits_reps: list[tuple[complex, ...]] = []
-    for cand in candidates:
-        polished = newton_on_sphere(poly, 0j, radius, cand)
-        if polished is None:
-            continue
-        if any(_same_orbit(rep, polished, P, merge_tol) for rep in orbits_reps):
-            continue
-        orbits_reps.append(polished)
+    for rep in map(tuple, polished[hit].tolist()):
+        if not any(_same_orbit(other, rep, P, merge_tol) for other in orbits_reps):
+            orbits_reps.append(rep)
 
     orbits = tuple(_trace_orbit(rep, P, resolution) for rep in orbits_reps)
     return LinkSample(

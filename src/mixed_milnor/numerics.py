@@ -1,6 +1,6 @@
 """Shared numerical machinery: monotone root finding, seeded RNG streams,
-real/complex coordinate shuffling, the on-variety check and on-sphere Newton
-solving."""
+real/complex coordinate shuffling, real Jacobians, the on-variety check and
+lockstep on-sphere Newton solving."""
 
 from __future__ import annotations
 
@@ -10,7 +10,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, evaluate, wirtinger_gradient
+from .core import (
+    MixedPolynomial,
+    evaluate,
+    polynomial_arrays,
+    value_and_gradient_batch,
+    wirtinger_gradient,
+)
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -108,24 +114,45 @@ def complexify(x: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(a, b) for a, b in zip(x[0::2], x[1::2]))
 
 
+def real_jacobian(d_z: np.ndarray, d_zbar: np.ndarray) -> np.ndarray:
+    """K x 2 x 2n real Jacobians from K x n Wirtinger partials: row 0 is the
+    gradient of Re f, row 1 that of Im f, in (x_1, y_1, ..., x_n, y_n)."""
+    plus, minus = d_z + d_zbar, d_z - d_zbar
+    J = np.empty((len(d_z), 2, 2 * d_z.shape[1]))
+    J[:, 0, 0::2] = plus.real
+    J[:, 0, 1::2] = -minus.imag
+    J[:, 1, 0::2] = plus.imag
+    J[:, 1, 1::2] = minus.real
+    return J
+
+
 def real_jacobian_rows(poly: MixedPolynomial, point: Sequence[complex]) -> np.ndarray:
-    """2 x 2n rows: gradients of Re f and Im f in (x_1,y_1,...) coordinates."""
+    """2 x 2n rows: gradients of Re f and Im f in (x_1,y_1,...) coordinates,
+    from the scalar Wirtinger gradient."""
     grad = wirtinger_gradient(poly, point)
-    n = poly.n
-    rows = np.empty((2, 2 * n))
-    for j in range(n):
-        dx = grad.d_z[j] + grad.d_zbar[j]
-        dy = 1j * (grad.d_z[j] - grad.d_zbar[j])
-        rows[0, 2 * j] = dx.real
-        rows[0, 2 * j + 1] = dy.real
-        rows[1, 2 * j] = dx.imag
-        rows[1, 2 * j + 1] = dy.imag
-    return rows
+    return real_jacobian(np.array([grad.d_z]), np.array([grad.d_zbar]))[0]
+
+
+def normal_coefficients(J: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the coefficients c of the Gauss-Newton step c_0 J_0 + c_1 J_1
+    that solves (J J^T + 1e-14 I) c = -(Re res, Im res), by Cramer's rule on
+    the 2 x 2 normal equations.  A singular system gives non-finite c."""
+    g00 = row_dot(J[:, 0], J[:, 0]) + 1e-14
+    g01 = row_dot(J[:, 0], J[:, 1])
+    g11 = row_dot(J[:, 1], J[:, 1]) + 1e-14
+    det = g00 * g11 - g01 * g01
+    c0 = (g01 * res.imag - g11 * res.real) / det
+    c1 = (g01 * res.real - g00 * res.imag) / det
+    return c0, c1
+
+
+def level_tolerance(poly: MixedPolynomial, norm):
+    """Tolerance on |f| at points of the given norm (a float or an array)."""
+    return 1e-8 * (1.0 + norm ** poly.max_degree)
 
 
 def on_variety_tolerance(poly: MixedPolynomial, point: Sequence[complex]) -> float:
-    nrm = math.sqrt(sum(abs(z) ** 2 for z in point))
-    return 1e-8 * (1.0 + nrm ** poly.max_degree)
+    return level_tolerance(poly, math.sqrt(sum(abs(z) ** 2 for z in point)))
 
 
 def require_on_variety(
@@ -141,6 +168,66 @@ def require_on_variety(
         )
 
 
+def newton_on_sphere_batch(
+    poly: MixedPolynomial,
+    target: complex,
+    radius: float,
+    starts,
+    tol: float = 1e-12,
+    max_iter: int = 60,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve f(z) = target on the sphere ||z|| = radius from every row of
+    `starts` (K x n), all rows in lockstep.
+
+    Each row runs tangentially projected Newton: the Jacobian rows are
+    projected onto the sphere's tangent space, the 2 x 2 normal equations give
+    the step, and the new point is rescaled to the sphere.  A row is done once
+    |f - target| <= tol * (1 + |target|), and fails on a zero-norm start or
+    iterate, or a non-finite step (which a singular 2 x 2 system gives).
+    Returns (points, found): the K x n complex points (meaningful where found)
+    and a K boolean mask.  Every operation is row-wise and in a fixed order,
+    so a row's result does not depend on the rest of its batch.
+    """
+    if radius <= 0:
+        raise InputError("radius must be positive")
+    z = np.array(starts, dtype=complex)
+    if not z.size:
+        z = z.reshape(0, poly.n)
+    if z.ndim != 2 or z.shape[1] != poly.n:
+        raise InputError(f"start points of shape {z.shape} do not fit {poly.n} variables")
+    x = z.view(float)
+    arrays = polynomial_arrays([poly])
+    goal = tol * (1.0 + abs(target))
+    out = np.zeros_like(x)
+    found = np.zeros(len(x), dtype=bool)
+    nrm = row_norm(x)
+    todo = np.nonzero(nrm != 0)[0]
+    xs = x[todo] * (radius / nrm[todo])[:, None]
+    for it in range(max_iter + 1):
+        if not todo.size:
+            break
+        value, d_z, d_zbar = value_and_gradient_batch(arrays, xs.view(complex)[None])
+        res = value[0] - target
+        hit = np.abs(res) <= goal
+        out[todo[hit]], found[todo[hit]] = xs[hit], True
+        if it == max_iter:
+            break
+        live = ~hit
+        todo, xs, res = todo[live], xs[live], res[live]
+        J = real_jacobian(d_z[0][live], d_zbar[0][live])
+        # restrict both rows to the tangent space of the sphere at xs
+        xhat = xs / radius
+        J -= row_dot(J, xhat[:, None])[..., None] * xhat[:, None]
+        c0, c1 = normal_coefficients(J, res)
+        step = c0[:, None] * J[:, 0] + c1[:, None] * J[:, 1]
+        xs = xs + step
+        nrm = row_norm(xs)
+        good = np.isfinite(step).all(axis=1) & (nrm != 0)
+        todo, xs, nrm = todo[good], xs[good], nrm[good]
+        xs = xs * (radius / nrm)[:, None]
+    return out.view(complex), found
+
+
 def newton_on_sphere(
     poly: MixedPolynomial,
     target: complex,
@@ -151,43 +238,12 @@ def newton_on_sphere(
 ) -> Optional[tuple[complex, ...]]:
     """Solve f(z) = target constrained to the sphere ||z|| = radius.
 
-    Tangentially projected Newton from `start`; returns None when the
-    iteration fails to reach |f - target| <= tol * (1 + |target|).
+    Tangentially projected Newton from `start`: the one-point case of
+    `newton_on_sphere_batch`.  Returns None when the iteration fails to reach
+    |f - target| <= tol * (1 + |target|).
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
-    x = realify(start)
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        return None
-    x *= radius / nrm
-    goal = tol * (1.0 + abs(target))
-    for _ in range(max_iter):
-        z = complexify(x)
-        val = evaluate(poly, z) - target
-        if abs(val) <= goal:
-            return z
-        J = real_jacobian_rows(poly, z)
-        xhat = x / radius
-        Jt = J - np.outer(J @ xhat, xhat)  # restrict to sphere tangent space
-        G = Jt @ Jt.T
-        G[np.diag_indices_from(G)] += 1e-300
-        try:
-            coef = np.linalg.solve(G + 1e-14 * np.eye(2), -np.array([val.real, val.imag]))
-        except np.linalg.LinAlgError:
-            return None
-        step = Jt.T @ coef
-        if not np.all(np.isfinite(step)):
-            return None
-        x = x + step
-        nrm = np.linalg.norm(x)
-        if nrm == 0:
-            return None
-        x *= radius / nrm
-    z = complexify(x)
-    if abs(evaluate(poly, z) - target) <= goal:
-        return z
-    return None
+    points, found = newton_on_sphere_batch(poly, target, radius, [start], tol, max_iter)
+    return tuple(points[0].tolist()) if found[0] else None
 
 
 def random_sphere_point(rng: np.random.Generator, n: int, radius: float) -> tuple[complex, ...]:

@@ -11,9 +11,10 @@ import jsonschema
 import pytest
 
 import mixed_milnor
-from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
+from mixed_milnor import FamilySpec, build_family, certify_smooth_shell, check_transversality
 from mixed_milnor.cli import SUBCOMMANDS, parse_t_grid, run, worker_count
 from mixed_milnor.errors import InputError
+from mixed_milnor.report import dumps
 
 
 def _write(path, data):
@@ -433,6 +434,56 @@ def test_build_isotopy_traces_name_their_failure_step(tmp_path, family_spec, poi
     assert code == 0
     assert [tr["failure_step"] for tr in report["result"]["traces"]] == [None, None]
     _validate(report, "build-isotopy")
+
+
+def test_build_isotopy_coarse_steps_accept_rk4_stage_states(tmp_path, family_spec, capsys):
+    """An RK4 stage state leaves the sphere by O(h^2); with coarse steps that
+    must not become an input error, while an off-sphere start point still is."""
+    from conftest import brieskorn
+    from mixed_milnor import sample_link
+
+    pts = sample_link(brieskorn((2, 3), (1, 0)), 0.0, 1.0, seeds=16, seed=0).points
+    rows = [[[z.real, z.imag] for z in pt] for pt in pts[:: max(1, len(pts) // 12)][:12]]
+    argv = ["build-isotopy", "--family", family_spec, "--eta0", "0.1", "--steps", "20"]
+    points = _write(tmp_path / "points.json", rows)
+    assert run(argv + ["--points", points, "--out", str(tmp_path / "r.json")]) in (0, 1)
+    rows[1] = [[1.001 * v for v in pair] for pair in rows[1]]
+    off = _write(tmp_path / "off.json", rows)
+    assert run(argv + ["--points", off]) == 2
+    assert "start point 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "brieskorn", "a": [2, 3], "b": [1, 1]},
+        {"family": "type_i", "a": [2, 3, 2], "b": [1, 0, 1]},
+    ],
+)
+def test_check_transversality_matches_library(tmp_path, spec):
+    family = _write(tmp_path / "family.json", spec)
+    code, report = _run_json(
+        [
+            "check-transversality",
+            "--family",
+            family,
+            "--t-grid",
+            "0,0.5,1",
+            "--method",
+            "both",
+            "--samples",
+            "5",
+            "--seed",
+            "7",
+        ],
+        tmp_path / "r.json",
+    )
+    assert code == 0
+    fam = build_family(FamilySpec(spec["family"], spec["a"], spec["b"]))
+    sweep = check_transversality(fam, (0.0, 0.5, 1.0), 1.0, 5, 7, "both")
+    assert report["result"] == json.loads(dumps(sweep))
+    assert sum(sweep.sampler_failures_per_t) == sweep.sampler_failures
+    _validate(report, "check-transversality")
 
 
 def test_version_flag(capsys):

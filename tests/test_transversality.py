@@ -4,8 +4,9 @@ cyclic-family evidence search."""
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brieskorn, poly
@@ -15,6 +16,7 @@ from mixed_milnor import (
     conjecture_search_type_ii,
     evaluate,
     radial_witness_brieskorn,
+    rank_margins,
     rank_test,
     sample_on_variety,
     solve_phi,
@@ -23,7 +25,15 @@ from mixed_milnor import (
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
-from mixed_milnor.numerics import on_variety_tolerance, real_jacobian_rows, realify, rng_for
+from mixed_milnor.numerics import (
+    monotone_root,
+    newton_on_sphere,
+    newton_on_sphere_batch,
+    on_variety_tolerance,
+    real_jacobian_rows,
+    realify,
+    rng_for,
+)
 
 
 def test_real_gradients_identity_map():
@@ -297,3 +307,164 @@ def test_conjecture_search_validation():
         conjecture_search_type_ii(fam, (0.5,), 0.0, samples=5, seed=0)
     with pytest.raises(PreconditionError):
         conjecture_search_type_ii(brieskorn((2, 2)), (0.5,), 1.0, samples=5, seed=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["brieskorn", "type_i", "type_ii"]),
+    n=st.integers(2, 3),
+    t=st.floats(0, 1),
+    seed=st.integers(0, 2**16),
+    size=st.integers(1, 6),
+)
+def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
+    """A row's result is bit for bit the same alone and inside a batch that
+    mixes converging, failing and zero starts.  The examples are fixed
+    because the scalar `evaluate` may round a value at the goal differently
+    from the batched kernel."""
+    fam = build_family(FamilySpec(kind, (2, 3, 2)[:n], (1, 0, 1)[:n]))
+    poly = fam.member(t)
+    starts = rng_for(seed, "newton:lockstep").standard_normal((size, 2 * n)).view(complex)
+    starts = np.vstack([starts, np.zeros((1, n))])  # a zero start fails
+    points, found = newton_on_sphere_batch(poly, 0j, 1.0, starts)
+    assert not found[-1]
+    for k, start in enumerate(starts):
+        alone, hit = newton_on_sphere_batch(poly, 0j, 1.0, [start])
+        single = newton_on_sphere(poly, 0j, 1.0, tuple(start))
+        assert hit[0] == found[k] == (single is not None)
+        if found[k]:
+            assert alone[0].tobytes() == points[k].tobytes()
+            assert np.array(single).tobytes() == points[k].tobytes()
+            assert abs(evaluate(poly, single)) <= 1e-12
+            assert abs(math.sqrt(sum(abs(z) ** 2 for z in single)) - 1.0) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["brieskorn", "type_i", "type_ii"]),
+    a=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    b=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    n=st.integers(2, 3),
+    t=st.floats(0, 1),
+    seed=st.integers(0, 2**16),
+)
+def test_rank_margins_match_per_point_svd(kind, a, b, n, t, seed):
+    fam = build_family(FamilySpec(kind, tuple(a[:n]), tuple(b[:n])))
+    poly = fam.member(t)
+    pts, _ = sample_on_variety(poly, 1.0, 6, seed, label="rank-oracle")
+    margins = rank_margins(fam, t, pts)
+    assert margins.shape == (len(pts),)
+    for z, margin in zip(pts, margins):
+        rows = np.vstack([realify(z), real_jacobian_rows(poly, z)])
+        norms = np.linalg.norm(rows, axis=1)
+        expected = 0.0
+        if np.all(norms > 0):
+            expected = np.linalg.svd(rows / norms[:, None], compute_uv=False)[-1]
+        assert abs(margin - expected) <= 1e-12
+        assert rank_test(fam, t, z).margin == margin
+
+
+def test_rank_margins_name_the_point_off_the_variety():
+    fam = brieskorn((2, 2))
+    w = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    assert rank_margins(fam, 1.0, []).shape == (0,)
+    with pytest.raises(PreconditionError, match="point 1 "):
+        rank_margins(fam, 1.0, [w, (1, 1)])
+    with pytest.raises(InputError):
+        rank_margins(fam, 1.0, [(1, 1, 1)])
+
+
+def _two_term_root(lead_abs, a, b, t):
+    """rho > 0 with rho^a (t + (1-t) rho^(2b)) = lead_abs."""
+    return monotone_root(lambda rho: rho**a * (t + (1 - t) * rho ** (2 * b)), lead_abs)
+
+
+@st.composite
+def _witness_cases(draw):
+    """A family of the brieskorn or chained kind and a point of V_t, either
+    sampled or built with zero coordinates."""
+    kind = draw(st.sampled_from(["brieskorn", "type_i"]))
+    n = draw(st.integers(2, 3))
+    a = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    b = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    t = draw(st.floats(0, 1))
+    fam = build_family(FamilySpec(kind, a, b))
+    rho = draw(st.floats(0.3, 1.2))
+    theta = draw(st.floats(0, 2 * math.pi))
+    shape = draw(st.sampled_from(["sampled", "zeros"]))
+    if shape == "sampled" or (kind == "brieskorn" and n == 2):
+        pts, _ = sample_on_variety(
+            fam.member(t), 1.0, 1, draw(st.integers(0, 2**16)), label="fd-oracle"
+        )
+        assume(pts)
+        return fam, t, pts[0]
+    if kind == "brieskorn":
+        # z_i^a_i A_i + z_j^a_j A_j = 0 with the third coordinate zero
+        zero = draw(st.integers(0, 2))
+        i, j = (k for k in range(3) if k != zero)
+        amp = t + (1 - t) * rho ** (2 * b[i])
+        rho_j = _two_term_root(rho ** a[i] * amp, a[j], b[j], t)
+        w = [0j] * 3
+        w[i] = rho * cmath.exp(1j * (math.pi + a[j] * theta) / a[i])
+        w[j] = rho_j * cmath.exp(1j * theta)
+        return fam, t, tuple(w)
+    if n == 2 or draw(st.booleans()):
+        # every monomial vanishes: (w_1, 0) or (w_1, 0, 0)
+        return fam, t, (rho * cmath.exp(1j * theta),) + (0j,) * (n - 1)
+    # (0, w_2, w_3) with w_2^a_2 A_2 w_3 + w_3^a_3 A_3 = 0
+    amp3 = t + (1 - t) * rho ** (2 * b[2])
+    rho2 = _two_term_root(rho ** (a[2] - 1) * amp3, a[1], b[1], t)
+    w2 = rho2 * cmath.exp(1j * (math.pi + (a[2] - 1) * theta) / a[1])
+    return fam, t, (0j, w2, rho * cmath.exp(1j * theta))
+
+
+def _fd_witness(fam, t, w, components, h=1e-6):
+    """Central-difference witness of the curve xi(r): (margin, vector)."""
+    a, b = fam.spec.a, fam.spec.b
+    mods = [abs(z) for z in w]
+
+    def scales(r):
+        if fam.spec.kind == "brieskorn":
+            return [solve_phi(a[j], b[j], t, m, r) if m > 0 else 0.0 for j, m in enumerate(mods)]
+        if not components:  # every monomial vanishes: uniform scaling
+            return [r] * len(w)
+        s = [1.0] * len(w)
+        for lo, hi in components:  # 1-based closed intervals, solved downward
+            for j in range(hi - 1, lo - 2, -1):
+                s[j] = solve_phi(a[j], b[j], t, mods[j], r if j == hi - 1 else r / s[j + 1])
+        return s
+
+    xp = [s * z for s, z in zip(scales(1 + h), w)]
+    xm = [s * z for s, z in zip(scales(1 - h), w)]
+    margin = (sum(abs(z) ** 2 for z in xp) - sum(abs(z) ** 2 for z in xm)) / (2 * h)
+    return margin, (realify(xp) - realify(xm)) / (2 * h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_witness_cases())
+def test_closed_form_witness_matches_central_differences(case):
+    fam, t, w = case
+    poly = fam.member(t)
+    if fam.spec.kind == "brieskorn":
+        cert, components = radial_witness_brieskorn(fam, t, w), None
+    else:
+        res = type_i_witness(fam, t, w)
+        cert, components = res.certificate, res.trace.components
+    margin, vector = _fd_witness(fam, t, w, components)
+    # 1e-6 relative, plus the oracle's own error: the 1e-14 tolerance of
+    # solve_phi's root over the step h = 1e-6, per unit of |w|
+    size = float(np.linalg.norm(realify(w)))
+    assert abs(cert.margin - margin) <= 1e-6 * abs(margin) + 1e-7 * size**2
+    witness = np.array(cert.witness_vector)
+    assert np.linalg.norm(witness - vector) <= 1e-6 * np.linalg.norm(vector) + 1e-7 * size
+    # the curve stays in the variety, so its velocity is tangent to it
+    tangency = np.linalg.norm(real_jacobian_rows(poly, w) @ witness)
+    assert tangency <= 10 * on_variety_tolerance(poly, w)
+
+
+def test_conjecture_search_reports_failures_per_t():
+    fam = build_family(FamilySpec("type_ii", (2, 2), (1, 1)))
+    rep = conjecture_search_type_ii(fam, (0.0, 0.5, 1.0), 1.0, samples=5, seed=2)
+    assert len(rep.sampler_failures_per_t) == 3
+    assert sum(rep.sampler_failures_per_t) == rep.sampler_failures
+    assert rep.samples_found + rep.sampler_failures == rep.samples_requested
