@@ -147,7 +147,7 @@ def _certify_smooth(args, poly, fam):
     certified = rep.min_residual_found > args.tolerance
     result = {
         **_fields(args, "radius", "restarts"),
-        **_fields(rep, "min_residual_found", "argmin_t", "argmin_point"),
+        **_fields(rep, "min_residual_found", "argmin_t", "argmin_restart", "argmin_point"),
         **_fields(rep, "iterations", "converged"),
         "t_grid": grid,
         "threshold": args.tolerance,

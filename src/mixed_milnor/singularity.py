@@ -22,12 +22,14 @@ from .core import (
     value_and_gradient_batch,
     wirtinger_gradient,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import complexify, rng_for, row_dot, row_norm
 
 FD_STEP = 1e-6
 MAX_ITER = 120
+# candidate points per kernel call that the line and pattern searches aim at
+BATCH_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,7 @@ class ShellSearchReport:
     min_residual_found: float
     argmin_point: tuple[complex, ...]
     argmin_t: float
+    argmin_restart: int
     restarts: int
     iterations: int
     seed: int
@@ -85,7 +88,8 @@ def singularity_residual(
 def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
     """Squared residual uu + vv - 2 |<u, v>| (floored at zero) at a
     K x ... x 2n array of real points (x_1, y_1, ..., x_n, y_n), where the
-    points x[k] belong to polynomial k of `arrays`."""
+    points x[k] belong to polynomial k of `arrays`.  An overflowed residual
+    (inf - inf) stays NaN: it must not read as a singular point."""
     z = np.ascontiguousarray(x, dtype=float).view(complex)
     _, d_z, d_zbar = value_and_gradient_batch(arrays, z)
     # |<u, v>| = |sum_j d_z f * d_zbar f|; sums run in a fixed order (see core)
@@ -99,7 +103,7 @@ def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
     # scaled modulus: re * re would underflow where |<u, v>| itself does not
     big = np.maximum(np.abs(re), np.abs(im))
     ratio = np.minimum(np.abs(re), np.abs(im)) / np.where(big > 0, big, 1.0)
-    return np.fmax(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0)
+    return np.maximum(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0)
 
 
 def _project_tangent(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -116,25 +120,30 @@ def _line_search(
     gn: np.ndarray,
     radius: float,
 ) -> np.ndarray:
-    """Backtracking along -g (30 halvings) for the rows `live` of x; a row
-    leaves as soon as it accepts a step.  Updates x, f; returns which rows
-    improved."""
+    """Backtracking along -g (30 halvings) for the rows `live` of x.  Each
+    kernel call tests a block of consecutive halvings for every row still
+    searching, and a row takes the first step it accepts, as it would one
+    halving per call.  Updates x, f; returns which rows improved."""
     alpha = 0.1 * radius / np.maximum(gn, 1e-12)
     improved = np.zeros(live.size, dtype=bool)
     todo = np.arange(live.size)
-    for _ in range(30):
-        if not todo.size:
-            break
+    h = 0
+    while todo.size and h < 30:
+        block = max(1, min(30 - h, BATCH_POINTS // todo.size))
         rows = live[todo]
-        cand = x[rows] - alpha[todo, None] * g[todo]
-        cand *= (radius / row_norm(cand))[:, None]
+        # alpha * 2**-h equals h repeated halvings
+        step = np.ldexp(alpha[todo, None], -np.arange(h, h + block))
+        cand = x[rows, None] - step[..., None] * g[todo, None]
+        cand *= (radius / row_norm(cand))[..., None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
-        ok = fc < f[rows] - 1e-12 * np.abs(f[rows])
-        x[rows[ok]] = cand[ok]
-        f[rows[ok]] = fc[ok]
-        improved[todo[ok]] = True
-        todo = todo[~ok]
-        alpha[todo] *= 0.5
+        ok = fc < (f[rows] - 1e-12 * np.abs(f[rows]))[:, None]
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)[hit]
+        x[rows[hit]] = cand[hit, first]
+        f[rows[hit]] = fc[hit, first]
+        improved[todo[hit]] = True
+        todo = todo[~hit]
+        h += block
     return improved
 
 
@@ -146,31 +155,40 @@ def _pattern_search(
     rngs: Sequence[np.random.Generator],
     radius: float,
 ) -> np.ndarray:
-    """A few random tangent probes (+d, then -d) at shrinking scale for the
-    rows `live` of x, each drawn from its row's own stream.  Updates x, f;
-    returns which rows improved."""
+    """Random tangent probes (+d, then -d) at 10 halving scales for the rows
+    `live` of x, each drawn from its row's own stream.  Each kernel call
+    tests a block of consecutive probes for every row still searching; a row
+    that takes an early probe of its block rewinds its stream and redraws
+    only the probes it used, so its stream ends where one probe per call
+    leaves it.  Updates x, f; returns which rows improved."""
     improved = np.zeros(live.size, dtype=bool)
     todo = np.arange(live.size)
-    scale = 1e-3 * radius
-    for _ in range(10):
-        if not todo.size:
-            break
+    p = 0
+    while todo.size and p < 10:
+        block = max(1, min(10 - p, BATCH_POINTS // (2 * todo.size)))
         rows = live[todo]
-        xr = x[rows]
-        d = _project_tangent(np.stack([rngs[k].standard_normal(x.shape[1]) for k in rows]), xr)
-        d /= np.maximum(row_norm(d), 1e-300)[:, None]
-        step = scale * d
-        cand = np.stack([xr + step, xr - step], axis=1)
+        xr = x[rows, None]
+        states = [rngs[k].bit_generator.state for k in rows]
+        d = np.stack([rngs[k].standard_normal((block, x.shape[1])) for k in rows])
+        d = _project_tangent(d, xr)
+        d /= np.maximum(row_norm(d), 1e-300)[..., None]
+        step = np.ldexp(1e-3 * radius, -np.arange(p, p + block))[:, None] * d
+        cand = np.stack([xr + step, xr - step], axis=2)
         cand *= (radius / row_norm(cand))[..., None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
-        plus = fc[:, 0] < f[rows]
-        ok = plus | (fc[:, 1] < f[rows])
-        side = np.where(plus, 0, 1)[ok]
-        x[rows[ok]] = cand[ok, side]
-        f[rows[ok]] = fc[ok, side]
-        improved[todo[ok]] = True
-        todo = todo[~ok]
-        scale *= 0.5
+        plus = fc[..., 0] < f[rows, None]
+        ok = plus | (fc[..., 1] < f[rows, None])
+        hit, first = ok.any(axis=1), ok.argmax(axis=1)
+        for i in np.flatnonzero(hit & (first < block - 1)):
+            rngs[rows[i]].bit_generator.state = states[i]
+            rngs[rows[i]].standard_normal((first[i] + 1, x.shape[1]))
+        first = first[hit]
+        side = np.where(plus[hit, first], 0, 1)
+        x[rows[hit]] = cand[hit, first, side]
+        f[rows[hit]] = fc[hit, first, side]
+        improved[todo[hit]] = True
+        todo = todo[~hit]
+        p += block
     return improved
 
 
@@ -225,8 +243,10 @@ def certify_smooth_shell(
     Runs `restarts` seeded searches at every t of the grid, all
     len(t_grid) x restarts of them as one lockstep batch.  Restart k at grid
     index ti draws its start point and its pattern-search probes from the
-    stream labelled "shell:t={ti}:restart:{k}".  `converged` means that every
-    t has at least one restart that stopped before the iteration cap.
+    stream labelled "shell:t={ti}:restart:{k}"; `argmin_restart` is the k of
+    the minimum.  `converged` means that every t has at least one restart that
+    stopped before the iteration cap.  A restart that ends on a residual that
+    is not finite (it overflows on a large shell) raises NumericalError.
 
     Numerical evidence only, never a proof: a positive minimum over all
     seeded restarts is the echo of the no-singularity lemma, reported with
@@ -251,6 +271,13 @@ def certify_smooth_shell(
     x, f, iters = _minimize_shell(
         arrays.rows(np.repeat(np.arange(len(grid)), restarts)), x0, float(radius), rngs
     )
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            f"shell residual is not finite at t={grid[i // restarts]!r},"
+            f" restart {i % restarts} (radius {radius!r})"
+        )
     best = int(np.argmin(f))
     return ShellSearchReport(
         spec=fam.spec,
@@ -259,6 +286,7 @@ def certify_smooth_shell(
         min_residual_found=math.sqrt(max(float(f[best]), 0.0)),
         argmin_point=complexify(x[best]),
         argmin_t=grid[best // restarts],
+        argmin_restart=best % restarts,
         restarts=restarts,
         iterations=int(iters.sum()),
         seed=seed,

@@ -153,11 +153,15 @@ def _require_curve_on_variety(poly: MixedPolynomial, z: Sequence[complex]) -> No
 def _radial_certificate(
     w: Sequence[complex], t: float, mods: Sequence[float], slopes: Sequence[float]
 ) -> TransversalityCertificate:
-    """The witness xi'(1) = (s_j' w_j) and its margin d ||xi||^2 / dr at r = 1."""
+    """The witness xi'(1) = (s_j' w_j) and its margin d ||xi||^2 / dr at r = 1.
+
+    Transverse means margin > DEFAULT_MARGIN_THRESHOLD * ||w||^2: the margin
+    scales as ||w||^2, so the rank test's threshold applies at any scale."""
     margin = 2.0 * sum(m * m * d for m, d in zip(mods, slopes))
+    transverse = margin > DEFAULT_MARGIN_THRESHOLD * sum(m * m for m in mods)
     witness = realify([d * z for d, z in zip(slopes, w)])
     return TransversalityCertificate(
-        tuple(w), float(t), "radial_witness", margin, margin > 0, tuple(witness.tolist())
+        tuple(w), float(t), "radial_witness", margin, transverse, tuple(witness.tolist())
     )
 
 

@@ -274,9 +274,64 @@ def test_certify_smooth_matches_library(tmp_path, family_spec):
     res = report["result"]
     assert res["min_residual_found"] == rep.min_residual_found
     assert res["argmin_t"] == rep.argmin_t
+    assert res["argmin_restart"] == rep.argmin_restart
+    assert 0 <= rep.argmin_restart < 3
     assert res["argmin_point"] == [[z.real, z.imag] for z in rep.argmin_point]
     assert res["iterations"] == rep.iterations
     assert res["converged"] == rep.converged
+    _validate(report, "certify-smooth")
+
+
+# the shell search's own bits: recorded with one halving and one probe per
+# kernel call, and kept by any block size of the search
+@pytest.mark.parametrize(
+    "seed, iterations, residual, point, restart",
+    [
+        (
+            3,
+            1917,
+            "1.016280820098279",
+            [
+                [-0.6801084042920807, 0.2785485445088826],
+                [0.47823968018922125, 0.4807806933059753],
+            ],
+            8,
+        ),
+        (
+            7,
+            1883,
+            "1.0162808200982787",
+            [
+                [0.729264040688933, -0.09116299920558156],
+                [-0.6758028831426426, 0.056158077513259214],
+            ],
+            9,
+        ),
+    ],
+)
+def test_certify_smooth_golden_search(tmp_path, seed, iterations, residual, point, restart):
+    spec = _write(tmp_path / "spec.json", {"family": "brieskorn", "a": [2, 3], "b": [1, 1]})
+    options = ["--t-grid", "0:1:0.1", "--restarts", "10", "--seed", str(seed)]
+    code, report = _run_json(["certify-smooth", "--family", spec, *options], tmp_path / "r.json")
+    assert code == 0
+    res = report["result"]
+    assert res["iterations"] == iterations
+    assert repr(res["min_residual_found"]) == residual
+    assert res["argmin_point"] == point
+    assert res["argmin_t"] == 0.0
+    assert res["argmin_restart"] == restart
+    assert res["converged"] is True
+
+
+def test_certify_smooth_overflow_exits_3(tmp_path, capsys):
+    """At radius 1e60 the residual overflows to inf - inf; that must not read
+    as a residual of 0, a singular point found."""
+    spec = _write(tmp_path / "spec.json", {"family": "brieskorn", "a": [2, 3], "b": [1, 1]})
+    out = tmp_path / "r.json"
+    code = run(["certify-smooth", "--family", spec, "--radius", "1e60", "--out", str(out)])
+    assert code == 3
+    assert "not finite at t=0.0, restart 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_transversality_both_methods(tmp_path, family_spec):

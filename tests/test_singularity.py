@@ -1,7 +1,9 @@
 """Singularity residuals, the shell search and the per-index inequality bounds."""
 
 import cmath
+import copy
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -18,9 +20,16 @@ from mixed_milnor import (
     wirtinger_gradient,
 )
 from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
-from mixed_milnor.errors import InputError, PreconditionError
-from mixed_milnor.numerics import random_sphere_point, rng_for
-from mixed_milnor.singularity import _minimize_shell, shell_residual_sq
+from mixed_milnor import singularity
+from mixed_milnor.errors import InputError, NumericalError, PreconditionError
+from mixed_milnor.numerics import random_sphere_point, rng_for, row_norm
+from mixed_milnor.singularity import (
+    _line_search,
+    _minimize_shell,
+    _pattern_search,
+    _project_tangent,
+    shell_residual_sq,
+)
 
 
 def _linear_with_gradients(u, v):
@@ -223,6 +232,171 @@ def test_lockstep_restart_ignores_its_batch(fam, ts, seed):
         assert xk[0].tobytes() == x[k].tobytes()
         assert fk[0].tobytes() == f[k].tobytes()
         assert ik[0] == iters[k]
+
+
+def _line_search_ref(arrays, x, f, live, g, gn, radius):
+    """The line search with one halving per kernel call; also returns the
+    values each call saw."""
+    alpha = 0.1 * radius / np.maximum(gn, 1e-12)
+    improved = np.zeros(live.size, dtype=bool)
+    todo = np.arange(live.size)
+    seen = []
+    for _ in range(30):
+        if not todo.size:
+            break
+        rows = live[todo]
+        cand = x[rows] - alpha[todo, None] * g[todo]
+        cand *= (radius / row_norm(cand))[:, None]
+        fc = shell_residual_sq(arrays.rows(rows), cand)
+        seen.append(fc)
+        ok = fc < f[rows] - 1e-12 * np.abs(f[rows])
+        x[rows[ok]] = cand[ok]
+        f[rows[ok]] = fc[ok]
+        improved[todo[ok]] = True
+        todo = todo[~ok]
+        alpha[todo] *= 0.5
+    return improved, seen
+
+
+def _pattern_search_ref(arrays, x, f, live, rngs, radius):
+    """The pattern search with one probe per kernel call; also returns the
+    values each call saw."""
+    improved = np.zeros(live.size, dtype=bool)
+    todo = np.arange(live.size)
+    scale = 1e-3 * radius
+    seen = []
+    for _ in range(10):
+        if not todo.size:
+            break
+        rows = live[todo]
+        xr = x[rows]
+        d = _project_tangent(np.stack([rngs[k].standard_normal(x.shape[1]) for k in rows]), xr)
+        d /= np.maximum(row_norm(d), 1e-300)[:, None]
+        step = scale * d
+        cand = np.stack([xr + step, xr - step], axis=1)
+        cand *= (radius / row_norm(cand))[..., None]
+        fc = shell_residual_sq(arrays.rows(rows), cand)
+        seen.append(fc)
+        plus = fc[:, 0] < f[rows]
+        ok = plus | (fc[:, 1] < f[rows])
+        side = np.where(plus, 0, 1)[ok]
+        x[rows[ok]] = cand[ok, side]
+        f[rows[ok]] = fc[ok, side]
+        improved[todo[ok]] = True
+        todo = todo[~ok]
+        scale *= 0.5
+    return improved, seen
+
+
+class _SearchCase(NamedTuple):
+    arrays: object
+    x: np.ndarray
+    radius: float
+    g: np.ndarray
+    gn: np.ndarray
+    f_line: np.ndarray  # the values the line search starts from
+    f_probe: np.ndarray  # the values the pattern search starts from
+    streams: Callable  # fresh per-row streams, in the same state each call
+
+
+def _assert_block_search_matches(batch_points, case, live):
+    """Run both searches in blocks and with one step per call from the same
+    state; demand the same bits in x, f, the improved mask and every stream."""
+    arrays, x, radius, g, gn, f_line, f_probe, streams = case
+
+    def run(line, probe):
+        xl, fl = x.copy(), f_line.copy()
+        line_improved = line(arrays, xl, fl, live, g[live], gn[live], radius)
+        xp, fp, rngs = x.copy(), f_probe.copy(), streams()
+        probe_improved = probe(arrays, xp, fp, live, rngs, radius)
+        return (
+            [xl.tobytes(), fl.tobytes(), line_improved.tolist()],
+            [xp.tobytes(), fp.tobytes(), probe_improved.tolist()],
+            [rng.bit_generator.state for rng in rngs],
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(singularity, "BATCH_POINTS", batch_points)
+        block = run(_line_search, _pattern_search)
+    ref = run(lambda *a: _line_search_ref(*a)[0], lambda *a: _pattern_search_ref(*a)[0])
+    assert block == ref
+
+
+@pytest.mark.parametrize("batch_points", [1, 7, 1 << 20])
+@settings(max_examples=40, deadline=None)
+@given(_families(), st.data())
+def test_block_search_matches_one_step_per_call(batch_points, fam, data):
+    """Several halvings or probes per kernel call give each row the path of
+    one step per call: from the row's true value, from 0 (no step is ever
+    accepted: all 30 halvings and all 10 probes run) and from just above the
+    best value any step reaches (the row takes that step)."""
+    ts = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    radius = data.draw(st.sampled_from((0.5, 1.0, 3.0)))
+    live = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(ts), max_size=len(ts))))
+    mode = st.sampled_from(("value", "zero", "best"))
+    modes = np.array(data.draw(st.lists(mode, min_size=len(ts), max_size=len(ts))))
+    arrays = polynomial_arrays([fam.member(t) for t in ts])
+    rng = rng_for(seed, "block:start")
+    x = rng.standard_normal((len(ts), 2 * fam.n))
+    x *= (radius / row_norm(x))[:, None]
+    g = _project_tangent(rng.standard_normal(x.shape), x)
+    gn = row_norm(g)
+
+    def streams():
+        return [rng_for(seed, f"block:{k}") for k in range(len(ts))]
+
+    every, zero = np.arange(len(ts)), np.zeros(len(ts))
+    # from 0 no step is accepted, so the reference sees every candidate
+    line_seen = _line_search_ref(arrays, x.copy(), zero.copy(), every, g, gn, radius)[1]
+    probe_seen = _pattern_search_ref(arrays, x.copy(), zero.copy(), every, streams(), radius)[1]
+    value = shell_residual_sq(arrays, x)
+    picks = [modes == "zero", modes == "best"]
+    # just above the best value, beyond the line search's 1e-12 relative margin
+    f_line = np.select(picks, [zero, np.min(line_seen, axis=0) * (1 + 4e-12)], value)
+    f_probe = np.select(picks, [zero, np.nextafter(np.min(probe_seen, axis=(0, 2)), np.inf)], value)
+    case = _SearchCase(arrays, x, radius, g, gn, f_line, f_probe, streams)
+    _assert_block_search_matches(batch_points, case, live)
+
+
+@pytest.mark.parametrize("batch_points", [1, 7, 1 << 20])
+def test_block_search_edge_rows(batch_points):
+    """At a point where the search stopped, one row takes the last of the 10
+    probes, one accepts none of the 30 halvings and none of the probes; an
+    empty set of rows is searched too."""
+    fam = brieskorn((2, 3), (1, 1))
+    arrays = polynomial_arrays([fam.member(0.5)] * 3)
+    rngs = [rng_for(1, f"edge:{k}") for k in range(3)]
+    x, f, iters = _minimize_shell(arrays, np.stack([r.standard_normal(4) for r in rngs]), 1.0, rngs)
+    assert np.all(iters < singularity.MAX_ITER)
+
+    def streams():
+        return copy.deepcopy(rngs)
+
+    g = _project_tangent(rng_for(1, "edge:g").standard_normal(x.shape), x)
+    gn = row_norm(g)
+    every = np.arange(3)
+    probes = np.array(_pattern_search_ref(arrays, x.copy(), np.zeros(3), every, streams(), 1.0)[1])
+    assert np.argmin(probes.min(axis=2), axis=0)[0] == 9
+    f_line = np.array([f[0], 0.0, f[2]])
+    f_probe = np.array([np.nextafter(probes[9, 0].min(), np.inf), 0.0, f[2]])
+    improved, seen = _pattern_search_ref(arrays, x.copy(), f_probe.copy(), every, streams(), 1.0)
+    assert improved.tolist() == [True, False, False] and len(seen) == 10
+    improved, seen = _line_search_ref(arrays, x.copy(), f_line.copy(), every, g, gn, 1.0)
+    assert not improved[1] and len(seen) == 30
+    case = _SearchCase(arrays, x, 1.0, g, gn, f_line, f_probe, streams)
+    for live in (every, np.array([1]), np.array([], dtype=int)):
+        _assert_block_search_matches(batch_points, case, live)
+
+
+def test_overflowed_residual_is_not_a_singular_point():
+    """inf - inf is NaN, not 0: an overflowing shell raises instead of
+    reporting a singular point, and names its t and restart."""
+    fam = brieskorn((2, 3), (1, 1))
+    arrays = polynomial_arrays([fam.member(0.5)])
+    assert np.isnan(shell_residual_sq(arrays, np.array([[1e60, 0.0, 1e60, 0.0]]))).all()
+    with pytest.raises(NumericalError, match=r"t=0\.0, restart 0"):
+        certify_smooth_shell(fam, (0.0, 1.0), 1e60, restarts=2)
 
 
 def test_inequality_brieskorn_example():

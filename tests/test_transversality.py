@@ -224,6 +224,20 @@ def test_chained_witness_empty_index_set():
     assert res.certificate.witness_vector == pytest.approx(tuple(realify(w)))
 
 
+def test_witness_margin_threshold_scales_with_the_point():
+    """A witness margin of 1.2e-44 at a unit point is no evidence: the rank
+    test's threshold applies to the margin per unit |w|^2."""
+    fam = build_family(FamilySpec("type_i", (1, 1), (0, 0)))
+    w1 = complex(-0.9365, 0.3506)
+    w = (w1 / abs(w1), complex(-7.2e-23, -2.6e-23))
+    cert = type_i_witness(fam, 0.0, w).certificate
+    assert 0 < cert.margin < 1e-43
+    assert cert.transverse is False
+    assert rank_test(fam, 0.0, w).margin == pytest.approx(1.0)
+    # the same threshold passes a margin of the size of |w|^2
+    assert type_i_witness(fam, 0.5, (0.8, 0)).certificate.transverse is True
+
+
 def test_chained_witness_holomorphic_closed_form():
     a = (2, 3)
     fam = build_family(FamilySpec("type_i", a, (1, 1)))
