@@ -30,7 +30,7 @@ from .errors import CertificateFailure, InputError, MixedMilnorError, NumericalE
 from .families import MilnorTubeSpec
 from .isotopy import transport
 from .links import count_components, project_svg, sample_link
-from .report import build_manifest, content_digest, dumps, jsonable
+from .report import build_manifest, content_digest, dumps
 from .scaling import normalize_coefficients, verify_scaling
 from .singularity import certify_smooth_shell
 from .specio import load_spec, require_family
@@ -162,8 +162,8 @@ def _check_transversality(args, poly, fam):
     rep = check_transversality(fam, grid, args.radius, args.samples, args.seed, args.method)
     result = {
         **_fields(rep, "method", "radius", "t_grid", "samples_per_t"),
-        **_fields(rep, "sampler_failures", "sampler_failures_per_t"),
-        **_fields(rep, "certificates", "min_margin", "all_transverse"),
+        **_fields(rep, "sampler_failures", "sampler_failures_per_t", "all_transverse"),
+        **_fields(rep, "certificates", "min_margin", "min_rank_margin", "min_witness_margin"),
     }
     ok = rep.all_transverse
     return result, "transverse" if ok else "not-certified", ok
@@ -375,7 +375,7 @@ def _execute(cmd: Subcommand, args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         if cmd.summary:
-            print(json.dumps(jsonable({k: result[k] for k in cmd.summary}), sort_keys=True))
+            print(dumps({k: result[k] for k in cmd.summary}, one_line=True))
     else:
         sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_CERT_FAIL

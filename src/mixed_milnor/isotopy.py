@@ -26,9 +26,10 @@ from .families import DeformationFamily, MilnorTubeSpec
 from .numerics import (
     complexify,
     normal_coefficients,
+    point_rows,
     random_sphere_point,
     real_jacobian,
-    require_on_variety,
+    require_on_level,
     rng_for,
     row_norm,
 )
@@ -119,11 +120,12 @@ def _off_sphere(norm: np.ndarray, radius: float, norm_tol: float) -> np.ndarray:
 
 
 def _velocity(
-    fam: DeformationFamily, t: float, x: np.ndarray, r: np.ndarray, tube: MilnorTubeSpec
+    fam: DeformationFamily, t: float, x: np.ndarray, r: np.ndarray, tube: MilnorTubeSpec, jet=None
 ) -> np.ndarray:
     """The connection velocity at the rows of x (K x 2n, C-contiguous) of
-    norms r, tangent to the sphere through each row, whatever its radius."""
-    value, J, dft = _jet(fam, t, x)
+    norms r, tangent to the sphere through each row, whatever its radius.
+    `jet` is _jet(fam, t, x) when the caller has it already."""
+    value, J, dft = jet or _jet(fam, t, x)
     level = _modulus(value)
     inside = level <= tube.tube_level
     c = 1.0 if inside.all() else _cutoff(level, tube.tube_level)
@@ -190,21 +192,6 @@ def _newton_value_correction(
     return out, fixed, residual
 
 
-def _point_array(fam: DeformationFamily, points) -> np.ndarray:
-    """Points as a C-contiguous K x n complex array."""
-    try:
-        z = np.array(points, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(
-            f"points must form a K x {fam.n} array of complex numbers: {exc}"
-        ) from exc
-    if z.shape == (0,):  # no points at all
-        z = z.reshape(0, fam.n)
-    if z.ndim != 2 or z.shape[1] != fam.n:
-        raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
-    return z
-
-
 def _integrate(
     fam: DeformationFamily,
     points,
@@ -225,7 +212,7 @@ def _integrate(
         raise InputError("t_end must lie in [0, 1]")
     if steps < 1:
         raise InputError("need at least one step")
-    z0 = _point_array(fam, points)
+    z0 = point_rows(points, fam.n)
     if not len(z0):
         return ()
     x = z0.view(float)
@@ -241,7 +228,9 @@ def _integrate(
             f"start point {i} must lie on the sphere of radius {r!r}; its norm is"
             f" {float(norm[i])!r}"
         )
-    f0 = _jet(fam, 0.0, x)[0]
+    # the jet at each step's start: the previous value check reads it, then k1
+    jet = _jet(fam, 0.0, x)
+    f0 = jet[0]
     preserve = _modulus(f0) <= tube.tube_level
     K = len(x)
     times = [0.0]
@@ -264,7 +253,7 @@ def _integrate(
         h = t_end / steps
         for k in range(steps):
             t = k * h
-            k1 = vel(t, x)
+            k1 = _velocity(fam, t, x, row_norm(x), tube, jet)
             k2 = vel(t + 0.5 * h, x + 0.5 * h * k1)
             k3 = vel(t + 0.5 * h, x + 0.5 * h * k2)
             k4 = vel(t + h, x + h * k3)
@@ -275,14 +264,20 @@ def _integrate(
             dead |= broke
             failure_step[broke] = k + 1
             value_residual[broke & preserve] = np.nan
+            jet = _jet(fam, t_next, x)
             rows = np.nonzero(preserve & ~dead)[0]
             if rows.size:
-                res = _jet(fam, t_next, x[rows])[0] - f0[rows]
+                res = jet[0][rows] - f0[rows]
                 if newton_correct:
-                    x[rows], fixed, res = _newton_value_correction(
+                    corrected, fixed, res = _newton_value_correction(
                         fam, t_next, x[rows], f0[rows], res, r, value_tol
                     )
                     failure_step[rows[~fixed]] = k + 1
+                    moved = rows[(corrected != x[rows]).any(axis=1)]
+                    x[rows] = corrected
+                    if moved.size:
+                        for part, fresh in zip(jet, _jet(fam, t_next, x[moved])):
+                            part[moved] = fresh
                 value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
             norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - r))
             times.append(t_next)
@@ -350,9 +345,7 @@ def transport(
     the start points are not checked against any level.
     """
     if level is not None:
-        poly0 = fam.member(0.0)
-        for z in points:
-            require_on_variety(poly0, z, level)
+        require_on_level(fam.member(0.0), point_rows(points, fam.n), level)
     traces = _integrate(fam, points, t_end, steps, tube, **kwargs)
     # np.max keeps a NaN residual (a point whose state broke) where max() drops it
     return TransportSummary(

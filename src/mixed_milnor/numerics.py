@@ -10,13 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    MixedPolynomial,
-    evaluate,
-    polynomial_arrays,
-    value_and_gradient_batch,
-    wirtinger_gradient,
-)
+from .core import MixedPolynomial, polynomial_arrays, value_and_gradient_batch, wirtinger_gradient
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -88,6 +82,43 @@ def monotone_root(
     return 0.5 * (lo + hi)
 
 
+def monotone_roots(fn: Callable, dfn: Callable, target: np.ndarray) -> np.ndarray:
+    """`monotone_root` from lo = hi = 1 with Newton steps dfn, in lockstep: the
+    root of fn(s, k) = target[k] for each row k, where fn and dfn take points
+    s and their rows k.  A row leaves as it converges, its root its own."""
+    lo = np.ones(len(target))
+    flo = fn(lo, np.arange(len(lo)))
+    hi, fhi = lo.copy(), flo.copy()
+    grow = ((lo, flo, 0.5, np.greater, "below"), (hi, fhi, 2.0, np.less, "above"))
+    for x, fx, factor, out, side in grow:
+        k = np.flatnonzero(out(fx, target))
+        for _ in range(2000):
+            if not k.size:
+                break
+            x[k] *= factor
+            fx[k] = fn(x[k], k)
+            k = k[out(fx[k], target[k])]
+        if k.size:
+            raise NumericalError(f"monotone_root: failed to bracket from {side}")
+    root = np.where(flo == target, lo, hi)
+    k = np.flatnonzero((flo != target) & (fhi != target))
+    lo, hi, goal = lo[k], hi[k], target[k]
+    s = 0.5 * (lo + hi)
+    for _ in range(200):
+        fs = fn(s, k)
+        lo, hi = np.where(fs < goal, s, lo), np.where(fs < goal, hi, s)
+        done = hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))
+        root[k[done]] = 0.5 * (lo + hi)[done]
+        k, s, fs, lo, hi, goal = (v[~done] for v in (k, s, fs, lo, hi, goal))
+        if not k.size:
+            break
+        d = dfn(s, k)
+        cand = s + (goal - fs) / d
+        s = np.where((d > 0) & (lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+    root[k] = 0.5 * (lo + hi)
+    return root
+
+
 def realify(point: Sequence[complex]) -> np.ndarray:
     """(z_1..z_n) -> (x_1, y_1, ..., x_n, y_n)."""
     pt = np.asarray(point, dtype=complex)
@@ -95,6 +126,19 @@ def realify(point: Sequence[complex]) -> np.ndarray:
     out[0::2] = pt.real
     out[1::2] = pt.imag
     return out
+
+
+def point_rows(points, n: int) -> np.ndarray:
+    """Points as a K x n complex array; an empty sequence gives K = 0."""
+    try:
+        z = np.array(points, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points must form a K x {n} array of complex numbers: {exc}") from exc
+    if z.shape == (0,):
+        z = z.reshape(0, n)
+    if z.ndim != 2 or z.shape[1] != n:
+        raise InputError(f"points of shape {z.shape} do not fit {n} variables")
+    return z
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,17 +199,25 @@ def on_variety_tolerance(poly: MixedPolynomial, point: Sequence[complex]) -> flo
     return level_tolerance(poly, math.sqrt(sum(abs(z) ** 2 for z in point)))
 
 
-def require_on_variety(
-    poly: MixedPolynomial, point: Sequence[complex], level: float = 0.0
-) -> None:
-    """Raise PreconditionError unless |f(point)| = level within on_variety_tolerance."""
-    val = abs(evaluate(poly, point))
-    tol = on_variety_tolerance(poly, point)
-    if abs(val - level) > tol:
-        raise PreconditionError(
-            f"point is off the level set |f| = {level!r}: |f| = {val:.3e} "
-            f"(tolerance {tol:.3e})"
+def require_on_level(
+    poly: MixedPolynomial, z: np.ndarray, level=0.0, t=0.0, slack=1.0, error=PreconditionError
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Wirtinger partials of f at the rows of z (K x n complex), from one
+    kernel pass that also checks ||f| - level| <= slack * level_tolerance at
+    every row; the first row off the level set raises `error` (default
+    PreconditionError) naming its index and t."""
+    if not len(z):
+        return z, z
+    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([poly]), z[None])
+    tol = slack * level_tolerance(poly, row_norm(z.view(float)))
+    off = np.abs(np.abs(value[0]) - level) > tol
+    if off.any():
+        i = int(np.argmax(off))
+        raise error(
+            f"point {i} is off the level set |f| = {level!r} at t={t!r}:"
+            f" |f| = {abs(value[0, i]):.3e} (tolerance {tol[i]:.3e})"
         )
+    return d_z[0], d_zbar[0]
 
 
 def newton_on_sphere_batch(
@@ -190,12 +242,7 @@ def newton_on_sphere_batch(
     """
     if radius <= 0:
         raise InputError("radius must be positive")
-    z = np.array(starts, dtype=complex)
-    if not z.size:
-        z = z.reshape(0, poly.n)
-    if z.ndim != 2 or z.shape[1] != poly.n:
-        raise InputError(f"start points of shape {z.shape} do not fit {poly.n} variables")
-    x = z.view(float)
+    x = point_rows(starts, poly.n).view(float)
     arrays = polynomial_arrays([poly])
     goal = tol * (1.0 + abs(target))
     out = np.zeros_like(x)

@@ -5,35 +5,68 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import time
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Optional
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+# float.__repr__ of a non-finite complex part -> what json.dumps writes for it
+_BARE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def jsonable(obj: Any) -> Any:
-    """Recursively convert report values to JSON-serializable data."""
-    if isinstance(obj, complex):
-        return complex_pair(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return str(obj)
+def _write(obj: Any, out: list, pad: Optional[str]) -> None:
+    """Append the JSON text of a report value to out: complex numbers as
+    [re, im], other non-finite floats as the strings "nan", "inf" and "-inf",
+    dataclasses as objects of their fields, dict keys as str(key) in sorted
+    order and unknown values as str(value).  Container items go on lines of
+    their own, two spaces past `pad` (newline and indent), or on one line."""
+    if isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _string(repr(obj)))
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (complex, list, tuple, dict)):
+        inner = None if pad is None else pad + "  "
+        start, sep, end = ("", ", ", "") if pad is None else (inner, "," + inner, pad)
+        if isinstance(obj, complex):
+            re, im = (float.__repr__(float(x)) for x in (obj.real, obj.imag))
+            out.append(f"[{start}{_BARE.get(re, re)}{sep}{_BARE.get(im, im)}{end}]")
+        elif not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+        elif isinstance(obj, dict):
+            items = {str(key): value for key, value in obj.items()}
+            out.append("{" + start)
+            for i, key in enumerate(sorted(items)):
+                out.append((sep if i else "") + _string(key) + ": ")
+                _write(items[key], out, inner)
+            out.append(end + "}")
+        else:
+            out.append("[" + start)
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(sep)
+                if type(item) is float and math.isfinite(item):
+                    out.append(float.__repr__(item))
+                else:
+                    _write(item, out, inner)
+            out.append(end + "]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, pad)
+    else:
+        out.append(_string(str(obj)))
 
 
-def dumps(report: Any) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+def dumps(report: Any, one_line: bool = False) -> str:
+    """The report as JSON, written in one pass: the bytes of
+    json.dumps(..., sort_keys=True, indent=2) + "\n" on the values converted
+    as `_write` says, or of json.dumps(..., sort_keys=True) with one_line."""
+    out: list[str] = []
+    _write(report, out, None if one_line else "\n")
+    return "".join(out) + ("" if one_line else "\n")
 
 
 def content_digest(data: bytes) -> str:
@@ -54,7 +87,7 @@ def build_manifest(
     manifest = {
         "subcommand": subcommand,
         "spec_digest": spec_digest,
-        "parameters": jsonable(parameters),
+        "parameters": parameters,
         "seed": seed,
         "tool_version": version,
         "outcome": outcome,

@@ -268,9 +268,11 @@ def certify_smooth_shell(
         for k in range(restarts)
     ]
     x0 = np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
-    x, f, iters = _minimize_shell(
-        arrays.rows(np.repeat(np.arange(len(grid)), restarts)), x0, float(radius), rngs
-    )
+    # a large shell overflows to inf - inf = NaN, reported below with its t and restart
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, f, iters = _minimize_shell(
+            arrays.rows(np.repeat(np.arange(len(grid)), restarts)), x0, float(radius), rngs
+        )
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         i = int(bad[0])

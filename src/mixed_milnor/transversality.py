@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, evaluate, polynomial_arrays, value_and_gradient_batch
+from .core import MixedPolynomial
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
-    level_tolerance,
-    monotone_root,
+    monotone_roots,
     newton_on_sphere_batch,
-    on_variety_tolerance,
+    point_rows,
     real_jacobian,
-    realify,
-    require_on_variety,
+    require_on_level,
     rng_for,
+    row_dot,
     row_norm,
 )
 
@@ -55,30 +54,17 @@ def rank_margins(
 
     Every point must lie on the variety f_t = 0 and away from the origin.
     """
-    poly = fam.member(t)
-    z = np.array(points, dtype=complex)
-    if not z.size:
-        return np.zeros(0)
-    if z.ndim != 2 or z.shape[1] != fam.n:
-        raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
+    z = point_rows(points, fam.n)
+    d_z, d_zbar = require_on_level(fam.member(t), z, t=t)
     x = z.view(float)
-    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([poly]), z[None])
     nrm = row_norm(x)
-    tol = level_tolerance(poly, nrm)
-    off = np.abs(value[0]) > tol
-    if off.any():
-        i = int(np.argmax(off))
-        raise PreconditionError(
-            f"point {i} is off the variety f_t = 0 at t={t!r}: |f| = {abs(value[0, i]):.3e}"
-            f" (tolerance {tol[i]:.3e})"
-        )
     if (nrm == 0).any():
         raise PreconditionError(
             f"rank test is undefined at the origin (point {int(np.argmax(nrm == 0))})"
         )
     rows = np.empty((len(x), 3, x.shape[1]))
     rows[:, 0] = x
-    rows[:, 1:] = real_jacobian(d_z[0], d_zbar[0])
+    rows[:, 1:] = real_jacobian(d_z, d_zbar)
     norms = row_norm(rows)
     full = (norms > 0).all(axis=1)
     margins = np.zeros(len(x))
@@ -102,97 +88,45 @@ def rank_test(
     )
 
 
+def solve_phi_rows(a: int, b: int, tau, w_abs, r) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_phi` at every row, for tau, w_abs and r arrays of one length, with
+    the slopes d s / dr at r = 1, where s = 1: implicit differentiation of
+    s^a (tau + c s^{2b}) = r (tau + c) with c = (1-tau) w^{2b}.  s = 1 at
+    r = 1, r^{1/a} at b = 0 or tau = 1 and r^{1/(a+2b)} at tau = 0, slopes
+    1/a and 1/(a+2b) there (exact when c underflows); the other rows solve by
+    `monotone_roots`, so a row's values do not depend on the other rows."""
+    if a < 1 or b < 0:
+        raise InputError("need a >= 1 and b >= 0")
+    tau, w_abs, r = (np.asarray(v, dtype=float) for v in (tau, w_abs, r))
+    if not ((0.0 <= tau) & (tau <= 1.0)).all():
+        raise InputError("tau must lie in [0, 1]")
+    if (w_abs <= 0).any() or (r <= 0).any():
+        raise InputError("w_abs and r must be positive")
+    s, slope = r ** (1.0 / a), np.full(len(r), 1.0 / a)
+    if b:
+        c = (1.0 - tau) * w_abs ** (2 * b)
+        zero, mixed = tau == 0.0, (tau != 0.0) & (tau != 1.0)
+        s[zero], slope[zero] = (r ** (1.0 / (a + 2 * b)))[zero], 1.0 / (a + 2 * b)
+        np.divide(tau + c, a * tau + (a + 2 * b) * c, out=slope, where=mixed)
+        k = np.flatnonzero(mixed & (r != 1.0))
+        tk, ck = tau[k], c[k]
+        s[k] = monotone_roots(
+            lambda x, i: x**a * (tk[i] + ck[i] * x ** (2 * b)),
+            lambda x, i: a * x ** (a - 1) * tk[i] + (a + 2 * b) * ck[i] * x ** (a + 2 * b - 1),
+            r[k] * (tk + ck),
+        )
+    s[r == 1.0] = 1.0
+    return s, slope
+
+
 def solve_phi(a: int, b: int, tau: float, w_abs: float, r: float) -> float:
     """Unique s > 0 with s^a (tau + (1-tau) w^{2b} s^{2b}) = r (tau + (1-tau) w^{2b}).
 
     The left side is strictly increasing in s, so a grown bracket plus
     safeguarded Newton cannot fail; s = 1 at r = 1 and s = r^{1/a} at tau = 1.
+    The one-point case of `solve_phi_rows`.
     """
-    if a < 1 or b < 0:
-        raise InputError("need a >= 1 and b >= 0")
-    if not 0.0 <= tau <= 1.0:
-        raise InputError("tau must lie in [0, 1]")
-    if w_abs <= 0 or r <= 0:
-        raise InputError("w_abs and r must be positive")
-    if r == 1.0:
-        return 1.0
-    c = (1.0 - tau) * w_abs ** (2 * b)
-    if b == 0 or tau == 1.0:
-        return r ** (1.0 / a)
-    if tau == 0.0:
-        return r ** (1.0 / (a + 2 * b))
-    target = r * (tau + c)
-
-    def fn(s: float) -> float:
-        return s**a * (tau + c * s ** (2 * b))
-
-    def dfn(s: float) -> float:
-        return a * s ** (a - 1) * tau + (a + 2 * b) * c * s ** (a + 2 * b - 1)
-
-    return monotone_root(fn, target, dfn=dfn)
-
-
-def _phi_slope(a: int, b: int, tau: float, w_abs: float) -> float:
-    """d solve_phi / dr at r = 1, where solve_phi = 1: implicit differentiation
-    of s^a (tau + c s^{2b}) = r (tau + c) with c = (1-tau) w^{2b}.  The cases
-    that solve_phi takes in closed form stay exact when c underflows."""
-    if b == 0 or tau == 1.0:
-        return 1.0 / a
-    if tau == 0.0:
-        return 1.0 / (a + 2 * b)
-    c = (1.0 - tau) * w_abs ** (2 * b)
-    return (tau + c) / (a * tau + (a + 2 * b) * c)
-
-
-def _require_curve_on_variety(poly: MixedPolynomial, z: Sequence[complex]) -> None:
-    val = abs(evaluate(poly, z))
-    if val > 10 * on_variety_tolerance(poly, z):
-        raise NumericalError(f"witness curve left the variety: |f_t| = {val:.3e}")
-
-
-def _radial_certificate(
-    w: Sequence[complex], t: float, mods: Sequence[float], slopes: Sequence[float]
-) -> TransversalityCertificate:
-    """The witness xi'(1) = (s_j' w_j) and its margin d ||xi||^2 / dr at r = 1.
-
-    Transverse means margin > DEFAULT_MARGIN_THRESHOLD * ||w||^2: the margin
-    scales as ||w||^2, so the rank test's threshold applies at any scale."""
-    margin = 2.0 * sum(m * m * d for m, d in zip(mods, slopes))
-    transverse = margin > DEFAULT_MARGIN_THRESHOLD * sum(m * m for m in mods)
-    witness = realify([d * z for d, z in zip(slopes, w)])
-    return TransversalityCertificate(
-        tuple(w), float(t), "radial_witness", margin, transverse, tuple(witness.tolist())
-    )
-
-
-def radial_witness_brieskorn(
-    fam: DeformationFamily,
-    t: float,
-    point: Sequence[complex],
-) -> TransversalityCertificate:
-    """Constructive non-tangency witness for the brieskorn family.
-
-    The curve xi(r) = (phi_j(r) w_j) stays in the zero set (zero coordinates
-    stay zero) and d(sum |xi_j|^2)/dr at r = 1 = 2 sum |w_j|^2 phi_j'(1) is
-    strictly positive; that derivative is the certificate margin.  The curve
-    is evaluated once, at r = WITNESS_RADIUS, to check that it stays inside.
-    """
-    if fam.spec.kind != "brieskorn":
-        raise PreconditionError("radial witness requires a brieskorn family")
-    poly = fam.member(t)
-    w = [complex(z) for z in point]
-    require_on_variety(poly, w)
-    a, b = fam.spec.a, fam.spec.b
-    mods = [abs(z) for z in w]
-    _require_curve_on_variety(
-        poly,
-        [
-            z * solve_phi(a[j], b[j], t, mods[j], WITNESS_RADIUS) if mods[j] > 0 else 0j
-            for j, z in enumerate(w)
-        ],
-    )
-    slopes = [_phi_slope(a[j], b[j], t, m) if m > 0 else 0.0 for j, m in enumerate(mods)]
-    return _radial_certificate(w, t, mods, slopes)
+    return float(solve_phi_rows(a, b, [tau], [w_abs], [r])[0][0])
 
 
 @dataclass(frozen=True)
@@ -212,28 +146,102 @@ class TypeIWitnessResult:
     trace: TypeIWitnessTrace
 
 
-def _type_i_scales(
+def _witnesses(
+    fam: DeformationFamily,
+    t_grid: Sequence[float],
+    points_per_t: Sequence[Sequence[Sequence[complex]]],
+    r: float = WITNESS_RADIUS,
+) -> Iterator[tuple[TransversalityCertificate, Optional[TypeIWitnessTrace]]]:
+    """Constructive witnesses at the points points_per_t[i] of V_t, t = t_grid[i],
+    in one lockstep pass; yields (certificate, trace) per point in order, the
+    trace None for the brieskorn kind.
+
+    The curve xi(r) = (s_j(r) w_j) stays in the zero set; the witness is
+    xi'(1) = (s_j'(1) w_j), with margin 2 sum |w_j|^2 s_j'(1), transverse
+    above DEFAULT_MARGIN_THRESHOLD * ||w||^2 (the margin scales as ||w||^2).
+    Brieskorn: s_j = phi_j(r) at every nonzero coordinate.  Chained: indices
+    with a vanishing monomial term keep s_j = 1, each maximal run of the
+    others is solved downward from its top, r_j = r / s_{j+1} and
+    s_j'(1) = phi_j'(1) (1 - s_{j+1}'(1)), and uniform scaling is the witness
+    when every term vanishes.  Rows with the same vanishing coordinates share
+    their runs, so each chain index is solved for all of them at once.  The
+    on-variety check and the check of the curve at radius r are one kernel
+    call per t each.
+    """
+    if r <= 0:
+        raise InputError("evaluation radius must be positive")
+    chained = fam.spec.kind == "type_i"
+    n, a, b = fam.n, fam.spec.a, fam.spec.b
+    polys = [fam.member(t) for t in t_grid]
+    blocks = [point_rows(pts, n) for pts in points_per_t]
+    for t, poly, z in zip(t_grid, polys, blocks):
+        require_on_level(poly, z, t=t)
+    W = np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=complex)
+    T = np.repeat(np.asarray(t_grid, dtype=float), [len(z) for z in blocks])
+    mods = np.abs(W)
+    nonzero = mods > 0
+    in_J = nonzero.copy()
+    if chained:
+        in_J[:, :-1] &= nonzero[:, 1:]
+    S, R, slopes = np.ones(mods.shape), np.full(mods.shape, np.nan), np.zeros(mods.shape)
+    pattern = (nonzero * (1 << np.arange(n))).sum(axis=1)  # bit j set where w_j != 0
+    traces = {}  # per pattern: (I0, J, components, ends_at_last_index), 1-based
+    for code in set(pattern.tolist()):
+        rows = np.flatnonzero(pattern == code)
+        on, zero = in_J[rows[0]].tolist(), (~nonzero[rows[0]]).tolist()
+        runs: list[list[int]] = []  # 0-based [lo, hi], solved downward
+        for j in range(n):
+            if on[j] and chained and runs and runs[-1][1] == j - 1:
+                runs[-1][1] = j
+            elif on[j]:
+                runs.append([j, j])
+        I0, J = (tuple(j + 1 for j in range(n) if mask[j]) for mask in (zero, on))
+        ends = tuple(hi == n - 1 for _, hi in runs)
+        traces[code] = (I0, J, tuple((lo + 1, hi + 1) for lo, hi in runs), ends)
+        if chained and not runs:
+            slopes[rows] = 1.0  # uniform scaling
+        tau = T[rows]
+        for lo, hi in runs:
+            for j in range(hi, lo - 1, -1):
+                rj = np.full(len(rows), r) if j == hi else r / S[rows, j + 1]
+                R[rows, j] = rj
+                S[rows, j], slope = solve_phi_rows(a[j], b[j], tau, mods[rows, j], rj)
+                slopes[rows, j] = slope if j == hi else slope * (1.0 - slopes[rows, j + 1])
+    curves = np.split(S * W, np.cumsum([len(z) for z in blocks])[:-1])
+    for t, poly, curve in zip(t_grid, polys, curves):
+        require_on_level(poly, curve, t=t, slack=10.0, error=NumericalError)
+    margin = 2.0 * row_dot(mods * mods, slopes)
+    transverse = margin > DEFAULT_MARGIN_THRESHOLD * row_dot(mods, mods)
+    R = R.astype(object)
+    R[~in_J] = None
+    columns = zip(
+        W.tolist(), T.tolist(), margin.tolist(), transverse.tolist(),
+        (slopes * W).view(float).tolist(), pattern.tolist(), S.tolist(), R.tolist(),
+    )
+    eps = tuple(1 if j < n - 1 else 0 for j in range(n))
+    for w, t, m, ok, vector, g, s, rv in columns:
+        cert = TransversalityCertificate(tuple(w), t, "radial_witness", m, ok, tuple(vector))
+        I0, J, comps, ends = traces[g]
+        trace = TypeIWitnessTrace(I0, J, comps, tuple(rv), tuple(s), eps, ends) if chained else None
+        yield cert, trace
+
+
+def radial_witness_brieskorn(
     fam: DeformationFamily,
     t: float,
-    mods: Sequence[float],
-    components: Sequence[tuple[int, int]],
-    r: float,
-) -> tuple[list[Optional[float]], list[float], list[float]]:
-    """Downward recursion r_j = r / s_{j+1}, s_j = phi_j(r_j) per component,
-    with the slopes s_j'(1) = phi_j'(1) (1 - s_{j+1}'(1)) of the same chain."""
-    n = fam.n
-    a, b = fam.spec.a, fam.spec.b
-    r_vals: list[Optional[float]] = [None] * n
-    s_vals: list[float] = [1.0] * n
-    slopes: list[float] = [0.0] * n
-    for lo, hi in components:
-        for j in range(hi, lo - 1, -1):
-            rj = r if j == hi else r / s_vals[j + 1]
-            r_vals[j] = rj
-            s_vals[j] = solve_phi(a[j], b[j], t, mods[j], rj)
-            inner = 1.0 if j == hi else 1.0 - slopes[j + 1]
-            slopes[j] = _phi_slope(a[j], b[j], t, mods[j]) * inner
-    return r_vals, s_vals, slopes
+    point: Sequence[complex],
+) -> TransversalityCertificate:
+    """Constructive non-tangency witness for the brieskorn family.
+
+    The curve xi(r) = (phi_j(r) w_j) stays in the zero set (zero coordinates
+    stay zero) and d(sum |xi_j|^2)/dr at r = 1 = 2 sum |w_j|^2 phi_j'(1) is
+    strictly positive; that derivative is the certificate margin.  The curve
+    is evaluated once, at r = WITNESS_RADIUS, to check that it stays inside.
+    The one-point case of the sweep's lockstep witnesses.
+    """
+    if fam.spec.kind != "brieskorn":
+        raise PreconditionError("radial witness requires a brieskorn family")
+    return next(_witnesses(fam, [t], [[point]]))[0]
 
 
 def type_i_witness(
@@ -247,53 +255,11 @@ def type_i_witness(
     Indices with a vanishing monomial term keep s_j = 1; within each maximal
     run of nonvanishing terms the scales are solved downward starting from
     the top index.  When every term vanishes, uniform scaling of all
-    coordinates is the witness.
+    coordinates is the witness.  The one-point case of the lockstep witnesses.
     """
     if fam.spec.kind != "type_i":
         raise PreconditionError("type_i_witness requires a type_i family")
-    if r <= 0:
-        raise InputError("evaluation radius must be positive")
-    poly = fam.member(t)
-    w = [complex(z) for z in point]
-    if len(w) != fam.n:
-        raise InputError("point length mismatch")
-    require_on_variety(poly, w)
-    n = fam.n
-    mods = [abs(z) for z in w]
-    eps = tuple(1 if j < n - 1 else 0 for j in range(n))
-    I0 = tuple(j + 1 for j in range(n) if mods[j] == 0)
-    in_J = [mods[j] > 0 and (eps[j] == 0 or mods[j + 1] > 0) for j in range(n)]
-    J = tuple(j + 1 for j in range(n) if in_J[j])
-
-    if not J:
-        # every monomial vanishes at w; uniform scaling stays in the zero set
-        cert = _radial_certificate(w, t, mods, [1.0] * n)
-        trace = TypeIWitnessTrace(I0, J, (), (None,) * n, (1.0,) * n, eps, ())
-        return TypeIWitnessResult(cert, trace)
-
-    components: list[tuple[int, int]] = []
-    j = 0
-    while j < n:
-        if in_J[j]:
-            lo = j
-            while j + 1 < n and in_J[j + 1]:
-                j += 1
-            components.append((lo, j))
-        j += 1
-
-    r_vals, s_vals, slopes = _type_i_scales(fam, t, mods, components, r)
-    _require_curve_on_variety(poly, [s * z for s, z in zip(s_vals, w)])
-    cert = _radial_certificate(w, t, mods, slopes)
-    trace = TypeIWitnessTrace(
-        I0,
-        J,
-        tuple((lo + 1, hi + 1) for lo, hi in components),
-        tuple(r_vals),
-        tuple(s_vals),
-        eps,
-        tuple(hi == n - 1 for _, hi in components),
-    )
-    return TypeIWitnessResult(cert, trace)
+    return TypeIWitnessResult(*next(_witnesses(fam, [t], [[point]], r)))
 
 
 @dataclass(frozen=True)
@@ -422,23 +388,12 @@ class TransversalitySweep:
     certificates: tuple[dict, ...]
     min_margin: Optional[float]
     all_transverse: bool
+    # the smallest margin of each method; None when it did not run or found no point
+    min_rank_margin: Optional[float] = None
+    min_witness_margin: Optional[float] = None
 
 
-def _witness_entry(fam: DeformationFamily, t: float, point: tuple[complex, ...]) -> dict:
-    if fam.spec.kind == "brieskorn":
-        cert, trace = radial_witness_brieskorn(fam, t, point), None
-    else:
-        res = type_i_witness(fam, t, point)
-        cert, trace = res.certificate, res.trace
-    entry = {
-        "witness_margin": cert.margin,
-        "witness_transverse": cert.transverse,
-        "witness_vector": cert.witness_vector,
-    }
-    if trace is not None:
-        names = ("I0", "J", "components", "r_values", "s_values", "epsilon_flags")
-        entry["trace"] = {name: getattr(trace, name) for name in names}
-    return entry
+TRACE_FIELDS = ("I0", "J", "components", "r_values", "s_values", "epsilon_flags")
 
 
 def check_transversality(
@@ -453,8 +408,9 @@ def check_transversality(
     certify each by the rank test, the constructive witness or both.
 
     The points at grid index ti come from `sample_on_variety` with the label
-    "ct:t={ti}".  `all_transverse` needs at least one certificate, and every
-    certificate transverse by every method run.
+    "ct:t={ti}".  The witnesses of all points of the sweep are solved in one
+    lockstep pass.  `all_transverse` needs at least one certificate, and
+    every certificate transverse by every method run.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
@@ -465,22 +421,24 @@ def check_transversality(
             f"no constructive witness is offered for {fam.spec.kind} (open problem)"
         )
     grid = tuple(float(t) for t in t_grid)
-    certificates = []
-    failures = []
+    points, failures = [], []
     for ti, t in enumerate(grid):
         pts, missed = sample_on_variety(fam.member(t), radius, samples, seed, label=f"ct:t={ti}")
+        points.append(pts)
         failures.append(missed)
-        margins = rank_margins(fam, t, pts).tolist() if rank else [None] * len(pts)
-        for z, margin in zip(pts, margins):
-            entry = {"t": t, "point": z}
-            if rank:
-                entry.update(
-                    rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD
-                )
-            if witness:
-                entry.update(_witness_entry(fam, t, z))
-            certificates.append(entry)
-    margins = [e[k] for e in certificates for k in ("rank_margin", "witness_margin") if k in e]
+    certificates = [{"t": t, "point": z} for t, pts in zip(grid, points) for z in pts]
+    rank_values, witness_values = [], []
+    if rank:
+        rank_values = [m for t, z in zip(grid, points) for m in rank_margins(fam, t, z).tolist()]
+        for entry, margin in zip(certificates, rank_values):
+            entry.update(rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD)
+    if witness:
+        for entry, (cert, trace) in zip(certificates, _witnesses(fam, grid, points)):
+            witness_values.append(cert.margin)
+            entry.update(witness_margin=cert.margin, witness_transverse=cert.transverse)
+            entry["witness_vector"] = cert.witness_vector
+            if trace is not None:
+                entry["trace"] = {name: getattr(trace, name) for name in TRACE_FIELDS}
     return TransversalitySweep(
         method=method,
         radius=float(radius),
@@ -489,10 +447,12 @@ def check_transversality(
         sampler_failures=sum(failures),
         sampler_failures_per_t=tuple(failures),
         certificates=tuple(certificates),
-        min_margin=min(margins, default=None),
+        min_margin=min(rank_values + witness_values, default=None),
         all_transverse=bool(certificates)
         and all(
             e.get("rank_transverse", True) and e.get("witness_transverse", True)
             for e in certificates
         ),
+        min_rank_margin=min(rank_values, default=None),
+        min_witness_margin=min(witness_values, default=None),
     )

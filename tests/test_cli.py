@@ -334,6 +334,22 @@ def test_certify_smooth_overflow_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_certify_smooth_overflow_prints_only_its_error(tmp_path, capfd):
+    """The overflow is reported once, by the error that names its t and
+    restart, with no numpy warnings on stderr before it."""
+    spec = _write(tmp_path / "spec.json", {"family": "brieskorn", "a": [2, 3], "b": [1, 1]})
+    done = subprocess.run(
+        [sys.executable, "-m", "mixed_milnor", "certify-smooth", "--family", spec]
+        + ["--radius", "1e60"],
+        env=_cli_env(),
+        timeout=120,
+    )
+    assert done.returncode == 3
+    err = capfd.readouterr().err
+    assert err.startswith("internal error: shell residual is not finite at t=0.0, restart 0")
+    assert err.count("\n") == 1
+
+
 def test_check_transversality_both_methods(tmp_path, family_spec):
     code, report = _run_json(
         [
@@ -538,6 +554,30 @@ def test_check_transversality_matches_library(tmp_path, spec):
     sweep = check_transversality(fam, (0.0, 0.5, 1.0), 1.0, 5, 7, "both")
     assert report["result"] == json.loads(dumps(sweep))
     assert sum(sweep.sampler_failures_per_t) == sweep.sampler_failures
+    entries = report["result"]["certificates"]
+    assert report["result"]["min_rank_margin"] == min(e["rank_margin"] for e in entries)
+    assert report["result"]["min_witness_margin"] == min(e["witness_margin"] for e in entries)
+    assert report["result"]["min_margin"] == min(
+        sweep.min_rank_margin, sweep.min_witness_margin
+    )
+    _validate(report, "check-transversality")
+
+
+@pytest.mark.parametrize(
+    "method, samples, has_rank, has_witness",
+    [("rank", 3, True, False), ("witness", 3, False, True), ("both", 0, False, False)],
+)
+def test_check_transversality_method_minima_are_null_without_data(
+    tmp_path, family_spec, method, samples, has_rank, has_witness
+):
+    argv = ["check-transversality", "--family", family_spec, "--t-grid", "0.5"]
+    code, report = _run_json(
+        argv + ["--method", method, "--samples", str(samples)], tmp_path / "r.json"
+    )
+    res = report["result"]
+    assert (res["min_rank_margin"] is not None) == has_rank
+    assert (res["min_witness_margin"] is not None) == has_witness
+    assert code == (0 if samples else 1)
     _validate(report, "check-transversality")
 
 
@@ -580,14 +620,19 @@ def test_canonical_reports_are_deterministic(
     _validate(report, name)
 
 
-@pytest.mark.parametrize("module", ["mixed_milnor", "mixed_milnor.cli"])
-def test_python_dash_m_runs_the_cli(family_spec, module):
+def _cli_env() -> dict:
+    """The environment for a `python -m` run of this checkout's package."""
     env = dict(os.environ)
     package_root = str(Path(mixed_milnor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["mixed_milnor", "mixed_milnor.cli"])
+def test_python_dash_m_runs_the_cli(family_spec, module):
     done = subprocess.run(
         [sys.executable, "-m", module, "analyze", family_spec, "--canonical"],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -316,3 +316,50 @@ def test_rank_deficiency_names_t_and_point():
     bad = (1 / math.sqrt(2), 1 / math.sqrt(2))
     with pytest.raises(NumericalError, match=r"t=0\.5 for point 1 \("):
         connection_velocity(fam, 0.5, [good, bad], wide)
+
+
+@pytest.mark.parametrize("b, newton_correct", [((1, 0), False), ((0, 0), True)])
+def test_step_start_jet_is_reused(monkeypatch, b, newton_correct):
+    """One kernel pass per RK4 stage after the first, one per value check
+    (which the next step's first stage reuses) and one at t = 0: 4 steps + 1
+    when no row is corrected.  Link points inside the tube, with correction
+    off, or on a constant family that never needs it."""
+    fam = brieskorn((2, 3), b)
+    points = _link_points(fam, 2)
+    calls = []
+    kernel = isotopy.value_and_gradient_batch
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(isotopy, "value_and_gradient_batch", counted)
+    summary = transport(fam, points, 1.0, 25, TUBE, newton_correct=newton_correct)
+    assert not summary.partial
+    assert len(calls) == 4 * 25 + 1
+
+
+def test_reused_jet_is_the_jet_at_the_step_start(monkeypatch):
+    """The jet that a step's first stage reuses is, bit for bit, a fresh
+    kernel pass at the step's start, also where the value correction moved
+    points (a tight value tolerance makes it move them at every step)."""
+    fam = brieskorn((2, 3), (1, 0))
+    velocity, correction = isotopy._velocity, isotopy._newton_value_correction
+    reused, moved = [], []
+
+    def checked_velocity(fam, t, x, r, tube, jet=None):
+        if jet is not None:
+            fresh = isotopy._jet(fam, t, x)
+            reused.append(all(a.tobytes() == b.tobytes() for a, b in zip(jet, fresh)))
+        return velocity(fam, t, x, r, tube, jet)
+
+    def counted_correction(fam, t, x, *args):
+        out, fixed, residual = correction(fam, t, x, *args)
+        moved.append(int((out != x).any(axis=1).sum()))
+        return out, fixed, residual
+
+    monkeypatch.setattr(isotopy, "_velocity", checked_velocity)
+    monkeypatch.setattr(isotopy, "_newton_value_correction", counted_correction)
+    transport(fam, _link_points(fam, 3), 1.0, 20, TUBE, value_tol=1e-12)
+    assert len(reused) == 20 and all(reused)
+    assert sum(moved) > 0

@@ -20,11 +20,13 @@ from mixed_milnor import (
     rank_test,
     sample_on_variety,
     solve_phi,
+    transversality,
     type_i_witness,
     wirtinger_gradient,
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
+from mixed_milnor.transversality import solve_phi_rows
 from mixed_milnor.numerics import (
     monotone_root,
     newton_on_sphere,
@@ -394,15 +396,18 @@ def _two_term_root(lead_abs, a, b, t):
 
 
 @st.composite
-def _witness_cases(draw):
-    """A family of the brieskorn or chained kind and a point of V_t, either
-    sampled or built with zero coordinates."""
+def _witness_families(draw):
+    """A family of the brieskorn or chained kind, n = 2..3."""
     kind = draw(st.sampled_from(["brieskorn", "type_i"]))
     n = draw(st.integers(2, 3))
     a = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
     b = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    t = draw(st.floats(0, 1))
-    fam = build_family(FamilySpec(kind, a, b))
+    return build_family(FamilySpec(kind, a, b))
+
+
+def _draw_witness_point(draw, fam, t):
+    """A point of V_t, either sampled or built with zero coordinates."""
+    kind, n, a, b = fam.spec.kind, fam.n, fam.spec.a, fam.spec.b
     rho = draw(st.floats(0.3, 1.2))
     theta = draw(st.floats(0, 2 * math.pi))
     shape = draw(st.sampled_from(["sampled", "zeros"]))
@@ -411,7 +416,7 @@ def _witness_cases(draw):
             fam.member(t), 1.0, 1, draw(st.integers(0, 2**16)), label="fd-oracle"
         )
         assume(pts)
-        return fam, t, pts[0]
+        return pts[0]
     if kind == "brieskorn":
         # z_i^a_i A_i + z_j^a_j A_j = 0 with the third coordinate zero
         zero = draw(st.integers(0, 2))
@@ -421,15 +426,24 @@ def _witness_cases(draw):
         w = [0j] * 3
         w[i] = rho * cmath.exp(1j * (math.pi + a[j] * theta) / a[i])
         w[j] = rho_j * cmath.exp(1j * theta)
-        return fam, t, tuple(w)
+        return tuple(w)
     if n == 2 or draw(st.booleans()):
         # every monomial vanishes: (w_1, 0) or (w_1, 0, 0)
-        return fam, t, (rho * cmath.exp(1j * theta),) + (0j,) * (n - 1)
+        return (rho * cmath.exp(1j * theta),) + (0j,) * (n - 1)
     # (0, w_2, w_3) with w_2^a_2 A_2 w_3 + w_3^a_3 A_3 = 0
     amp3 = t + (1 - t) * rho ** (2 * b[2])
     rho2 = _two_term_root(rho ** (a[2] - 1) * amp3, a[1], b[1], t)
     w2 = rho2 * cmath.exp(1j * (math.pi + (a[2] - 1) * theta) / a[1])
-    return fam, t, (0j, w2, rho * cmath.exp(1j * theta))
+    return (0j, w2, rho * cmath.exp(1j * theta))
+
+
+@st.composite
+def _witness_cases(draw):
+    """A family of the brieskorn or chained kind and a point of V_t, either
+    sampled or built with zero coordinates."""
+    fam = draw(_witness_families())
+    t = draw(st.floats(0, 1))
+    return fam, t, _draw_witness_point(draw, fam, t)
 
 
 def _fd_witness(fam, t, w, components, h=1e-6):
@@ -482,3 +496,125 @@ def test_conjecture_search_reports_failures_per_t():
     assert len(rep.sampler_failures_per_t) == 3
     assert sum(rep.sampler_failures_per_t) == rep.sampler_failures
     assert rep.samples_found + rep.sampler_failures == rep.samples_requested
+
+
+def _solve_phi_reference(a, b, tau, w_abs, r):
+    """The scalar solve_phi: closed forms, else `monotone_root` on the
+    scalar closure."""
+    if r == 1.0:
+        return 1.0
+    c = (1.0 - tau) * w_abs ** (2 * b)
+    if b == 0 or tau == 1.0:
+        return r ** (1.0 / a)
+    if tau == 0.0:
+        return r ** (1.0 / (a + 2 * b))
+
+    def fn(s):
+        return s**a * (tau + c * s ** (2 * b))
+
+    def dfn(s):
+        return a * s ** (a - 1) * tau + (a + 2 * b) * c * s ** (a + 2 * b - 1)
+
+    return monotone_root(fn, r * (tau + c), dfn=dfn)
+
+
+_phi_rows = st.tuples(
+    st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0])),
+    st.one_of(st.floats(1e-3, 10.0), st.sampled_from([1e-300, 1.0])),
+    st.one_of(st.floats(0.05, 20.0), st.just(1.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.lists(_phi_rows, min_size=1, max_size=12),
+)
+def test_lockstep_solve_phi_matches_the_scalar_reference(a, b, rows):
+    tau, w_abs, r = (np.array(col) for col in zip(*rows))
+    s, slope = solve_phi_rows(a, b, tau, w_abs, r)
+    for k, (tk, wk, rk) in enumerate(rows):
+        alone = solve_phi_rows(a, b, [tk], [wk], [rk])
+        assert (s[k].tobytes(), slope[k].tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
+        assert solve_phi(a, b, tk, wk, rk) == s[k]
+        expected = _solve_phi_reference(a, b, tk, wk, rk)
+        if rk == 1.0:
+            assert s[k] == 1.0
+        elif b == 0 or tk in (0.0, 1.0):
+            # the closed form itself, to the last bit of numpy's power
+            root = 1.0 / a if b == 0 or tk == 1.0 else 1.0 / (a + 2 * b)
+            assert s[k] == np.power(r[k : k + 1], root)[0]
+            assert s[k] == pytest.approx(expected, rel=3e-16, abs=0)
+        else:
+            assert abs(s[k] - expected) <= 1e-13 * expected
+
+
+def test_closed_forms_survive_an_underflowing_c():
+    """At tau = 0 and |w|^(2b) below the smallest float the general formulas
+    are 0/0; solve_phi and its slope take their closed forms instead."""
+    a, b = 2, 3
+    w_abs = np.array([1e-300, 1e-60])
+    assert ((1.0 - 0.0) * w_abs[:1] ** (2 * b) == 0).all()
+    s, slope = solve_phi_rows(a, b, [0.0, 0.0], w_abs, [5.0, 5.0])
+    assert s.tolist() == np.power([5.0, 5.0], 1.0 / (a + 2 * b)).tolist()
+    assert slope.tolist() == [1.0 / (a + 2 * b)] * 2
+    fam = build_family(FamilySpec("type_i", (1, 1), (3, 0)))
+    w = (complex(0.6, 0.8), complex(1e-60, 0.0))  # z1 z2 + z2 = 0 only as z2 -> 0
+    assert abs(evaluate(fam.member(0.0), w)) <= on_variety_tolerance(fam.member(0.0), w)
+    res = type_i_witness(fam, 0.0, w)
+    assert res.trace.J == (1, 2)
+    assert math.isfinite(res.certificate.margin)
+
+
+@st.composite
+def _witness_batches(draw):
+    """A family and up to six (t, point) rows that mix the patterns of
+    vanishing coordinates, "J empty" included."""
+    fam = draw(_witness_families())
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1.0])))
+        rows.append((t, _draw_witness_point(draw, fam, t)))
+    return fam, rows
+
+
+def _witness_bits(cert, trace):
+    bits = (cert.point, cert.t, cert.margin.hex(), cert.transverse)
+    bits += (np.array(cert.witness_vector).tobytes(),)
+    if trace is not None:
+        bits += (trace, np.array(trace.s_values).tobytes())
+    return bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_witness_batches())
+def test_witness_rows_ignore_their_batch(case):
+    """Every witness of a lockstep batch is bit for bit the one its point gets
+    alone, and the one the public one-point functions give."""
+    fam, rows = case
+    grid = [t for t, _ in rows]
+    together = list(transversality._witnesses(fam, grid, [[w] for _, w in rows]))
+    # the same rows grouped by t, as the sweep passes them
+    by_t = sorted(set(grid))
+    grouped = list(
+        transversality._witnesses(fam, by_t, [[w for t, w in rows if t == u] for u in by_t])
+    )
+    order = sorted(range(len(rows)), key=lambda k: (by_t.index(grid[k]), k))
+    for k, (t, w) in enumerate(rows):
+        (alone,) = transversality._witnesses(fam, [t], [[w]])
+        assert _witness_bits(*together[k]) == _witness_bits(*alone)
+        assert _witness_bits(*grouped[order.index(k)]) == _witness_bits(*alone)
+        if fam.spec.kind == "brieskorn":
+            one = (radial_witness_brieskorn(fam, t, w), None)
+        else:
+            res = type_i_witness(fam, t, w)
+            one = (res.certificate, res.trace)
+        assert _witness_bits(*one) == _witness_bits(*alone)
+
+
+def test_witness_errors_name_t_and_point():
+    fam = build_family(FamilySpec("type_i", (2, 2), (1, 0)))
+    good = (0.8, 0)
+    with pytest.raises(PreconditionError, match=r"point 1 is off the level set .* at t=0\.25"):
+        list(transversality._witnesses(fam, [0.5, 0.25], [[good], [good, (0.6, 0.8)]]))
