@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+MAX_GRID_POINTS = 100_000  # a "start:end:step" grid is refused above this many points
 
 
 def worker_count() -> int:
@@ -65,6 +66,9 @@ def parse_t_grid(text: str) -> tuple[float, ...]:
             if not step > 0:
                 raise InputError("t-grid step must be positive")
             count = int(round((end - start) / step))
+            if count >= MAX_GRID_POINTS:
+                points = f"{count + 1:.6g} points, over {MAX_GRID_POINTS}"
+                raise InputError(f"t-grid {text!r} has {points}")
             grid = tuple(min(start + k * step, end) for k in range(count + 1))
         else:
             grid = tuple(float(p) for p in text.split(","))

@@ -225,6 +225,15 @@ class PolynomialArrays:
         if self.layout is None:
             object.__setattr__(self, "layout", _kernel_layout(self.N, self.M))
 
+    @property
+    def n(self) -> int:
+        return self.N.shape[1]
+
+    @property
+    def max_degree(self) -> np.ndarray:
+        """Per polynomial, the largest total degree of its monomials."""
+        return np.where(self.C != 0, (self.N + self.M).sum(axis=1), 0).max(axis=1, initial=0)
+
     def rows(self, index) -> "PolynomialArrays":
         """The polynomials picked by `index` (anything that indexes C's rows)."""
         return self.with_coefficients(self.C[index])
@@ -234,24 +243,41 @@ class PolynomialArrays:
         return PolynomialArrays(self.N, self.M, C, self.layout)
 
 
-def polynomial_arrays(polys: Sequence[MixedPolynomial]) -> PolynomialArrays:
+def polynomial_arrays(
+    polys: Sequence[MixedPolynomial], own_order: bool = False
+) -> PolynomialArrays:
     """Stack polynomials of one arity over the union of their monomials, in
-    order of first appearance."""
+    order of first appearance.
+
+    The kernel sums a row's monomials in column order, and a sum keeps its
+    bits under a swap of its first two terms only.  With own_order, a
+    monomial whose first column would otherwise reorder its polynomial's
+    monomials gets a column of its own, so that every row computes the
+    bits of its polynomial alone; a blend of such rows no longer holds a
+    shared monomial in one column.
+    """
     if not polys:
         raise InputError("polynomial_arrays needs at least one polynomial")
     n = polys[0].n
     if any(p.n != n for p in polys):
         raise InputError("polynomials must share one variable count")
-    column: dict[tuple, int] = {}
-    for p in polys:
-        for mono in p.monomials:
-            column.setdefault((mono.nu, mono.mu), len(column))
-    C = np.zeros((len(polys), len(column)), dtype=complex)
+    keys: list[tuple] = []
+    terms = []  # (row, column, coefficient)
     for k, p in enumerate(polys):
-        for mono in p.monomials:
-            C[k, column[(mono.nu, mono.mu)]] = mono.coefficient
-    N = np.array([key[0] for key in column], dtype=int).reshape(len(column), n)
-    M = np.array([key[1] for key in column], dtype=int).reshape(len(column), n)
+        floor = 0  # the first column that keeps this row's order
+        for i, mono in enumerate(p.monomials):
+            key = (mono.nu, mono.mu)
+            start = floor if own_order and i > 1 else 0
+            col = next((c for c in range(start, len(keys)) if keys[c] == key), len(keys))
+            if col == len(keys):
+                keys.append(key)
+            terms.append((k, col, mono.coefficient))
+            floor = max(floor, col + 1)
+    C = np.zeros((len(polys), len(keys)), dtype=complex)
+    for k, col, coefficient in terms:
+        C[k, col] = coefficient
+    N = np.array([key[0] for key in keys], dtype=int).reshape(len(keys), n)
+    M = np.array([key[1] for key in keys], dtype=int).reshape(len(keys), n)
     return PolynomialArrays(N, M, C)
 
 

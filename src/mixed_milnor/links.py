@@ -24,7 +24,7 @@ from .numerics import (
     newton_on_sphere_batch,
     on_variety_tolerance,
     random_sphere_point,
-    rng_for,
+    rng_streams,
 )
 
 DEFAULT_RESOLUTION = 720
@@ -145,9 +145,8 @@ def sample_link(
         candidates = np.array(_brieskorn_representatives(fam, float(t), radius))
         seeds_used = 0
     else:
-        starts = np.array(
-            [random_sphere_point(rng_for(seed, f"link:seed:{k}"), 2, radius) for k in range(seeds)]
-        )
+        rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
+        starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
         found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
         seeds_used = seeds
         candidates = np.concatenate(

@@ -14,15 +14,68 @@ from .core import MixedPolynomial, polynomial_arrays, value_and_gradient_batch, 
 from .errors import InputError, NumericalError, PreconditionError
 
 
+# numpy's SeedSequence constants (INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L,
+# MIX_MULT_R) and PCG64's 128-bit LCG multiplier
+_HASH = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def stream_states(seed: int, labels: Sequence[str]) -> list[dict]:
+    """The PCG64 states of the streams rng_for(seed, label), for every label in
+    one vectorized pass: numpy's SeedSequence([seed mod 2^64, w_0..w_3]), w the
+    first four big-endian words of the label's SHA-256, mixed over a K x E
+    uint32 entropy array (pool of four words), then PCG64's seeding step
+    state = ((inc + initstate) * MULT + inc) mod 2^128, inc = 2 initseq + 1."""
+    s = int(seed) % 2**64
+    digests = b"".join(hashlib.sha256(label.encode("utf-8")).digest()[:16] for label in labels)
+    words = np.frombuffer(digests, dtype=">u4").reshape(-1, 4).T.astype(np.uint32)
+    head = [s % 2**32, s >> 32] if s >> 32 else [s]
+    entropy = [np.full(len(labels), w, np.uint32) for w in head]
+
+    def hasher(const, mult):
+        def hashmix(v):
+            nonlocal const
+            v = (v ^ const) * (const := const * mult % 2**32)
+            return v ^ (v >> 16)
+
+        return hashmix
+
+    def mix(x, y):
+        return (r := x * _HASH[4] - y * _HASH[5]) ^ (r >> 16)
+
+    hashmix, entropy = hasher(*_HASH[:2]), entropy + list(words)
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        pool = [mix(p, hashmix(e)) for p in pool]
+    out = hasher(*_HASH[2:4])
+    u = [out(pool[i % 4]).astype(object) for i in range(8)]  # little-endian uint64 pairs
+    inc = ((u[4] | u[5] << 32) << 65 | (u[6] | u[7] << 32) << 1 | 1) % 2**128
+    state = (((u[0] | u[1] << 32) << 64 | u[2] | u[3] << 32) + inc) * _PCG_MULT + inc
+    return [
+        {"bit_generator": "PCG64", "state": {"state": a, "inc": b}, "has_uint32": 0, "uinteger": 0}
+        for a, b in zip((state % 2**128).tolist(), inc.tolist())
+    ]
+
+
+def rng_streams(seed: int, labels: Sequence[str]) -> list[np.random.Generator]:
+    """rng_for(seed, label) for every label, from one `stream_states` pass."""
+    rngs = [np.random.Generator(np.random.PCG64(0)) for _ in labels]
+    for rng, state in zip(rngs, stream_states(seed, labels)):
+        rng.bit_generator.state = state
+    return rngs
+
+
 def rng_for(seed: int, label: str) -> np.random.Generator:
     """Independent deterministic stream derived from (seed, label).
 
     Labels are stable strings like "restart:17"; the derivation hashes the
     label so parallel execution order cannot affect any stream.
     """
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *words]))
+    return rng_streams(seed, [label])[0]
 
 
 def monotone_root(
@@ -190,38 +243,50 @@ def normal_coefficients(J: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.
     return c0, c1
 
 
-def level_tolerance(poly: MixedPolynomial, norm):
-    """Tolerance on |f| at points of the given norm (a float or an array)."""
-    return 1e-8 * (1.0 + norm ** poly.max_degree)
+def level_tolerance(poly, norm):
+    """Tolerance on |f| at points of the given norm (a float or an array), for
+    a polynomial or for array rows (one per norm).  Each degree is raised as a
+    Python int: numpy rounds norm ** 2 apart from an array exponent of 2."""
+    degree = np.asarray(poly.max_degree)
+    powers = (np.where(degree == d, norm**d, 0.0) for d in set(degree.ravel().tolist()))
+    return 1e-8 * (1.0 + sum(powers))
 
 
 def on_variety_tolerance(poly: MixedPolynomial, point: Sequence[complex]) -> float:
     return level_tolerance(poly, math.sqrt(sum(abs(z) ** 2 for z in point)))
 
 
+def _as_rows(poly, count: int):
+    """A polynomial as `count` rows of its array form; array rows pass through."""
+    one = isinstance(poly, MixedPolynomial)
+    return polynomial_arrays([poly]).rows(np.zeros(count, int)) if one else poly
+
+
 def require_on_level(
-    poly: MixedPolynomial, z: np.ndarray, level=0.0, t=0.0, slack=1.0, error=PreconditionError
+    poly, z: np.ndarray, level=0.0, t=0.0, slack=1.0, error=PreconditionError, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Wirtinger partials of f at the rows of z (K x n complex), from one
-    kernel pass that also checks ||f| - level| <= slack * level_tolerance at
-    every row; the first row off the level set raises `error` (default
-    PreconditionError) naming its index and t."""
+    """The Wirtinger partials of f (one polynomial, or array rows: row k at
+    point k) at the rows of z (K x n complex), from one kernel pass that also
+    checks ||f| - level| <= slack * level_tolerance at every row; the first
+    row off the level set raises `error` (default PreconditionError) naming
+    its index (or index[row]) and its t (a float or one per row)."""
     if not len(z):
         return z, z
-    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([poly]), z[None])
+    value, d_z, d_zbar = value_and_gradient_batch(_as_rows(poly, len(z)), z)
     tol = slack * level_tolerance(poly, row_norm(z.view(float)))
-    off = np.abs(np.abs(value[0]) - level) > tol
+    off = np.abs(np.abs(value) - level) > tol
     if off.any():
         i = int(np.argmax(off))
         raise error(
-            f"point {i} is off the level set |f| = {level!r} at t={t!r}:"
-            f" |f| = {abs(value[0, i]):.3e} (tolerance {tol[i]:.3e})"
+            f"point {i if index is None else index[i]} is off the level set |f| = {level!r}"
+            f" at t={float(np.broadcast_to(t, off.shape)[i])!r}:"
+            f" |f| = {abs(value[i]):.3e} (tolerance {tol[i]:.3e})"
         )
-    return d_z[0], d_zbar[0]
+    return d_z, d_zbar
 
 
 def newton_on_sphere_batch(
-    poly: MixedPolynomial,
+    poly,
     target: complex,
     radius: float,
     starts,
@@ -229,7 +294,8 @@ def newton_on_sphere_batch(
     max_iter: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve f(z) = target on the sphere ||z|| = radius from every row of
-    `starts` (K x n), all rows in lockstep.
+    `starts` (K x n), all rows in lockstep; `poly` is one polynomial or
+    PolynomialArrays rows, start k under polynomial k.
 
     Each row runs tangentially projected Newton: the Jacobian rows are
     projected onto the sphere's tangent space, the 2 x 2 normal equations give
@@ -243,7 +309,7 @@ def newton_on_sphere_batch(
     if radius <= 0:
         raise InputError("radius must be positive")
     x = point_rows(starts, poly.n).view(float)
-    arrays = polynomial_arrays([poly])
+    arrays = _as_rows(poly, len(x))
     goal = tol * (1.0 + abs(target))
     out = np.zeros_like(x)
     found = np.zeros(len(x), dtype=bool)
@@ -253,15 +319,15 @@ def newton_on_sphere_batch(
     for it in range(max_iter + 1):
         if not todo.size:
             break
-        value, d_z, d_zbar = value_and_gradient_batch(arrays, xs.view(complex)[None])
-        res = value[0] - target
+        value, d_z, d_zbar = value_and_gradient_batch(arrays.rows(todo), xs.view(complex))
+        res = value - target
         hit = np.abs(res) <= goal
         out[todo[hit]], found[todo[hit]] = xs[hit], True
         if it == max_iter:
             break
         live = ~hit
         todo, xs, res = todo[live], xs[live], res[live]
-        J = real_jacobian(d_z[0][live], d_zbar[0][live])
+        J = real_jacobian(d_z[live], d_zbar[live])
         # restrict both rows to the tangent space of the sphere at xs
         xhat = xs / radius
         J -= row_dot(J, xhat[:, None])[..., None] * xhat[:, None]

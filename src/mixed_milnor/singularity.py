@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
-from .numerics import complexify, rng_for, row_dot, row_norm
+from .numerics import complexify, rng_streams, row_dot, row_norm
 
 FD_STEP = 1e-6
 MAX_ITER = 120
@@ -262,11 +262,9 @@ def certify_smooth_shell(
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise PreconditionError("t_grid must lie within [0, 1]")
     arrays = polynomial_arrays([fam.member(t) for t in grid])
-    rngs = [
-        rng_for(seed, f"shell:t={ti}:restart:{k}")
-        for ti in range(len(grid))
-        for k in range(restarts)
-    ]
+    rngs = rng_streams(
+        seed, [f"shell:t={ti}:restart:{k}" for ti in range(len(grid)) for k in range(restarts)]
+    )
     x0 = np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
     # a large shell overflows to inf - inf = NaN, reported below with its t and restart
     with np.errstate(over="ignore", invalid="ignore"):

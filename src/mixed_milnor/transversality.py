@@ -9,13 +9,12 @@ derivative at the base point is an explicit non-tangent witness vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial
+from .core import MixedPolynomial, PolynomialArrays, polynomial_arrays
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
@@ -24,9 +23,9 @@ from .numerics import (
     point_rows,
     real_jacobian,
     require_on_level,
-    rng_for,
     row_dot,
     row_norm,
+    stream_states,
 )
 
 DEFAULT_MARGIN_THRESHOLD = 1e-9
@@ -54,8 +53,13 @@ def rank_margins(
 
     Every point must lie on the variety f_t = 0 and away from the origin.
     """
-    z = point_rows(points, fam.n)
-    d_z, d_zbar = require_on_level(fam.member(t), z, t=t)
+    return _margins(fam.member(t), point_rows(points, fam.n), t)
+
+
+def _margins(poly, z: np.ndarray, t, index=None) -> np.ndarray:
+    """`rank_margins` at the rows of z, for one member or for the rows, t and
+    index of a `_stack`ed sweep."""
+    d_z, d_zbar = require_on_level(poly, z, t=t, index=index)
     x = z.view(float)
     nrm = row_norm(x)
     if (nrm == 0).any():
@@ -146,15 +150,28 @@ class TypeIWitnessResult:
     trace: TypeIWitnessTrace
 
 
+def _stack(arrays: PolynomialArrays, grid, points_per_t) -> tuple:
+    """The points of V_t at every t of the grid as one batch (rows, W, T, index):
+    each point's member as a row of `arrays` (one row per t), the K x n
+    points, each point's t and its index within its t."""
+    blocks = [point_rows(pts, arrays.n) for pts in points_per_t]
+    counts = [len(z) for z in blocks]
+    ti = np.repeat(np.arange(len(blocks)), counts)
+    index = np.arange(len(ti)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return arrays.rows(ti), np.concatenate(blocks), np.asarray(grid, dtype=float)[ti], index
+
+
 def _witnesses(
     fam: DeformationFamily,
     t_grid: Sequence[float],
     points_per_t: Sequence[Sequence[Sequence[complex]]],
     r: float = WITNESS_RADIUS,
+    arrays: Optional[PolynomialArrays] = None,
 ) -> Iterator[tuple[TransversalityCertificate, Optional[TypeIWitnessTrace]]]:
     """Constructive witnesses at the points points_per_t[i] of V_t, t = t_grid[i],
-    in one lockstep pass; yields (certificate, trace) per point in order, the
-    trace None for the brieskorn kind.
+    in one lockstep pass over `arrays`, the members' array form (built when
+    None); yields (certificate, trace) per point in order, the trace None for
+    the brieskorn kind.
 
     The curve xi(r) = (s_j(r) w_j) stays in the zero set; the witness is
     xi'(1) = (s_j'(1) w_j), with margin 2 sum |w_j|^2 s_j'(1), transverse
@@ -166,18 +183,16 @@ def _witnesses(
     when every term vanishes.  Rows with the same vanishing coordinates share
     their runs, so each chain index is solved for all of them at once.  The
     on-variety check and the check of the curve at radius r are one kernel
-    call per t each.
+    call each.
     """
     if r <= 0:
         raise InputError("evaluation radius must be positive")
     chained = fam.spec.kind == "type_i"
     n, a, b = fam.n, fam.spec.a, fam.spec.b
-    polys = [fam.member(t) for t in t_grid]
-    blocks = [point_rows(pts, n) for pts in points_per_t]
-    for t, poly, z in zip(t_grid, polys, blocks):
-        require_on_level(poly, z, t=t)
-    W = np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=complex)
-    T = np.repeat(np.asarray(t_grid, dtype=float), [len(z) for z in blocks])
+    if arrays is None:
+        arrays = polynomial_arrays([fam.member(t) for t in t_grid], own_order=True)
+    poly, W, T, index = _stack(arrays, t_grid, points_per_t)
+    require_on_level(poly, W, t=T, index=index)
     mods = np.abs(W)
     nonzero = mods > 0
     in_J = nonzero.copy()
@@ -207,9 +222,7 @@ def _witnesses(
                 R[rows, j] = rj
                 S[rows, j], slope = solve_phi_rows(a[j], b[j], tau, mods[rows, j], rj)
                 slopes[rows, j] = slope if j == hi else slope * (1.0 - slopes[rows, j + 1])
-    curves = np.split(S * W, np.cumsum([len(z) for z in blocks])[:-1])
-    for t, poly, curve in zip(t_grid, polys, curves):
-        require_on_level(poly, curve, t=t, slack=10.0, error=NumericalError)
+    require_on_level(poly, S * W, t=T, slack=10.0, error=NumericalError, index=index)
     margin = 2.0 * row_dot(mods * mods, slopes)
     transverse = margin > DEFAULT_MARGIN_THRESHOLD * row_dot(mods, mods)
     R = R.astype(object)
@@ -279,6 +292,46 @@ class ConjectureSearchReport:
     note: str = "evidence only - open problem"
 
 
+def sample_rows(
+    arrays: PolynomialArrays,
+    radius: float,
+    count: int,
+    seed: int,
+    labels: Sequence[str],
+    attempts_per_sample: int = 5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-polished points on f_i^{-1}(0) intersected with the sphere, for
+    every row i of `arrays`: (points, found), G x count x n and G x count.
+
+    Sample k of row i gets up to `attempts_per_sample` random starts, attempt
+    att drawn from the stream "{labels[i]}:sample:{k}:attempt:{att}", before
+    counting as a failure.  Each attempt index derives the streams of every
+    pending (row, sample) pair in one pass and runs them as one lockstep
+    Newton batch.  Over `polynomial_arrays(..., own_order=True)` a row's
+    points are those of its polynomial sampled alone.
+    """
+    if radius <= 0:
+        raise InputError("radius must be positive")
+    n = arrays.n
+    points = np.zeros((len(labels) * count, n), dtype=complex)
+    found = np.zeros(len(points), dtype=bool)
+    pending = np.arange(len(points))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for att in range(attempts_per_sample):
+        if not pending.size:
+            break
+        names = [f"{labels[i // count]}:sample:{i % count}:attempt:{att}" for i in pending]
+        starts = np.empty((len(pending), 2 * n))
+        for row, state in zip(starts, stream_states(seed, names)):
+            rng.bit_generator.state = state
+            rng.standard_normal(out=row)
+        rows = arrays.rows(pending // count)
+        pts, hit = newton_on_sphere_batch(rows, 0j, radius, starts.view(complex))
+        points[pending[hit]], found[pending[hit]] = pts[hit], True
+        pending = pending[~hit]
+    return points.reshape(len(labels), count, n), found.reshape(len(labels), count)
+
+
 def sample_on_variety(
     poly: MixedPolynomial,
     radius: float,
@@ -287,32 +340,27 @@ def sample_on_variety(
     label: str = "variety",
     attempts_per_sample: int = 5,
 ) -> tuple[list[tuple[complex, ...]], int]:
-    """Newton-polished points on f^{-1}(0) intersected with the sphere.
+    """The one-polynomial case of `sample_rows`: (points, failure_count), the
+    points in sample order."""
+    points, found = sample_rows(
+        polynomial_arrays([poly]), radius, count, seed, [label], attempts_per_sample
+    )
+    return [tuple(z) for z in points[found].tolist()], int(count - found.sum())
 
-    Returns (points, failure_count), the points in sample order.  Sample k
-    gets up to `attempts_per_sample` random starts, attempt att drawn from
-    the stream "{label}:sample:{k}:attempt:{att}", before counting as a
-    failure.  Each attempt index is one lockstep Newton batch over the
-    samples still pending.
-    """
-    if radius <= 0:
-        raise InputError("radius must be positive")
-    points = np.zeros((count, poly.n), dtype=complex)
-    found = np.zeros(count, dtype=bool)
-    pending = np.arange(count)
-    for att in range(attempts_per_sample):
-        if not pending.size:
-            break
-        starts = np.array(
-            [
-                rng_for(seed, f"{label}:sample:{k}:attempt:{att}").standard_normal(2 * poly.n)
-                for k in pending
-            ]
-        )
-        pts, hit = newton_on_sphere_batch(poly, 0j, radius, starts.view(complex))
-        points[pending[hit]], found[pending[hit]] = pts[hit], True
-        pending = pending[~hit]
-    return [tuple(z) for z in points[found].tolist()], int(pending.size)
+
+def _sample_sweep(
+    fam: DeformationFamily, grid: tuple, radius: float, samples: int, seed: int, label: str
+) -> tuple[PolynomialArrays, list[np.ndarray], tuple[int, ...]]:
+    """`samples` sphere points of V_t at every t of the grid, grid index ti
+    drawing from the streams "{label}:t={ti}": (arrays, points, failures),
+    the grid's members as one array form and the points and failures per t."""
+    if not grid:
+        raise InputError("t_grid is empty")
+    arrays = polynomial_arrays([fam.member(t) for t in grid], own_order=True)
+    labels = [f"{label}:t={ti}" for ti in range(len(grid))]
+    points, found = sample_rows(arrays, radius, samples, seed, labels)
+    failures = tuple(int(samples - f.sum()) for f in found)
+    return arrays, [p[f] for p, f in zip(points, found)], failures
 
 
 def conjecture_search_type_ii(
@@ -323,7 +371,8 @@ def conjecture_search_type_ii(
     seed: int,
     threshold: float = 1e-6,
 ) -> ConjectureSearchReport:
-    """Rank-test sweep over sampled points of the cyclic family's zero set.
+    """Rank-test sweep over sampled points of the cyclic family's zero set,
+    grid index ti sampled from the streams "conj:t={ti}".
 
     No constructive witness exists for the cyclic chain (the downward
     recursion has no starting index when every term is nonzero), so this
@@ -334,39 +383,26 @@ def conjecture_search_type_ii(
     if radius <= 0:
         raise InputError("radius must be positive")
     grid = tuple(float(t) for t in t_grid)
-    min_margin = math.inf
-    argmin_point: tuple[complex, ...] = ()
-    argmin_t = float("nan")
-    flagged: list[TransversalityCertificate] = []
-    found_total = 0
-    failures: list[int] = []
-    for ti, t in enumerate(grid):
-        pts, missed = sample_on_variety(
-            fam.member(t), radius, samples, seed, label=f"conj:t={ti}"
-        )
-        failures.append(missed)
-        found_total += len(pts)
-        for z, margin in zip(pts, rank_margins(fam, t, pts).tolist()):
-            if margin < min_margin:
-                min_margin, argmin_point, argmin_t = margin, z, t
-            if margin < threshold:
-                flagged.append(
-                    TransversalityCertificate(
-                        z, t, "rank_test", margin, margin > DEFAULT_MARGIN_THRESHOLD
-                    )
-                )
+    arrays, points, failures = _sample_sweep(fam, grid, radius, samples, seed, "conj")
+    rows, z, T, index = _stack(arrays, grid, points)
+    columns = list(zip(_margins(rows, z, T, index).tolist(), map(tuple, z.tolist()), T.tolist()))
+    least = min(columns, key=lambda c: c[0], default=(float("nan"), (), float("nan")))
     return ConjectureSearchReport(
         spec=fam.spec,
         t_grid=grid,
         radius=float(radius),
         samples_requested=samples * len(grid),
-        samples_found=found_total,
+        samples_found=len(z),
         sampler_failures=sum(failures),
-        sampler_failures_per_t=tuple(failures),
-        min_margin=min_margin if found_total else float("nan"),
-        argmin_point=argmin_point,
-        argmin_t=argmin_t,
-        flagged=tuple(flagged),
+        sampler_failures_per_t=failures,
+        min_margin=least[0],  # the first of equal minima
+        argmin_point=least[1],
+        argmin_t=least[2],
+        flagged=tuple(
+            TransversalityCertificate(p, t, "rank_test", m, m > DEFAULT_MARGIN_THRESHOLD)
+            for m, p, t in columns
+            if m < threshold
+        ),
         seed=seed,
     )
 
@@ -407,10 +443,12 @@ def check_transversality(
     """Sample `samples` points of V_t on the sphere at every t of the grid and
     certify each by the rank test, the constructive witness or both.
 
-    The points at grid index ti come from `sample_on_variety` with the label
-    "ct:t={ti}".  The witnesses of all points of the sweep are solved in one
-    lockstep pass.  `all_transverse` needs at least one certificate, and
-    every certificate transverse by every method run.
+    The points at grid index ti come from the streams "ct:t={ti}", and the
+    whole grid is sampled as one Newton batch per attempt over one array
+    form of its members, which the rank margins and the witnesses share.
+    The witnesses of all points of the sweep are solved in one lockstep pass.
+    `all_transverse` needs at least one certificate, and every certificate
+    transverse by every method run.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
@@ -421,19 +459,15 @@ def check_transversality(
             f"no constructive witness is offered for {fam.spec.kind} (open problem)"
         )
     grid = tuple(float(t) for t in t_grid)
-    points, failures = [], []
-    for ti, t in enumerate(grid):
-        pts, missed = sample_on_variety(fam.member(t), radius, samples, seed, label=f"ct:t={ti}")
-        points.append(pts)
-        failures.append(missed)
-    certificates = [{"t": t, "point": z} for t, pts in zip(grid, points) for z in pts]
+    arrays, points, failures = _sample_sweep(fam, grid, radius, samples, seed, "ct")
+    certificates = [{"t": t, "point": tuple(p)} for t, z in zip(grid, points) for p in z.tolist()]
     rank_values, witness_values = [], []
     if rank:
-        rank_values = [m for t, z in zip(grid, points) for m in rank_margins(fam, t, z).tolist()]
+        rank_values = _margins(*_stack(arrays, grid, points)).tolist()
         for entry, margin in zip(certificates, rank_values):
             entry.update(rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD)
     if witness:
-        for entry, (cert, trace) in zip(certificates, _witnesses(fam, grid, points)):
+        for entry, (cert, trace) in zip(certificates, _witnesses(fam, grid, points, arrays=arrays)):
             witness_values.append(cert.margin)
             entry.update(witness_margin=cert.margin, witness_transverse=cert.transverse)
             entry["witness_vector"] = cert.witness_vector
@@ -445,7 +479,7 @@ def check_transversality(
         t_grid=grid,
         samples_per_t=samples,
         sampler_failures=sum(failures),
-        sampler_failures_per_t=tuple(failures),
+        sampler_failures_per_t=failures,
         certificates=tuple(certificates),
         min_margin=min(rank_values + witness_values, default=None),
         all_transverse=bool(certificates)

@@ -67,6 +67,24 @@ def test_parse_t_grid():
         parse_t_grid("0,2")
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:5e-324", "0:1:0.00001", "0:0.5:1e-12"])
+def test_parse_t_grid_refuses_huge_grids_before_building_them(grid):
+    with pytest.raises(InputError):
+        parse_t_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["certify-smooth", "check-transversality", "explore-conjecture"]
+)
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:0.000001"])
+def test_huge_t_grid_exits_2(capsys, family_spec, cyclic_spec, subcommand, grid):
+    spec = cyclic_spec if subcommand == "explore-conjecture" else family_spec
+    assert run([subcommand, "--family", spec, "--t-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "points, over 100000" in captured.err
+    assert captured.out == ""
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("MIXED_MILNOR_THREADS", "2")
     assert worker_count() == 2

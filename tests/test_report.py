@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 import numpy as np
@@ -83,3 +84,93 @@ def test_writer_matches_json_dumps(value):
     expected = json.dumps(_jsonable(value), sort_keys=True, indent=2) + "\n"
     assert dumps(value) == expected
     assert dumps(value, one_line=True) == json.dumps(_jsonable(value), sort_keys=True)
+
+
+_BARE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reference_write(obj: Any, out: list, pad) -> None:
+    """The writer before record shapes were planned: every dict sorts and
+    quotes its keys, and every list item is written by itself."""
+    if isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _string(repr(obj)))
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (complex, list, tuple, dict)):
+        inner = None if pad is None else pad + "  "
+        start, sep, end = ("", ", ", "") if pad is None else (inner, "," + inner, pad)
+        if isinstance(obj, complex):
+            re, im = (float.__repr__(float(x)) for x in (obj.real, obj.imag))
+            out.append(f"[{start}{_BARE.get(re, re)}{sep}{_BARE.get(im, im)}{end}]")
+        elif not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+        elif isinstance(obj, dict):
+            items = {str(key): value for key, value in obj.items()}
+            out.append("{" + start)
+            for i, key in enumerate(sorted(items)):
+                out.append((sep if i else "") + _string(key) + ": ")
+                _reference_write(items[key], out, inner)
+            out.append(end + "}")
+        else:
+            out.append("[" + start)
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(sep)
+                if type(item) is float and math.isfinite(item):
+                    out.append(float.__repr__(item))
+                else:
+                    _reference_write(item, out, inner)
+            out.append(end + "]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _reference_write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, pad)
+    else:
+        out.append(_string(str(obj)))
+
+
+def _reference_dumps(value, one_line=False):
+    out = []
+    _reference_write(value, out, None if one_line else "\n")
+    return "".join(out) + ("" if one_line else "\n")
+
+
+_specials = st.sampled_from([math.nan, math.inf, -math.inf, None, -0.0, 1e308])
+_records = st.dictionaries(
+    st.sampled_from(["t", "point", "margin", "trace", "a", "é"]),
+    st.one_of(
+        st.lists(st.one_of(st.floats(), _specials), max_size=4),  # NaN, inf and None in float lists
+        st.lists(st.integers(), max_size=3).map(tuple),
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=3).map(tuple),
+        st.lists(st.lists(st.integers(-2, 5), min_size=2, max_size=2).map(tuple), max_size=2),
+        _floats,
+        st.booleans(),
+    ),
+    max_size=4,
+)
+_shapes = st.recursive(
+    st.one_of(_records, _leaves),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),  # dicts of different key sets in one list
+        st.dictionaries(
+            st.one_of(st.sampled_from(["t", "x"]), st.integers(-2, 2)), inner, max_size=3
+        ),
+        st.lists(st.one_of(_floats, st.integers(), st.none()), max_size=4).map(tuple),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shapes)
+@example([{"t": 0.5, "point": (1j, 2 + 0j)}, {"t": 1.0, "a": []}, {"point": (), "t": 0.25}, {}])
+@example({"r": [1.0, None, math.nan, -math.inf], 1: (complex(1, math.inf), 2j), "1": [[1, 2], []]})
+@example([[1e308, 1e308], (True, 1, 1.5), (1, 2), ["x", 1]])
+def test_planned_writer_matches_the_unplanned_one(value):
+    """Planned record shapes and joined leaf lists write the same bytes as
+    writing every item by itself."""
+    assert dumps(value) == _reference_dumps(value)
+    assert dumps(value, one_line=True) == _reference_dumps(value, one_line=True)
+    assert dumps([value, value, {"t": value}]) == _reference_dumps([value, value, {"t": value}])

@@ -13,6 +13,7 @@ from conftest import brieskorn, poly
 from mixed_milnor import (
     FamilySpec,
     build_family,
+    check_transversality,
     conjecture_search_type_ii,
     evaluate,
     radial_witness_brieskorn,
@@ -26,7 +27,9 @@ from mixed_milnor import (
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
-from mixed_milnor.transversality import solve_phi_rows
+from mixed_milnor import core, families, numerics
+from mixed_milnor.core import polynomial_arrays
+from mixed_milnor.transversality import sample_rows, solve_phi_rows
 from mixed_milnor.numerics import (
     monotone_root,
     newton_on_sphere,
@@ -618,3 +621,101 @@ def test_witness_errors_name_t_and_point():
     good = (0.8, 0)
     with pytest.raises(PreconditionError, match=r"point 1 is off the level set .* at t=0\.25"):
         list(transversality._witnesses(fam, [0.5, 0.25], [[good], [good, (0.6, 0.8)]]))
+
+
+def _sample_alone(poly, seed, label, k, attempts=5):
+    """Sample k by itself: one start per attempt from its own stream, each
+    run as a Newton batch of one row, until one lands."""
+    for att in range(attempts):
+        start = rng_for(seed, f"{label}:sample:{k}:attempt:{att}").standard_normal(2 * poly.n)
+        point, hit = newton_on_sphere_batch(poly, 0j, 1.0, start.view(complex)[None])
+        if hit[0]:
+            return point[0]
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["brieskorn", "type_i"]),
+    n=st.integers(2, 3),
+    b=st.tuples(*[st.integers(0, 2)] * 3),
+    grid=st.lists(
+        st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 4),
+)
+def test_grid_sampler_rows_ignore_their_batch(kind, n, b, grid, seed, count):
+    """Every sample of the whole-grid batch is bit for bit the one it gets
+    alone and the one its t gets by itself.  Members of different t (with
+    shared and unshared monomials, so their monomial orders differ) share
+    one array form in the grid batch."""
+    fam = build_family(FamilySpec(kind, (2, 3, 2)[:n], b[:n]))
+    arrays, points, failures = transversality._sample_sweep(fam, tuple(grid), 1.0, count, seed, "g")
+    for ti, t in enumerate(grid):
+        poly, label = fam.member(t), f"g:t={ti}"
+        per_t, hit = sample_rows(polynomial_arrays([poly]), 1.0, count, seed, [label])
+        assert per_t[0][hit[0]].tobytes() == points[ti].tobytes()
+        assert failures[ti] == count - hit[0].sum()
+        pts, missed = sample_on_variety(poly, 1.0, count, seed, label)
+        assert missed == failures[ti]
+        assert np.array(pts, dtype=complex).reshape(-1, n).tobytes() == points[ti].tobytes()
+        alone = [_sample_alone(poly, seed, label, k) for k in range(count)]
+        assert [k for k, z in enumerate(alone) if z is None] == np.flatnonzero(~hit[0]).tolist()
+        landed = np.array([z for z in alone if z is not None]).reshape(-1, n)
+        assert landed.tobytes() == points[ti].tobytes()
+
+
+def test_sweep_builds_one_array_form(monkeypatch):
+    """The sampler, the rank margins and both witness checks of a 5-t sweep
+    share one `polynomial_arrays` over the grid's members."""
+    builds = []
+
+    def counting(polys, **options):
+        builds.append(len(polys))
+        return core.polynomial_arrays(polys, **options)
+
+    for module in (transversality, numerics, families):
+        monkeypatch.setattr(module, "polynomial_arrays", counting)
+    fam = build_family(FamilySpec("type_i", (2, 3, 2), (1, 0, 1)))
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    sweep = check_transversality(fam, grid, 1.0, 6, 3, method="both")
+    assert len(sweep.certificates) > 0
+    assert builds == [5]
+    # the members' orders agree up to a swap of two leading terms: no extra column
+    members = [fam.member(t) for t in grid]
+    own = core.polynomial_arrays(members, own_order=True)
+    assert own.N.tolist() == core.polynomial_arrays(members).N.tolist()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    a=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    b=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    grid=st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    threshold=st.sampled_from([1e-6, 0.3, 2.0]),
+)
+def test_conjecture_search_summarizes_per_t_sampling(a, b, grid, seed, threshold):
+    """The search over one grid batch reports what sampling and rank-testing
+    each t on its own gives."""
+    fam = build_family(FamilySpec("type_ii", a, b))
+    rep = conjecture_search_type_ii(fam, grid, 1.0, 5, seed, threshold=threshold)
+    flagged, failures, found = [], [], 0
+    best = (math.inf, (), math.nan)
+    for ti, t in enumerate(grid):
+        pts, missed = sample_on_variety(fam.member(t), 1.0, 5, seed, label=f"conj:t={ti}")
+        failures.append(missed)
+        found += len(pts)
+        for z, margin in zip(pts, rank_margins(fam, t, pts).tolist()):
+            if margin < best[0]:
+                best = (margin, z, t)
+            if margin < threshold:
+                flagged.append((margin, z, t))
+    assert rep.sampler_failures_per_t == tuple(failures)
+    assert rep.samples_found == found
+    assert [(c.margin, c.point, c.t) for c in rep.flagged] == flagged
+    if found:
+        assert (rep.min_margin, rep.argmin_point, rep.argmin_t) == best
+    else:
+        assert math.isnan(rep.min_margin) and rep.argmin_point == ()
