@@ -30,6 +30,8 @@ FD_STEP = 1e-6
 MAX_ITER = 120
 # candidate points per kernel call that the line and pattern searches aim at
 BATCH_POINTS = 1024
+# halvings in the line search's first block, where two-point first steps mostly land
+FIRST_BLOCK = 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,18 @@ def _project_tangent(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g - row_dot(g, xhat)[..., None] * xhat
 
 
+def _first_steps(
+    s: np.ndarray, y: np.ndarray, gn: np.ndarray, last: np.ndarray, cap: float
+) -> np.ndarray:
+    """Per-row first trial lengths of the line search: the two-point
+    (Barzilai-Borwein) length (s.s / s.y) |g| for the last move s and change y
+    of the projected gradient where s.y > 0 and the length is finite, else
+    twice the last accepted length; never above cap."""
+    sy = row_dot(s, y)
+    bb = row_dot(s, s) / np.where(sy > 0, sy, np.nan) * gn
+    return np.minimum(np.where((bb > 0) & (bb < np.inf), bb, 2.0 * last), cap)
+
+
 def _line_search(
     arrays: PolynomialArrays,
     x: np.ndarray,
@@ -118,18 +132,20 @@ def _line_search(
     live: np.ndarray,
     g: np.ndarray,
     gn: np.ndarray,
+    length: np.ndarray,
     radius: float,
 ) -> np.ndarray:
-    """Backtracking along -g (30 halvings) for the rows `live` of x.  Each
-    kernel call tests a block of consecutive halvings for every row still
-    searching, and a row takes the first step it accepts, as it would one
-    halving per call.  Updates x, f; returns which rows improved."""
-    alpha = 0.1 * radius / np.maximum(gn, 1e-12)
+    """Backtracking along -g, 30 halvings of the first lengths, for the rows
+    `live` of x.  Each kernel call tests a block of consecutive halvings (at
+    most FIRST_BLOCK in the first) for every row still searching; a row takes
+    the first step it accepts, as with one halving per call.  Updates x, f
+    and the lengths of the rows that improved; returns which rows improved."""
+    alpha = length / np.maximum(gn, 1e-12)
     improved = np.zeros(live.size, dtype=bool)
     todo = np.arange(live.size)
     h = 0
     while todo.size and h < 30:
-        block = max(1, min(30 - h, BATCH_POINTS // todo.size))
+        block = max(1, min(FIRST_BLOCK if h == 0 else 30 - h, BATCH_POINTS // todo.size))
         rows = live[todo]
         # alpha * 2**-h equals h repeated halvings
         step = np.ldexp(alpha[todo, None], -np.arange(h, h + block))
@@ -141,6 +157,7 @@ def _line_search(
         first = ok.argmax(axis=1)[hit]
         x[rows[hit]] = cand[hit, first]
         f[rows[hit]] = fc[hit, first]
+        length[todo[hit]] = np.ldexp(length[todo[hit]], -(h + first))
         improved[todo[hit]] = True
         todo = todo[~hit]
         h += block
@@ -202,17 +219,21 @@ def _minimize_shell(
     row of x0 (row k under polynomial k, pattern probes from rngs[k]).
 
     Projected gradient descent with a central-difference gradient and
-    backtracking; pattern-search fallback when the line search stalls (the
-    objective is only piecewise smooth).  All rows advance in lockstep, one
-    iteration per round, and leave when they stop; each row follows the path
-    it would follow alone.  Returns the final points, values and iteration
-    counts.
+    backtracking from a per-row first step (`_first_steps`: 0.1 radius in the
+    first round, then the two-point length); pattern-search fallback when the
+    line search stalls (the objective is only piecewise smooth).  All rows
+    advance in lockstep, one iteration per round, and leave when they stop;
+    each row follows the path it would follow alone.  Returns the final
+    points, values and iteration counts.
     """
     x = x0 * (radius / row_norm(x0))[:, None]
     f = shell_residual_sq(arrays, x)
     iters = np.zeros(len(x), dtype=int)
     dim = x.shape[1]
     stencil = np.concatenate([np.eye(dim), -np.eye(dim)]) * FD_STEP
+    cap = 0.1 * radius
+    # per row: last point and gradient (s = 0 in round 1), last accepted length
+    x_prev, g_prev, last = x.copy(), np.zeros_like(x), np.full(len(x), cap)
     live = np.arange(len(x))
     for _ in range(MAX_ITER):
         if not live.size:
@@ -223,8 +244,11 @@ def _minimize_shell(
         g = _project_tangent((vals[:, :dim] - vals[:, dim:]) / (2 * FD_STEP), xl)
         gn = row_norm(g)
         moving = ~(gn < 1e-12)
-        live, g, gn = live[moving], g[moving], gn[moving]
-        improved = _line_search(arrays, x, f, live, g, gn, radius)
+        live, xl, g, gn = live[moving], xl[moving], g[moving], gn[moving]
+        length = _first_steps(xl - x_prev[live], g - g_prev[live], gn, last[live], cap)
+        x_prev[live], g_prev[live] = xl, g
+        improved = _line_search(arrays, x, f, live, g, gn, length, radius)
+        last[live[improved]] = length[improved]
         stalled = live[~improved]
         improved[~improved] = _pattern_search(arrays, x, f, stalled, rngs, radius)
         live = live[improved]
@@ -261,7 +285,10 @@ def certify_smooth_shell(
         raise InputError("t_grid is empty")
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise PreconditionError("t_grid must lie within [0, 1]")
-    arrays = polynomial_arrays([fam.member(t) for t in grid])
+    # members in ascending t: every member with mixed terms then keeps its own
+    # monomial order in the union, and each row the residuals of its member alone
+    ts = sorted(set(grid))
+    arrays = polynomial_arrays([fam.member(t) for t in ts])
     rngs = rng_streams(
         seed, [f"shell:t={ti}:restart:{k}" for ti in range(len(grid)) for k in range(restarts)]
     )
@@ -269,7 +296,7 @@ def certify_smooth_shell(
     # a large shell overflows to inf - inf = NaN, reported below with its t and restart
     with np.errstate(over="ignore", invalid="ignore"):
         x, f, iters = _minimize_shell(
-            arrays.rows(np.repeat(np.arange(len(grid)), restarts)), x0, float(radius), rngs
+            arrays.rows(np.repeat(np.searchsorted(ts, grid), restarts)), x0, float(radius), rngs
         )
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:

@@ -167,6 +167,7 @@ def _witnesses(
     points_per_t: Sequence[Sequence[Sequence[complex]]],
     r: float = WITNESS_RADIUS,
     arrays: Optional[PolynomialArrays] = None,
+    on_level: bool = False,
 ) -> Iterator[tuple[TransversalityCertificate, Optional[TypeIWitnessTrace]]]:
     """Constructive witnesses at the points points_per_t[i] of V_t, t = t_grid[i],
     in one lockstep pass over `arrays`, the members' array form (built when
@@ -182,8 +183,8 @@ def _witnesses(
     s_j'(1) = phi_j'(1) (1 - s_{j+1}'(1)), and uniform scaling is the witness
     when every term vanishes.  Rows with the same vanishing coordinates share
     their runs, so each chain index is solved for all of them at once.  The
-    on-variety check and the check of the curve at radius r are one kernel
-    call each.
+    on-variety check (skipped when `on_level` says the caller made it) and the
+    check of the curve at radius r are one kernel call each.
     """
     if r <= 0:
         raise InputError("evaluation radius must be positive")
@@ -192,7 +193,8 @@ def _witnesses(
     if arrays is None:
         arrays = polynomial_arrays([fam.member(t) for t in t_grid], own_order=True)
     poly, W, T, index = _stack(arrays, t_grid, points_per_t)
-    require_on_level(poly, W, t=T, index=index)
+    if not on_level:
+        require_on_level(poly, W, t=T, index=index)
     mods = np.abs(W)
     nonzero = mods > 0
     in_J = nonzero.copy()
@@ -467,7 +469,8 @@ def check_transversality(
         for entry, margin in zip(certificates, rank_values):
             entry.update(rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD)
     if witness:
-        for entry, (cert, trace) in zip(certificates, _witnesses(fam, grid, points, arrays=arrays)):
+        witnesses = _witnesses(fam, grid, points, arrays=arrays, on_level=rank)
+        for entry, (cert, trace) in zip(certificates, witnesses):
             witness_values.append(cert.margin)
             entry.update(witness_margin=cert.margin, witness_transverse=cert.transverse)
             entry["witness_vector"] = cert.witness_vector

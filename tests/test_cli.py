@@ -307,23 +307,23 @@ def test_certify_smooth_matches_library(tmp_path, family_spec):
     [
         (
             3,
-            1917,
-            "1.016280820098279",
+            1353,
+            "1.016280820098278",
             [
-                [-0.6801084042920807, 0.2785485445088826],
-                [0.47823968018922125, 0.4807806933059753],
+                [0.43933325423861097, -0.5891714686196138],
+                [-0.06530121872956603, -0.6749807575902833],
             ],
-            8,
+            4,
         ),
         (
             7,
-            1883,
-            "1.0162808200982787",
+            1324,
+            "1.0162808200982782",
             [
-                [0.729264040688933, -0.09116299920558156],
-                [-0.6758028831426426, 0.056158077513259214],
+                [-0.46820525664610424, 0.5664985156593286],
+                [-0.6075043289227448, -0.3013333034114525],
             ],
-            9,
+            2,
         ),
     ],
 )

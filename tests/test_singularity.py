@@ -24,6 +24,7 @@ from mixed_milnor import singularity
 from mixed_milnor.errors import InputError, NumericalError, PreconditionError
 from mixed_milnor.numerics import random_sphere_point, rng_for, row_norm
 from mixed_milnor.singularity import (
+    _first_steps,
     _line_search,
     _minimize_shell,
     _pattern_search,
@@ -234,10 +235,12 @@ def test_lockstep_restart_ignores_its_batch(fam, ts, seed):
         assert ik[0] == iters[k]
 
 
-def _line_search_ref(arrays, x, f, live, g, gn, radius):
-    """The line search with one halving per kernel call; also returns the
+def _line_search_ref(arrays, x, f, live, g, gn, length, radius):
+    """The line search with one halving per kernel call from the first
+    lengths `length`, which take the accepted lengths; also returns the
     values each call saw."""
-    alpha = 0.1 * radius / np.maximum(gn, 1e-12)
+    alpha = length / np.maximum(gn, 1e-12)
+    trial = length.copy()
     improved = np.zeros(live.size, dtype=bool)
     todo = np.arange(live.size)
     seen = []
@@ -252,9 +255,11 @@ def _line_search_ref(arrays, x, f, live, g, gn, radius):
         ok = fc < f[rows] - 1e-12 * np.abs(f[rows])
         x[rows[ok]] = cand[ok]
         f[rows[ok]] = fc[ok]
+        length[todo[ok]] = trial[todo[ok]]
         improved[todo[ok]] = True
         todo = todo[~ok]
         alpha[todo] *= 0.5
+        trial[todo] *= 0.5
     return improved, seen
 
 
@@ -294,6 +299,7 @@ class _SearchCase(NamedTuple):
     radius: float
     g: np.ndarray
     gn: np.ndarray
+    length: np.ndarray  # the line search's first lengths
     f_line: np.ndarray  # the values the line search starts from
     f_probe: np.ndarray  # the values the pattern search starts from
     streams: Callable  # fresh per-row streams, in the same state each call
@@ -301,16 +307,17 @@ class _SearchCase(NamedTuple):
 
 def _assert_block_search_matches(batch_points, case, live):
     """Run both searches in blocks and with one step per call from the same
-    state; demand the same bits in x, f, the improved mask and every stream."""
-    arrays, x, radius, g, gn, f_line, f_probe, streams = case
+    state; demand the same bits in x, f, the accepted lengths, the improved
+    mask and every stream."""
+    arrays, x, radius, g, gn, length, f_line, f_probe, streams = case
 
     def run(line, probe):
-        xl, fl = x.copy(), f_line.copy()
-        line_improved = line(arrays, xl, fl, live, g[live], gn[live], radius)
+        xl, fl, ll = x.copy(), f_line.copy(), length[live].copy()
+        line_improved = line(arrays, xl, fl, live, g[live], gn[live], ll, radius)
         xp, fp, rngs = x.copy(), f_probe.copy(), streams()
         probe_improved = probe(arrays, xp, fp, live, rngs, radius)
         return (
-            [xl.tobytes(), fl.tobytes(), line_improved.tolist()],
+            [xl.tobytes(), fl.tobytes(), ll.tobytes(), line_improved.tolist()],
             [xp.tobytes(), fp.tobytes(), probe_improved.tolist()],
             [rng.bit_generator.state for rng in rngs],
         )
@@ -327,9 +334,10 @@ def _assert_block_search_matches(batch_points, case, live):
 @given(_families(), st.data())
 def test_block_search_matches_one_step_per_call(batch_points, fam, data):
     """Several halvings or probes per kernel call give each row the path of
-    one step per call: from the row's true value, from 0 (no step is ever
-    accepted: all 30 halvings and all 10 probes run) and from just above the
-    best value any step reaches (the row takes that step)."""
+    one step per call, from first lengths up to 0.1 radius: from the row's
+    true value, from 0 (no step is ever accepted: all 30 halvings and all 10
+    probes run) and from just above the best value any step reaches (the row
+    takes that step)."""
     ts = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
     radius = data.draw(st.sampled_from((0.5, 1.0, 3.0)))
@@ -342,20 +350,24 @@ def test_block_search_matches_one_step_per_call(batch_points, fam, data):
     x *= (radius / row_norm(x))[:, None]
     g = _project_tangent(rng.standard_normal(x.shape), x)
     gn = row_norm(g)
+    shares = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(ts), max_size=len(ts)))
+    length = 0.1 * radius * np.array(shares)
 
     def streams():
         return [rng_for(seed, f"block:{k}") for k in range(len(ts))]
 
     every, zero = np.arange(len(ts)), np.zeros(len(ts))
     # from 0 no step is accepted, so the reference sees every candidate
-    line_seen = _line_search_ref(arrays, x.copy(), zero.copy(), every, g, gn, radius)[1]
+    line_seen = _line_search_ref(
+        arrays, x.copy(), zero.copy(), every, g, gn, length.copy(), radius
+    )[1]
     probe_seen = _pattern_search_ref(arrays, x.copy(), zero.copy(), every, streams(), radius)[1]
     value = shell_residual_sq(arrays, x)
     picks = [modes == "zero", modes == "best"]
     # just above the best value, beyond the line search's 1e-12 relative margin
     f_line = np.select(picks, [zero, np.min(line_seen, axis=0) * (1 + 4e-12)], value)
     f_probe = np.select(picks, [zero, np.nextafter(np.min(probe_seen, axis=(0, 2)), np.inf)], value)
-    case = _SearchCase(arrays, x, radius, g, gn, f_line, f_probe, streams)
+    case = _SearchCase(arrays, x, radius, g, gn, length, f_line, f_probe, streams)
     _assert_block_search_matches(batch_points, case, live)
 
 
@@ -382,11 +394,152 @@ def test_block_search_edge_rows(batch_points):
     f_probe = np.array([np.nextafter(probes[9, 0].min(), np.inf), 0.0, f[2]])
     improved, seen = _pattern_search_ref(arrays, x.copy(), f_probe.copy(), every, streams(), 1.0)
     assert improved.tolist() == [True, False, False] and len(seen) == 10
-    improved, seen = _line_search_ref(arrays, x.copy(), f_line.copy(), every, g, gn, 1.0)
+    length = np.full(3, 0.1)
+    improved, seen = _line_search_ref(
+        arrays, x.copy(), f_line.copy(), every, g, gn, length.copy(), 1.0
+    )
     assert not improved[1] and len(seen) == 30
-    case = _SearchCase(arrays, x, 1.0, g, gn, f_line, f_probe, streams)
+    case = _SearchCase(arrays, x, 1.0, g, gn, length, f_line, f_probe, streams)
     for live in (every, np.array([1]), np.array([], dtype=int)):
         _assert_block_search_matches(batch_points, case, live)
+
+
+_step_entry = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from((0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300)),
+)
+
+
+def _first_step_ref(s, y, gn, last, cap):
+    """The first-step rule in Python floats, sums in the order of row_dot."""
+    ss, sy = s[0] * s[0], s[0] * y[0]
+    for j in range(1, len(s)):
+        ss, sy = ss + s[j] * s[j], sy + s[j] * y[j]
+    bb = ss / sy * gn if sy > 0 else math.nan
+    return min(bb if 0 < bb < math.inf else 2.0 * last, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_steps_rule(data):
+    """Each row's first trial length is the two-point length (s.s / s.y)|g|
+    where s.y > 0 and the length is finite, else twice the last accepted
+    length (s.y <= 0, NaN or inf; s = 0 in the first round, which gives
+    0.1 radius), never above 0.1 radius, with the same bits alone or in a
+    batch."""
+    k, dim = data.draw(st.integers(1, 6)), data.draw(st.sampled_from((2, 4, 6)))
+    cap = 0.1 * data.draw(st.sampled_from((0.5, 1.0, 3.0)))
+    rows = st.lists(_step_entry, min_size=dim, max_size=dim)
+    s = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+    y = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+    # rows with s.y of a known sign: y along s, against s, zero, or s = 0
+    kind = st.sampled_from(("free", "along", "against", "zero", "first"))
+    kinds = data.draw(st.lists(kind, min_size=k, max_size=k))
+    for i, kind in enumerate(kinds):
+        if kind == "first":
+            s[i] = 0.0
+        elif kind != "free":
+            s[i] = np.nan_to_num(s[i], nan=1.0, posinf=1.0, neginf=-1.0)
+            scale = data.draw(st.floats(min_value=1e-3, max_value=1e3))
+            y[i] = {"along": scale, "against": -scale, "zero": 0.0}[kind] * s[i]
+    gn = np.array(data.draw(st.lists(st.floats(1e-12, 1e3), min_size=k, max_size=k)))
+    last = np.array(data.draw(st.lists(st.floats(1e-9, 2 * cap), min_size=k, max_size=k)))
+    last[np.array(kinds) == "first"] = cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _first_steps(s, y, gn, last, cap)
+        alone = [
+            _first_steps(s[i : i + 1], y[i : i + 1], gn[i : i + 1], last[i : i + 1], cap)
+            for i in range(k)
+        ]
+    for i, kind in enumerate(kinds):
+        ref = _first_step_ref(s[i].tolist(), y[i].tolist(), float(gn[i]), float(last[i]), cap)
+        assert batch[i] == ref
+        assert batch[i] <= cap
+        assert alone[i].tobytes() == batch[i : i + 1].tobytes()
+        if kind in ("against", "zero", "first"):
+            assert batch[i] == min(2.0 * last[i], cap)
+        if kind == "first":
+            assert batch[i] == cap
+
+
+def test_shell_search_first_steps(monkeypatch):
+    """Every row starts its first line search at 0.1 radius; no later first
+    step exceeds it, and the two-point rule does shorten some."""
+    seen = []
+
+    def recording(arrays, x, f, live, g, gn, length, radius):
+        seen.append(length.copy())
+        return _line_search(arrays, x, f, live, g, gn, length, radius)
+
+    monkeypatch.setattr(singularity, "_line_search", recording)
+    rep = certify_smooth_shell(brieskorn((2, 3), (1, 1)), (0.0, 0.5, 1.0), 3.0, restarts=4, seed=2)
+    assert rep.converged
+    assert seen[0].tolist() == [0.1 * 3.0] * 12
+    assert all(np.all(lengths <= 0.1 * 3.0) for lengths in seen)
+    assert any(np.any(lengths < 0.1 * 3.0) for lengths in seen[1:])
+
+
+# min_residual_found and converged of the search with one first step of
+# 0.1 radius in every round, grid 0:1:0.2 with 6 restarts
+_FIXED_STEP_PANEL = [
+    (("brieskorn", (2, 3), (1, 1)), 9, 1.0, 1.0162808200982818, True),
+    (("brieskorn", (2, 2, 3), (1, 0, 2)), 9, 0.5, 0.03201825869736211, False),
+    (("brieskorn", (3, 5), (2, 1)), 0, 0.5, 0.010559277294920474, False),
+    (("brieskorn", (2, 2, 2), (0, 1, 0)), 5, 1.0, 1.5685659954751727, True),
+    (("type_i", (2, 3, 2), (1, 0, 1)), 5, 0.5, 0.028904585113214164, True),
+    (("type_i", (2, 3, 2), (1, 0, 1)), 9, 3.0, 4.851216779968433, True),
+    (("type_i", (3, 2), (0, 2)), 0, 3.0, 5.988965216801147, True),
+    (("type_ii", (2, 3), (1, 1)), 5, 0.5, 0.018767993176417568, True),
+]
+
+
+@pytest.mark.parametrize("spec, seed, radius, fixed_min, fixed_converged", _FIXED_STEP_PANEL)
+def test_first_steps_keep_the_search_strength(spec, seed, radius, fixed_min, fixed_converged):
+    """A faster search must not find higher minima or stop converging: each
+    minimum stays at or below the fixed-step search's, and no t that
+    converged there runs into the iteration cap now."""
+    grid = (0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0)
+    fam = build_family(FamilySpec(*spec))
+    rep = certify_smooth_shell(fam, grid, radius, restarts=6, seed=seed)
+    assert rep.min_residual_found <= fixed_min * (1 + 1e-12)
+    assert rep.converged or not fixed_converged
+
+
+class _Stacked(Exception):
+    """Carries the array form that the shell search would minimize over."""
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families(), st.data())
+def test_grid_union_residuals_match_members_alone(fam, data):
+    """The shell search stacks its grid as one union of monomials, in which a
+    member's values may take other bits than alone (the holomorphic end's
+    monomials can land in another order); its squared residuals, built from
+    the partials, keep the member's bits for every grid, unsorted, repeated
+    or with t = 1 first."""
+    ts = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    restarts = data.draw(st.integers(min_value=1, max_value=2))
+
+    def stacked(arrays, x0, radius, rngs):
+        raise _Stacked(arrays)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(singularity, "_minimize_shell", stacked)
+        with pytest.raises(_Stacked) as caught:
+            certify_smooth_shell(fam, ts, 1.0, restarts=restarts)
+    arrays = caught.value.args[0]
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    x = rng_for(seed, "union").standard_normal((len(ts) * restarts, 8, 2 * fam.n))
+    union = shell_residual_sq(arrays, x)
+    for k in range(len(x)):
+        alone = shell_residual_sq(polynomial_arrays([fam.member(ts[k // restarts])]), x[k : k + 1])
+        assert alone.tobytes() == union[k : k + 1].tobytes()
 
 
 def test_overflowed_residual_is_not_a_singular_point():

@@ -688,6 +688,31 @@ def test_sweep_builds_one_array_form(monkeypatch):
     assert own.N.tolist() == core.polynomial_arrays(members).N.tolist()
 
 
+def test_both_methods_check_the_points_on_the_variety_once(monkeypatch):
+    """With --method both the witnesses skip the on-variety pass that the rank
+    margins have just made at the same points: the sweep makes the kernel
+    calls of the witness sweep, one more than the rank sweep (the curve check),
+    and gives the same witness certificates."""
+    calls = []
+
+    def counting(arrays, z):
+        calls.append(len(z))
+        return core.value_and_gradient_batch(arrays, z)
+
+    monkeypatch.setattr(numerics, "value_and_gradient_batch", counting)
+    fam = build_family(FamilySpec("type_i", (2, 3, 2), (1, 0, 1)))
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    counts, sweeps = {}, {}
+    for method in ("rank", "witness", "both"):
+        calls.clear()
+        sweeps[method] = check_transversality(fam, grid, 1.0, 100, 3, method=method)
+        counts[method] = len(calls)
+    assert counts["both"] == counts["witness"] == counts["rank"] + 1
+    for both, witness in zip(sweeps["both"].certificates, sweeps["witness"].certificates):
+        assert {k: both[k] for k in witness} == witness
+    assert len(sweeps["both"].certificates) == 500
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     a=st.tuples(st.integers(1, 3), st.integers(1, 3)),
