@@ -5,14 +5,12 @@ sphere-transversality certification, isotopy transport and link exploration."""
 __version__ = "0.1.0"
 
 from .core import (
-    ExponentMatrices,
     MixedMonomial,
     MixedPolynomial,
     WeightSystem,
     WirtingerGradient,
     detect_weights,
     evaluate,
-    exponent_matrices,
     is_simplicial,
     polar_action,
     wirtinger_gradient,
@@ -33,7 +31,7 @@ from .isotopy import (
     integrate_isotopy,
     transport,
 )
-from .links import LinkSample, count_components, fibration_phase, project_svg, sample_link
+from .links import LinkSample, fibration_phase, project_svg, sample_link
 from .scaling import ScalingSolution, normalize_coefficients, verify_scaling
 from .singularity import (
     ShellSearchReport,

@@ -25,11 +25,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import detect_weights, exponent_matrices, is_simplicial
+from .core import detect_weights, is_simplicial
 from .errors import CertificateFailure, InputError, MixedMilnorError, NumericalError
 from .families import MilnorTubeSpec
 from .isotopy import transport
-from .links import count_components, project_svg, sample_link
+from .links import project_svg, sample_link
 from .report import build_manifest, content_digest, dumps
 from .scaling import normalize_coefficients, verify_scaling
 from .singularity import certify_smooth_shell
@@ -116,7 +116,7 @@ def _fields(obj, *names: str) -> dict:
 
 def _analyze(args, poly, fam):
     weights = detect_weights(poly)
-    simp = is_simplicial(exponent_matrices(poly))
+    simp = is_simplicial(poly)
     result = {
         "n": poly.n,
         "monomial_count": len(poly.monomials),
@@ -164,13 +164,8 @@ def _certify_smooth(args, poly, fam):
 def _check_transversality(args, poly, fam):
     grid = parse_t_grid(args.t_grid)
     rep = check_transversality(fam, grid, args.radius, args.samples, args.seed, args.method)
-    result = {
-        **_fields(rep, "method", "radius", "t_grid", "samples_per_t"),
-        **_fields(rep, "sampler_failures", "sampler_failures_per_t", "all_transverse"),
-        **_fields(rep, "certificates", "min_margin", "min_rank_margin", "min_witness_margin"),
-    }
     ok = rep.all_transverse
-    return result, "transverse" if ok else "not-certified", ok
+    return rep, "transverse" if ok else "not-certified", ok
 
 
 def _explore_conjecture(args, poly, fam):
@@ -256,9 +251,8 @@ def _trace_link(args, poly, fam):
                 fh.writelines(f"{i},{','.join(map(repr, row))}\n" for row in orbit)
     result = {
         **_fields(args, "t", "radius"),
-        **_fields(sample, "polar_weights", "seeds_used", "flagged"),
+        **_fields(sample, "polar_weights", "seeds_used", "flagged", "component_count"),
         "orbit_count": len(orbits),
-        "component_count": count_components(sample) if orbits else 0,
         "orbits": orbits,
     }
     return result, "empty-link" if sample.flagged else "ok", not sample.flagged

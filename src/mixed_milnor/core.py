@@ -7,7 +7,6 @@ integers; evaluation and differentiation are double precision.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,22 +95,6 @@ class MixedPolynomial:
         if other.n != self.n:
             raise InputError("cannot add polynomials in different arities")
         return MixedPolynomial(self.n, self.monomials + other.monomials)
-
-
-@dataclass(frozen=True)
-class ExponentMatrices:
-    """Columns of N are the z-exponents nu_i, columns of M the zbar-exponents."""
-
-    N: tuple[tuple[int, ...], ...]  # n rows, m columns
-    M: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.N)
-
-    @property
-    def m(self) -> int:
-        return len(self.N[0]) if self.N else 0
 
 
 @dataclass(frozen=True)
@@ -365,15 +348,6 @@ def value_and_gradient_batch(
     return value, d[0].transpose(back), d[1].transpose(back)
 
 
-def exponent_matrices(poly: MixedPolynomial) -> ExponentMatrices:
-    """N, M with one column per monomial, in the polynomial's order."""
-    cols_n = [m.nu for m in poly.monomials]
-    cols_m = [m.mu for m in poly.monomials]
-    N = tuple(tuple(col[j] for col in cols_n) for j in range(poly.n))
-    M = tuple(tuple(col[j] for col in cols_m) for j in range(poly.n))
-    return ExponentMatrices(N, M)
-
-
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(rows)
@@ -406,18 +380,13 @@ class SimplicialityReport:
     det_minus: Optional[int]
 
 
-def is_simplicial(mats: ExponentMatrices) -> SimplicialityReport:
+def is_simplicial(poly: MixedPolynomial) -> SimplicialityReport:
     """m = n monomials with both N+M and N-M nondegenerate over the integers."""
-    if mats.m != mats.n:
+    arrays = polynomial_arrays([poly])
+    if len(arrays.N) != poly.n:
         return SimplicialityReport(False, None, None)
-    plus = [
-        [mats.N[j][i] + mats.M[j][i] for i in range(mats.m)] for j in range(mats.n)
-    ]
-    minus = [
-        [mats.N[j][i] - mats.M[j][i] for i in range(mats.m)] for j in range(mats.n)
-    ]
-    det_plus = integer_determinant(plus)
-    det_minus = integer_determinant(minus)
+    det_plus = integer_determinant((arrays.N + arrays.M).tolist())
+    det_minus = integer_determinant((arrays.N - arrays.M).tolist())
     return SimplicialityReport(det_plus != 0 and det_minus != 0, det_plus, det_minus)
 
 
@@ -474,7 +443,9 @@ def _smallest_positive_integer_solution(
     return None
 
 
-def _detect_one(vectors: list[tuple[int, ...]], n: int) -> tuple[Optional[tuple[int, ...]], Optional[int]]:
+def _detect_one(
+    vectors: list[list[int]], n: int
+) -> tuple[Optional[tuple[int, ...]], Optional[int]]:
     """Weights Q and degree d with vec . Q = d for every vec, or (None, None)."""
     rows = [list(vec) + [-1] for vec in vectors]
     sol = _smallest_positive_integer_solution(rows, n + 1)
@@ -487,14 +458,9 @@ def detect_weights(poly: MixedPolynomial) -> WeightSystem:
     """Polar and radial weight systems, each independently possibly absent."""
     if not poly.monomials:
         return WeightSystem(None, None, None, None)
-    polar_vecs = [
-        tuple(m.nu[j] - m.mu[j] for j in range(poly.n)) for m in poly.monomials
-    ]
-    radial_vecs = [
-        tuple(m.nu[j] + m.mu[j] for j in range(poly.n)) for m in poly.monomials
-    ]
-    P, d = _detect_one(polar_vecs, poly.n)
-    Q, dr = _detect_one(radial_vecs, poly.n)
+    arrays = polynomial_arrays([poly])
+    P, d = _detect_one((arrays.N - arrays.M).tolist(), poly.n)
+    Q, dr = _detect_one((arrays.N + arrays.M).tolist(), poly.n)
     return WeightSystem(P, d, Q, dr)
 
 

@@ -74,13 +74,6 @@ def _endpoints(spec: FamilySpec) -> tuple[MixedPolynomial, MixedPolynomial]:
     return MixedPolynomial(n, tuple(mixed)), MixedPolynomial(n, tuple(holo))
 
 
-@functools.lru_cache(maxsize=512)
-def _blend(mixed: MixedPolynomial, holo: MixedPolynomial, t: float) -> MixedPolynomial:
-    # the witnesses ask for member(t) once per point, at a handful of t, and
-    # the cache builds each member once; perfbench clears it between runs
-    return mixed.scaled(1.0 - t) + holo.scaled(t)
-
-
 @dataclass(frozen=True)
 class DeformationFamily:
     spec: FamilySpec
@@ -104,7 +97,7 @@ class DeformationFamily:
             return self.endpoint_mixed
         if t == 1.0:
             return self.endpoint_holomorphic
-        return _blend(self.endpoint_mixed, self.endpoint_holomorphic, t)
+        return self.endpoint_mixed.scaled(1.0 - t) + self.endpoint_holomorphic.scaled(t)
 
     def reversed(self) -> "DeformationFamily":
         """Family running from g back to f (member(t) = original member(1-t))."""

@@ -240,23 +240,19 @@ def _integrate(
     failure_step = np.zeros(K, dtype=int)  # 0: no failure
     dead = np.zeros(K, dtype=bool)
 
-    def vel(t: float, y: np.ndarray) -> np.ndarray:
-        try:
-            return connection_velocity(fam, t, y.view(complex), tube)
-        except PreconditionError:
-            # A stage state x + c h k leaves the sphere by O(h^2), which the
-            # check on caller points may reject; the field is defined there
-            # all the same and gives the same bits without the check.
-            return _velocity(fam, t, y, row_norm(y), tube)
-
     if t_end > 0.0:
         h = t_end / steps
         for k in range(steps):
             t = k * h
             k1 = _velocity(fam, t, x, row_norm(x), tube, jet)
-            k2 = vel(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = vel(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = vel(t + h, x + h * k3)
+            # a stage state y leaves the sphere by O(h^2); the field is
+            # defined there all the same, so no sphere check applies
+            y = x + 0.5 * h * k1
+            k2 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
+            y = x + 0.5 * h * k2
+            k3 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
+            y = x + h * k3
+            k4 = _velocity(fam, t + h, y, row_norm(y), tube)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             x = x * (r / row_norm(x))[:, None]
             t_next = (k + 1) * h

@@ -173,30 +173,6 @@ def sample_link(
     )
 
 
-def count_components(sample: LinkSample) -> int:
-    """Connectivity classes of the sampled orbits (union-find over exact
-    orbit membership of the representatives)."""
-    if not sample.orbits:
-        raise PreconditionError("cannot count components of an empty sample")
-    reps = [orbit[0] for orbit in sample.orbits]
-    parent = list(range(len(reps)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    merge_tol = 1e-4 * sample.radius
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if _same_orbit(reps[i], reps[j], sample.polar_weights, merge_tol):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(len(reps))})
-
-
 def fibration_phase(
     poly: MixedPolynomial, point: Sequence[complex], tol: float = 1e-8
 ) -> complex:

@@ -90,7 +90,8 @@ def monotone_root(
     """Root of fn(s) = target for strictly increasing fn on s > 0.
 
     The bracket is grown geometrically from `lo` (and `hi` when given), then
-    refined by bisection safeguarded Newton (secant when dfn is None).
+    refined by safeguarded Newton steps on dfn, bisecting where a step would
+    leave the bracket; without dfn every step bisects.
     """
     if hi is None:
         hi = lo

@@ -21,8 +21,8 @@ from .core import (
     MixedMonomial,
     MixedPolynomial,
     evaluate,
-    exponent_matrices,
     is_simplicial,
+    polynomial_arrays,
 )
 from .errors import InputError, PreconditionError
 from .numerics import random_sphere_point, rng_for
@@ -61,13 +61,11 @@ def normalize_coefficients(poly: MixedPolynomial) -> NormalizationResult:
     argument system is solved over the reals, so alpha is one representative
     of the 2*pi lattice of solutions.
     """
-    mats = exponent_matrices(poly)
-    rep = is_simplicial(mats)
+    rep = is_simplicial(poly)
     if not rep.simplicial:
-        if mats.m != mats.n:
-            raise PreconditionError(
-                f"polynomial is not simplicial: {mats.m} monomials, {mats.n} variables"
-            )
+        m, n = len(poly.monomials), poly.n
+        if m != n:
+            raise PreconditionError(f"polynomial is not simplicial: {m} monomials, {n} variables")
         which = "det(N-M)" if rep.det_minus == 0 else "det(N+M)"
         raise PreconditionError(f"polynomial is not simplicial: {which} = 0")
     n = poly.n
@@ -80,12 +78,10 @@ def normalize_coefficients(poly: MixedPolynomial) -> NormalizationResult:
         log_abs[i] = math.log(abs(c))
         args[i] = cmath.phase(c)  # principal branch
 
-    plus = np.array(
-        [[mats.N[j][i] + mats.M[j][i] for i in range(n)] for j in range(n)], dtype=float
-    )
-    minus = np.array(
-        [[mats.N[j][i] - mats.M[j][i] for i in range(n)] for j in range(n)], dtype=float
-    )
+    # variables x monomials, as in gamma . (N + M) = a
+    arrays = polynomial_arrays([poly])
+    plus = (arrays.N + arrays.M).T.astype(float)
+    minus = (arrays.N - arrays.M).T.astype(float)
     cond = max(np.linalg.cond(plus), np.linalg.cond(minus))
     if cond > 1e8:
         warnings.warn(

@@ -7,6 +7,7 @@ import json
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import brieskorn
@@ -14,19 +15,15 @@ from mixed_milnor import (
     FamilySpec,
     build_family,
     certify_smooth_shell,
-    count_components,
     detect_weights,
     eta_map,
     evaluate,
     lemma_inequality_check,
     normalize_coefficients,
     polar_action,
-    radial_witness_brieskorn,
     sample_link,
     sample_on_variety,
-    solve_phi,
     transport,
-    type_i_witness,
     verify_scaling,
 )
 from mixed_milnor.cli import run
@@ -34,6 +31,7 @@ from mixed_milnor.families import MilnorTubeSpec
 from mixed_milnor.isotopy import integrate_isotopy
 from mixed_milnor.links import _same_orbit
 from mixed_milnor.numerics import newton_on_sphere, random_sphere_point, rng_for
+from mixed_milnor.transversality import _witnesses, solve_phi_rows
 from test_scaling import _random_simplicial
 
 TUBE = MilnorTubeSpec(1.0, 0.1)
@@ -119,33 +117,41 @@ def test_criterion_03_smooth_shell_echo(announce):
 def test_criterion_04_radial_witnesses(announce):
     def body():
         rng = rng_for(2, "acc:phi")
+        draws = {}  # (a, b) -> [(tau, w_abs, r)], solved as one batch each
         for _ in range(1000):
             a = int(rng.integers(1, 7))
             b = int(rng.integers(0, 7))
             tau = float(rng.uniform(0, 1))
             w_abs = float(rng.uniform(0.1, 10))
             r = float(rng.uniform(0.1, 10))
-            s = solve_phi(a, b, tau, w_abs, r)
+            draws.setdefault((a, b), []).append((tau, w_abs, r))
+        for (a, b), rows in draws.items():
+            tau, w_abs, r = np.array(rows).T
+            s, _ = solve_phi_rows(a, b, tau, w_abs, r)
             c = (1 - tau) * w_abs ** (2 * b)
             lhs = s**a * (tau + c * s ** (2 * b))
             rhs = r * (tau + c)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+            assert (np.abs(lhs - rhs) <= 1e-10 * np.maximum(1.0, np.abs(rhs))).all()
         fam = brieskorn((2, 3), (1, 1))
         checked = 0
         for t in (0.25, 0.5, 0.75):
             f = fam.member(t)
             pts, failures = sample_on_variety(f, 1.0, 34, seed=0, label=f"acc4:{t}")
             assert failures == 0
-            for z in pts:
-                cert = radial_witness_brieskorn(fam, t, z)
+            for cert, _ in _witnesses(fam, [t], [pts]):
                 assert cert.margin > 0
-                for r in (0.5, 0.75, 1.0, 1.5, 2.0):
-                    xi = tuple(
-                        c * solve_phi(aj, bj, t, abs(c), r) if c != 0 else 0j
-                        for c, aj, bj in zip(z, fam.spec.a, fam.spec.b)
-                    )
-                    assert abs(evaluate(f, xi)) <= 1e-9
-                checked += 1
+            z = np.array(pts)
+            mods = np.abs(z)
+            for r in (0.5, 0.75, 1.0, 1.5, 2.0):
+                xi = z.copy()  # zero coordinates stay zero
+                for j, (aj, bj) in enumerate(zip(fam.spec.a, fam.spec.b)):
+                    live = mods[:, j] > 0
+                    k = int(live.sum())
+                    s, _ = solve_phi_rows(aj, bj, np.full(k, t), mods[live, j], np.full(k, r))
+                    xi[live, j] *= s
+                for x in xi.tolist():
+                    assert abs(evaluate(f, x)) <= 1e-9
+            checked += len(pts)
         assert checked >= 100
 
     announce(4, "phi round trips and positive radial witness margins", body)
@@ -159,23 +165,26 @@ def test_criterion_05_chained_recursion(announce):
         pts, failures = sample_on_variety(f, 1.0, 100, seed=0, label="acc5")
         assert failures == 0 and len(pts) == 100
         a = fam.spec.a
-        for z in pts:
-            for j, c in enumerate(z):
-                if abs(c) > 0:
-                    assert solve_phi(a[j], fam.spec.b[j], t, abs(c), 1.0) == 1.0
-            for r in (1.0, 1.5, 2.0, 4.0):
-                res = type_i_witness(fam, t, z, r=r)
-                for rj, sj, aj in zip(res.trace.r_values, res.trace.s_values, a):
+        mods = np.abs(np.array(pts))
+        for j, (aj, bj) in enumerate(zip(a, fam.spec.b)):
+            live = mods[:, j] > 0
+            k = int(live.sum())
+            s, _ = solve_phi_rows(aj, bj, np.full(k, t), mods[live, j], np.ones(k))
+            assert (s == 1.0).all()
+        scales = {}  # r -> the s_values of every point
+        for r in (1.0, 1.5, 2.0, 4.0):
+            traces = [trace for _, trace in _witnesses(fam, [t], [pts], r)]
+            for trace in traces:
+                for rj, sj, aj in zip(trace.r_values, trace.s_values, a):
                     if rj is None:
                         continue
                     assert rj >= 1 - 1e-12
                     assert sj >= 1 - 1e-12
                     assert sj**aj <= rj * (1 + 1e-12)
-            # the per-index scale grows monotonically with the target radius
-            grown = [
-                type_i_witness(fam, t, z, r=r).trace.s_values for r in (1.5, 2.0, 4.0)
-            ]
-            for s_lo, s_hi in zip(grown, grown[1:]):
+            scales[r] = [trace.s_values for trace in traces]
+        # the per-index scale grows monotonically with the target radius
+        for r_lo, r_hi in ((1.5, 2.0), (2.0, 4.0)):
+            for s_lo, s_hi in zip(scales[r_lo], scales[r_hi]):
                 assert all(lo <= hi + 1e-12 for lo, hi in zip(s_lo, s_hi))
 
     announce(5, "chained-family recursion solves stay above one", body)
@@ -237,13 +246,13 @@ def test_criterion_08_link_component_counts(announce):
         for a1 in range(2, 7):
             for a2 in range(2, 7):
                 sample = sample_link(brieskorn((a1, a2)), 1.0, 1.0)
-                assert count_components(sample) == math.gcd(a1, a2)
+                assert sample.component_count == math.gcd(a1, a2)
         for a, b in (((2, 3), (1, 0)), ((2, 4), (0, 1)), ((2, 2), (1, 1))):
             fam = brieskorn(a, b)
             s0 = sample_link(fam, 0.0, 1.0)
             s1 = sample_link(fam, 1.0, 1.0)
             expected = math.gcd(*a)
-            assert count_components(s0) == count_components(s1) == expected
+            assert s0.component_count == s1.component_count == expected
             # independent confirmation: carry one representative per sampled
             # orbit across the family and count distinct orbits at the end
             reps = [orbit[0] for orbit in s0.orbits]

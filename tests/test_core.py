@@ -14,7 +14,6 @@ from mixed_milnor import (
     build_family,
     detect_weights,
     evaluate,
-    exponent_matrices,
     is_simplicial,
     polar_action,
     wirtinger_gradient,
@@ -95,29 +94,29 @@ def test_wirtinger_matches_finite_differences():
 
 def test_exponent_matrices_brieskorn():
     fam = brieskorn((2, 3), (1, 0))
-    mats = exponent_matrices(fam.endpoint_mixed)
-    assert mats.N == ((3, 0), (0, 3))
-    assert mats.M == ((1, 0), (0, 0))
+    arrays = polynomial_arrays([fam.endpoint_mixed])
+    assert arrays.N.T.tolist() == [[3, 0], [0, 3]]
+    assert arrays.M.T.tolist() == [[1, 0], [0, 0]]
 
 
 def test_exponent_matrices_chained():
     fam = build_family(FamilySpec("type_i", (2, 2), (1, 1)))
-    mats = exponent_matrices(fam.endpoint_mixed)
+    arrays = polynomial_arrays([fam.endpoint_mixed])
     # columns (a1+b1, 1), (0, a2+b2) for N and (b1, 0), (0, b2) for M
-    assert mats.N == ((3, 0), (1, 3))
-    assert mats.M == ((1, 0), (0, 1))
+    assert arrays.N.T.tolist() == [[3, 0], [1, 3]]
+    assert arrays.M.T.tolist() == [[1, 0], [0, 1]]
 
 
 def test_exponent_matrices_single_monomial():
     f = poly(1, [(4, (3,), (1,))])
-    mats = exponent_matrices(f)
-    assert mats.N == ((3,),)
-    assert mats.M == ((1,),)
+    arrays = polynomial_arrays([f])
+    assert arrays.N.T.tolist() == [[3]]
+    assert arrays.M.T.tolist() == [[1]]
 
 
 def test_simpliciality_brieskorn():
     fam = brieskorn((2, 3), (1, 0))
-    rep = is_simplicial(exponent_matrices(fam.endpoint_mixed))
+    rep = is_simplicial(fam.endpoint_mixed)
     assert rep.simplicial
     assert rep.det_minus == 6
     assert rep.det_plus == 12
@@ -125,14 +124,14 @@ def test_simpliciality_brieskorn():
 
 def test_simpliciality_count_mismatch():
     f = poly(2, [(1, (2, 0), (0, 0)), (1, (0, 2), (0, 0)), (1, (1, 1), (0, 0))])
-    rep = is_simplicial(exponent_matrices(f))
+    rep = is_simplicial(f)
     assert not rep.simplicial
     assert rep.det_plus is None
 
 
 def test_simpliciality_equal_matrices():
     f = poly(2, [(1, (1, 0), (1, 0)), (1, (0, 1), (0, 1))])
-    rep = is_simplicial(exponent_matrices(f))
+    rep = is_simplicial(f)
     assert not rep.simplicial
     assert rep.det_minus == 0
 
@@ -186,6 +185,63 @@ def test_weight_formula_property(a):
     d = math.lcm(*a)
     assert w.polar_degree == d
     assert w.polar_weights == tuple(d // aj for aj in a)
+
+
+@st.composite
+def _merging_polynomials(draw):
+    """Polynomials in 1 to 4 variables whose terms repeat a few exponent pairs,
+    so that the canonical form merges them (and sometimes cancels them)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(exponents, exponents), min_size=1, max_size=n + 2))
+    terms = draw(
+        st.lists(
+            st.tuples(st.sampled_from((-2, -1, 1, 2, 1j)), st.sampled_from(pairs)),
+            min_size=1,
+            max_size=2 * n + 2,
+        )
+    )
+    return poly(n, [(c, nu, mu) for c, (nu, mu) in terms])
+
+
+def _free_unknowns(vectors, n):
+    """Unknowns left free by the weight system vec . W = degree."""
+    rows = np.array([list(vec) + [-1] for vec in vectors])
+    return n + 1 - np.linalg.matrix_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merging_polynomials())
+def test_array_form_serves_simpliciality_and_weights(f):
+    """Row i of the array form holds monomial i, and the determinants and
+    weights read from the array form agree with the monomials themselves."""
+    monos, n = f.monomials, f.n
+    arrays = polynomial_arrays([f])
+    assert arrays.N.shape == arrays.M.shape == (len(monos), n)
+    for i, mono in enumerate(monos):
+        assert arrays.N[i].tolist() == list(mono.nu)
+        assert arrays.M[i].tolist() == list(mono.mu)
+    rep = is_simplicial(f)
+    if len(monos) == n:
+        plus = [[m.nu[j] + m.mu[j] for m in monos] for j in range(n)]
+        minus = [[m.nu[j] - m.mu[j] for m in monos] for j in range(n)]
+        assert rep.det_plus == integer_determinant(plus)
+        assert rep.det_minus == integer_determinant(minus)
+        assert rep.simplicial == (rep.det_plus != 0 and rep.det_minus != 0)
+    else:
+        assert (rep.simplicial, rep.det_plus, rep.det_minus) == (False, None, None)
+    polar = [[a - b for a, b in zip(m.nu, m.mu)] for m in monos]
+    radial = [[a + b for a, b in zip(m.nu, m.mu)] for m in monos]
+    # the weight search tries 32 values per free unknown: keep it to two
+    if not monos or max(_free_unknowns(polar, n), _free_unknowns(radial, n)) > 2:
+        return
+    w = detect_weights(f)
+    for vecs, weights, degree in (
+        (polar, w.polar_weights, w.polar_degree),
+        (radial, w.radial_weights, w.radial_degree),
+    ):
+        if weights is not None:
+            assert all(np.dot(vec, weights) == degree for vec in vecs)
 
 
 def test_polar_action_identity():

@@ -288,15 +288,15 @@ def test_state_turning_non_finite_fails_its_point_only(monkeypatch):
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 3)
     clean = transport(fam, pts, 1.0, 100, TUBE)
-    velocity = isotopy.connection_velocity
+    velocity = isotopy._velocity
 
-    def breaks_point_1(fam, t, points, tube):
-        v = velocity(fam, t, points, tube)
+    def breaks_point_1(fam, t, x, r, tube, jet=None):
+        v = velocity(fam, t, x, r, tube, jet)
         if t > 0.507:  # first passed by the last stage of step 51, t = 0.51
             v[1] = np.nan
         return v
 
-    monkeypatch.setattr(isotopy, "connection_velocity", breaks_point_1)
+    monkeypatch.setattr(isotopy, "_velocity", breaks_point_1)
     summary = transport(fam, pts, 1.0, 100, TUBE)
     broken = summary.traces[1]
     assert broken.failed and broken.failure_step == 51

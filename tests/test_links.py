@@ -9,7 +9,6 @@ from conftest import brieskorn, poly
 from mixed_milnor import (
     FamilySpec,
     build_family,
-    count_components,
     evaluate,
     fibration_phase,
     polar_action,
@@ -25,20 +24,20 @@ def test_hopf_link_has_two_components():
     fam = brieskorn((2, 2))
     sample = sample_link(fam, 1.0, 1.0)
     assert not sample.flagged
-    assert count_components(sample) == 2
+    assert sample.component_count == 2
 
 
 def test_trefoil_is_one_component():
     fam = brieskorn((2, 3), (1, 0))
     sample = sample_link(fam, 0.0, 1.0)
-    assert count_components(sample) == 1
+    assert sample.component_count == 1
 
 
 def test_gcd_oracle_small_pairs():
     for a1, a2 in ((2, 3), (2, 4), (3, 3), (2, 6)):
         fam = brieskorn((a1, a2))
         sample = sample_link(fam, 1.0, 1.0)
-        assert count_components(sample) == math.gcd(a1, a2)
+        assert sample.component_count == math.gcd(a1, a2)
 
 
 def test_constant_family_ignores_t():
@@ -83,8 +82,8 @@ def test_orbit_closure():
 def test_component_count_stable_along_t():
     for a, b in (((2, 3), (1, 0)), ((2, 2), (1, 1))):
         fam = brieskorn(a, b)
-        c0 = count_components(sample_link(fam, 0.0, 1.0))
-        c1 = count_components(sample_link(fam, 1.0, 1.0))
+        c0 = sample_link(fam, 0.0, 1.0).component_count
+        c1 = sample_link(fam, 1.0, 1.0).component_count
         assert c0 == c1 == math.gcd(*a)
 
 
@@ -117,8 +116,6 @@ def test_fibration_phase_homogeneity():
 
 def test_count_components_empty_sample():
     empty = LinkSample(None, 0.0, 1.0, (1, 1), (), 0, 0, True)
-    with pytest.raises(PreconditionError):
-        count_components(empty)
     with pytest.raises(PreconditionError):
         project_svg(empty, "/tmp/unused.svg")
 

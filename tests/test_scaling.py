@@ -7,7 +7,7 @@ import pytest
 
 from conftest import brieskorn, poly
 from mixed_milnor import normalize_coefficients, verify_scaling
-from mixed_milnor.core import exponent_matrices
+from mixed_milnor.core import polynomial_arrays
 from mixed_milnor.errors import PreconditionError
 from mixed_milnor.scaling import ScalingSolution
 from mixed_milnor.numerics import rng_for
@@ -59,10 +59,10 @@ def test_argument_system_solved_exactly():
     c = [complex(rng.normal(), rng.normal()) for _ in range(2)]
     f = poly(2, [(c[0], (3, 1), (1, 0)), (c[1], (0, 4), (0, 1))])
     res = normalize_coefficients(f)
-    mats = exponent_matrices(f)
+    arrays = polynomial_arrays([f])
     for i, mono in enumerate(f.monomials):
         acc = sum(
-            res.scaling.epsilon[j] * (mats.N[j][i] - mats.M[j][i]) for j in range(2)
+            res.scaling.epsilon[j] * (arrays.N[i, j] - arrays.M[i, j]) for j in range(2)
         )
         assert acc == pytest.approx(cmath.phase(mono.coefficient), abs=1e-9)
 
