@@ -119,52 +119,6 @@ class WirtingerGradient:
     d_zbar: tuple[complex, ...]
 
 
-def _check_point(poly: MixedPolynomial, point: Sequence[complex]) -> list[complex]:
-    pt = [complex(w) for w in point]
-    if len(pt) != poly.n:
-        raise InputError(f"point has length {len(pt)}, expected {poly.n}")
-    return pt
-
-
-def evaluate(poly: MixedPolynomial, point: Sequence[complex]) -> complex:
-    """Evaluate sum c_i z^{nu_i} zbar^{mu_i} at the given point."""
-    pt = _check_point(poly, point)
-    conj = [w.conjugate() for w in pt]
-    total = 0j
-    for mono in poly.monomials:
-        term = mono.coefficient
-        for j in range(poly.n):
-            if mono.nu[j]:
-                term *= pt[j] ** mono.nu[j]
-            if mono.mu[j]:
-                term *= conj[j] ** mono.mu[j]
-        total += term
-    return total
-
-
-def wirtinger_gradient(poly: MixedPolynomial, point: Sequence[complex]) -> WirtingerGradient:
-    """Formal partials treating z and zbar as independent variables."""
-    pt = _check_point(poly, point)
-    conj = [w.conjugate() for w in pt]
-    d_z = [0j] * poly.n
-    d_zbar = [0j] * poly.n
-    for mono in poly.monomials:
-        # Factor values z_j^nu_j and zbar_j^mu_j, reused for each partial.
-        zpow = [pt[j] ** mono.nu[j] if mono.nu[j] else 1.0 + 0j for j in range(poly.n)]
-        cpow = [conj[j] ** mono.mu[j] if mono.mu[j] else 1.0 + 0j for j in range(poly.n)]
-        base = mono.coefficient
-        for j in range(poly.n):
-            rest = base
-            for k in range(poly.n):
-                if k != j:
-                    rest *= zpow[k] * cpow[k]
-            if mono.nu[j]:
-                d_z[j] += rest * mono.nu[j] * pt[j] ** (mono.nu[j] - 1) * cpow[j]
-            if mono.mu[j]:
-                d_zbar[j] += rest * mono.mu[j] * conj[j] ** (mono.mu[j] - 1) * zpow[j]
-    return WirtingerGradient(tuple(d_z), tuple(d_zbar))
-
-
 @dataclass(frozen=True)
 class _KernelLayout:
     """Index and exponent arrays the batched kernel derives from N and M."""
@@ -316,7 +270,7 @@ def value_and_gradient_batch(
     pr[1], pi[1] = zt.real, zt.imag
     for p in range(2, layout.top + 1):
         _cmul((pr[p - 1], pi[p - 1]), (pr[1], pi[1]), out=(pr[p], pi[p]))
-    pr, pi = pr.reshape((-1,) + batch), pi.reshape((-1,) + batch)
+    pr, pi = pr.reshape((len(pr) * n,) + batch), pi.reshape((len(pi) * n,) + batch)
     conj = np.array([1.0, -1.0]).reshape((2, 1, 1) + extra)
 
     def power(rows: np.ndarray) -> tuple:
@@ -346,6 +300,30 @@ def value_and_gradient_batch(
     d.real, d.imag = sum_leading(dr.swapaxes(0, 1)), sum_leading(di.swapaxes(0, 1))
     back = tuple(range(1, z.ndim)) + (0,)
     return value, d[0].transpose(back), d[1].transpose(back)
+
+
+def value_and_gradient(
+    poly: MixedPolynomial, point: Sequence[complex]
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """(f, d_z f, d_zbar f) at one point: a K = 1 pass of
+    `value_and_gradient_batch` plus the array form, tens of times a scalar
+    loop's cost, so a loop over points should stack them into one pass."""
+    pt = [complex(w) for w in point]
+    if len(pt) != poly.n:
+        raise InputError(f"point has length {len(pt)}, expected {poly.n}")
+    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([poly]), np.array([pt]))
+    return complex(value[0]), d_z[0], d_zbar[0]
+
+
+def evaluate(poly: MixedPolynomial, point: Sequence[complex]) -> complex:
+    """Evaluate sum c_i z^{nu_i} zbar^{mu_i} at the given point."""
+    return value_and_gradient(poly, point)[0]
+
+
+def wirtinger_gradient(poly: MixedPolynomial, point: Sequence[complex]) -> WirtingerGradient:
+    """Formal partials treating z and zbar as independent variables."""
+    _, d_z, d_zbar = value_and_gradient(poly, point)
+    return WirtingerGradient(tuple(d_z.tolist()), tuple(d_zbar.tolist()))
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -422,6 +400,8 @@ def _smallest_positive_integer_solution(
     free_cols = [c for c in range(n_unknowns) if c not in pivot_cols]
     if not free_cols:
         return None  # only the trivial solution
+    if any(all(mat[i][fc] >= 0 for fc in free_cols) for i, _ in pivots):
+        return None  # that pivot variable is <= 0 at every positive assignment
 
     for values in product(range(1, free_value_bound + 1), repeat=len(free_cols)):
         x: list[Fraction] = [Fraction(0)] * n_unknowns

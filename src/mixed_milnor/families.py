@@ -11,13 +11,14 @@ Kinds:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import MixedMonomial, MixedPolynomial, PolynomialArrays, evaluate, polynomial_arrays
 from .errors import InputError
-from .numerics import monotone_root
+from .numerics import monotone_roots
 
 KINDS = ("brieskorn", "type_i", "type_ii")
 
@@ -161,11 +162,11 @@ def normalize_to_sphere(
     mods2 = [abs(z) ** 2 for z in pt]
     powers = [2 * int(p) for p in P]
 
-    def norm2(s: float) -> float:
+    def norm2(s: np.ndarray, k) -> np.ndarray:
         return sum(m * s**p for m, p in zip(mods2, powers))
 
-    def dnorm2(s: float) -> float:
+    def dnorm2(s: np.ndarray, k) -> np.ndarray:
         return sum(m * p * s ** (p - 1) for m, p in zip(mods2, powers))
 
-    s = monotone_root(norm2, radius**2, dfn=dnorm2)
+    s = float(monotone_roots(norm2, [radius**2], dfn=dnorm2)[0])
     return tuple(z * s ** int(p) for z, p in zip(pt, P))

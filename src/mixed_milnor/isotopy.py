@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import evaluate, sum_leading, value_and_gradient_batch
+from .core import polynomial_arrays, sum_leading, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily, MilnorTubeSpec
 from .numerics import (
@@ -365,10 +365,8 @@ def choose_tube_level(
     rng = rng_for(seed, "tube-level")
     level = math.inf
     for t in t_grid:
-        poly = fam.member(float(t))
-        vals = [
-            abs(evaluate(poly, random_sphere_point(rng, fam.n, radius)))
-            for _ in range(samples)
-        ]
-        level = min(level, float(np.median(vals)))
+        z = np.array([random_sphere_point(rng, fam.n, radius) for _ in range(samples)])
+        arrays = polynomial_arrays([fam.member(float(t))])
+        value = value_and_gradient_batch(arrays, z.reshape(1, samples, fam.n))[0]
+        level = min(level, float(np.median(np.abs(value))))
     return fraction * level

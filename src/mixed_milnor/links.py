@@ -12,17 +12,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, detect_weights, evaluate, polar_action
+from .core import (
+    MixedPolynomial,
+    detect_weights,
+    evaluate,
+    polar_action,
+    polynomial_arrays,
+    value_and_gradient_batch,
+)
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
-    monotone_root,
+    level_tolerance,
+    monotone_roots,
     newton_on_sphere_batch,
-    on_variety_tolerance,
     random_sphere_point,
     rng_streams,
 )
@@ -89,15 +96,15 @@ def _brieskorn_representatives(
     a1, a2 = fam.spec.a
     b1, b2 = fam.spec.b
 
-    def amp(rho: float, b: int) -> float:
+    def amp(rho: np.ndarray, b: int) -> np.ndarray:
         return t + (1.0 - t) * rho ** (2 * b)
 
-    def profile(rho1: float) -> float:
-        rho2 = math.sqrt(max(radius**2 - rho1**2, 0.0))
+    def profile(rho1: np.ndarray, k) -> np.ndarray:
+        rho2 = np.sqrt(np.maximum(radius**2 - rho1**2, 0.0))
         return rho1**a1 * amp(rho1, b1) - rho2**a2 * amp(rho2, b2)
 
     eps = 1e-12 * radius
-    rho1 = monotone_root(profile, 0.0, lo=eps, hi=radius - eps)
+    rho1 = float(monotone_roots(profile, [0.0], lo=eps, hi=radius - eps)[0])
     rho2 = math.sqrt(max(radius**2 - rho1**2, 0.0))
     reps = []
     for k in range(a1):
@@ -109,16 +116,14 @@ def _brieskorn_representatives(
 def _coordinate_circle_orbits(
     poly: MixedPolynomial, radius: float
 ) -> list[tuple[complex, complex]]:
-    """Whole coordinate circles contained in the link (chained kinds)."""
-    reps = []
-    for j, cand in enumerate(((radius + 0j, 0j), (0j, radius + 0j))):
-        tol = on_variety_tolerance(poly, cand)
-        phases = (1.0, cmath.exp(0.7j), cmath.exp(2.1j))
-        if all(
-            abs(evaluate(poly, tuple(c * lam for c in cand))) <= tol for lam in phases
-        ):
-            reps.append(cand)
-    return reps
+    """Whole coordinate circles contained in the link (chained kinds): each
+    circle's point at three phases, all six in one kernel pass."""
+    cands = np.array([(radius, 0.0), (0.0, radius)], dtype=complex)
+    phases = np.exp(1j * np.array([0.0, 0.7, 2.1]))
+    z = (cands[:, None, :] * phases[:, None]).reshape(1, 6, 2)
+    value = value_and_gradient_batch(polynomial_arrays([poly]), z)[0].reshape(2, 3)
+    on = (np.abs(value) <= level_tolerance(poly, radius)).all(axis=1)
+    return [tuple(c) for c in cands[on].tolist()]
 
 
 def sample_link(
@@ -141,20 +146,25 @@ def sample_link(
     P = weights.polar_weights
     merge_tol = 1e-4 * radius
 
-    if fam.spec.kind == "brieskorn":
-        candidates = np.array(_brieskorn_representatives(fam, float(t), radius))
-        seeds_used = 0
-    else:
-        rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
-        starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
-        found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
-        seeds_used = seeds
-        candidates = np.concatenate(
-            [np.array(_coordinate_circle_orbits(poly, radius)).reshape(-1, 2), found[hit]]
-        )
-
-    # Newton polish, then dedupe by exact orbit membership.
-    polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
+    # on a large sphere a Python float power raises OverflowError, and numpy
+    # is made to raise on overflow instead of warning
+    try:
+        with np.errstate(over="raise"):
+            if fam.spec.kind == "brieskorn":
+                candidates = np.array(_brieskorn_representatives(fam, float(t), radius))
+                seeds_used = 0
+            else:
+                rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
+                starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
+                found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
+                seeds_used = seeds
+                candidates = np.concatenate(
+                    [np.array(_coordinate_circle_orbits(poly, radius)).reshape(-1, 2), found[hit]]
+                )
+            # Newton polish, then dedupe by exact orbit membership.
+            polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError(f"link sampling overflows at t={t!r} (radius {radius!r})") from exc
     orbits_reps: list[tuple[complex, ...]] = []
     for rep in map(tuple, polished[hit].tolist()):
         if not any(_same_orbit(other, rep, P, merge_tol) for other in orbits_reps):

@@ -78,78 +78,34 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return rng_streams(seed, [label])[0]
 
 
-def monotone_root(
-    fn: Callable[[float], float],
-    target: float,
+def monotone_roots(
+    fn: Callable,
+    target: np.ndarray,
     lo: float = 1.0,
     hi: Optional[float] = None,
-    dfn: Optional[Callable[[float], float]] = None,
-    rel_tol: float = 1e-14,
-    max_iter: int = 200,
-) -> float:
-    """Root of fn(s) = target for strictly increasing fn on s > 0.
+    dfn: Optional[Callable] = None,
+) -> np.ndarray:
+    """Root of fn(s, k) = target[k] for every row k, fn strictly increasing on
+    s > 0, all rows in lockstep; fn and dfn take points s and their rows k.
 
-    The bracket is grown geometrically from `lo` (and `hi` when given), then
-    refined by safeguarded Newton steps on dfn, bisecting where a step would
-    leave the bracket; without dfn every step bisects.
-    """
-    if hi is None:
-        hi = lo
-    flo, fhi = fn(lo), fn(hi)
-    grow = 0
-    while flo > target:
-        lo *= 0.5
-        flo = fn(lo)
-        grow += 1
-        if grow > 2000:
-            raise NumericalError("monotone_root: failed to bracket from below")
-    grow = 0
-    while fhi < target:
-        hi *= 2.0
-        fhi = fn(hi)
-        grow += 1
-        if grow > 2000:
-            raise NumericalError("monotone_root: failed to bracket from above")
-    if flo == target:
-        return lo
-    if fhi == target:
-        return hi
-    s = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fs = fn(s)
-        if fs < target:
-            lo = s
-        else:
-            hi = s
-        if hi - lo <= rel_tol * max(1.0, abs(hi)):
-            break
-        step_ok = False
-        if dfn is not None:
-            d = dfn(s)
-            if d > 0:
-                cand = s + (target - fs) / d
-                if lo < cand < hi:
-                    s = cand
-                    step_ok = True
-        if not step_ok:
-            s = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def monotone_roots(fn: Callable, dfn: Callable, target: np.ndarray) -> np.ndarray:
-    """`monotone_root` from lo = hi = 1 with Newton steps dfn, in lockstep: the
-    root of fn(s, k) = target[k] for each row k, where fn and dfn take points
-    s and their rows k.  A row leaves as it converges, its root its own."""
-    lo = np.ones(len(target))
-    flo = fn(lo, np.arange(len(lo)))
-    hi, fhi = lo.copy(), flo.copy()
+    Each row's bracket is grown geometrically from lo (and hi when given),
+    then refined by safeguarded Newton steps on dfn, bisecting where a step
+    would leave the bracket; without dfn every step bisects.  A row leaves
+    once its bracket is narrower than 1e-14 relative, its root its own."""
+    target = np.asarray(target, dtype=float)
+    rows = np.arange(len(target))
+    lo = np.full(len(target), lo, dtype=float)
+    flo = fn(lo, rows)
+    hi = lo.copy() if hi is None else np.full(len(target), hi, dtype=float)
+    fhi = fn(hi, rows)
     grow = ((lo, flo, 0.5, np.greater, "below"), (hi, fhi, 2.0, np.less, "above"))
     for x, fx, factor, out, side in grow:
         k = np.flatnonzero(out(fx, target))
         for _ in range(2000):
             if not k.size:
                 break
-            x[k] *= factor
+            with np.errstate(over="ignore"):  # a side that never brackets grows to inf
+                x[k] *= factor
             fx[k] = fn(x[k], k)
             k = k[out(fx[k], target[k])]
         if k.size:
@@ -166,11 +122,29 @@ def monotone_roots(fn: Callable, dfn: Callable, target: np.ndarray) -> np.ndarra
         k, s, fs, lo, hi, goal = (v[~done] for v in (k, s, fs, lo, hi, goal))
         if not k.size:
             break
-        d = dfn(s, k)
-        cand = s + (goal - fs) / d
-        s = np.where((d > 0) & (lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+        cand = np.nan
+        if dfn is not None:
+            d = dfn(s, k)
+            cand = s + (goal - fs) / np.where(d > 0, d, np.nan)
+        s = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
     root[k] = 0.5 * (lo + hi)
     return root
+
+
+def monotone_root(
+    fn: Callable[[float], float],
+    target: float,
+    lo: float = 1.0,
+    hi: Optional[float] = None,
+    dfn: Optional[Callable[[float], float]] = None,
+) -> float:
+    """Root of fn(s) = target for strictly increasing fn on s > 0: the one-row
+    case of `monotone_roots`, for fn and dfn on floats."""
+
+    def row(g):
+        return None if g is None else lambda s, k: np.array([g(x) for x in s.tolist()], float)
+
+    return float(monotone_roots(row(fn), [target], lo, hi, row(dfn))[0])
 
 
 def realify(point: Sequence[complex]) -> np.ndarray:

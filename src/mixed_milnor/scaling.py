@@ -20,9 +20,9 @@ import numpy as np
 from .core import (
     MixedMonomial,
     MixedPolynomial,
-    evaluate,
     is_simplicial,
     polynomial_arrays,
+    value_and_gradient_batch,
 )
 from .errors import InputError, PreconditionError
 from .numerics import random_sphere_point, rng_for
@@ -120,10 +120,10 @@ def verify_scaling(
         tuple(MixedMonomial(1.0, m.nu, m.mu) for m in poly.monomials),
     )
     rng = rng_for(seed, "verify_scaling")
-    worst = 0.0
-    for _ in range(samples):
-        z = random_sphere_point(rng, poly.n, float(rng.uniform(0.3, 1.5)))
-        w = tuple(a * zj for a, zj in zip(scaling.alpha, z))
-        fz = evaluate(poly, z)
-        worst = max(worst, abs(evaluate(unit, w) - fz) / (1.0 + abs(fz)))
-    return worst
+    z = np.array(
+        [random_sphere_point(rng, poly.n, float(rng.uniform(0.3, 1.5))) for _ in range(samples)]
+    ).reshape(samples, poly.n)
+    # f at z and f~ at alpha * z, as two rows of one kernel pass
+    arrays = polynomial_arrays([poly, unit])
+    fz, fw = value_and_gradient_batch(arrays, np.stack([z, np.asarray(scaling.alpha) * z]))[0]
+    return float(np.max(np.abs(fw - fz) / (1.0 + np.abs(fz)), initial=0.0))

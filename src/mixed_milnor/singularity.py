@@ -17,10 +17,9 @@ import numpy as np
 from .core import (
     MixedPolynomial,
     PolynomialArrays,
-    evaluate,
     polynomial_arrays,
+    value_and_gradient,
     value_and_gradient_batch,
-    wirtinger_gradient,
 )
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
@@ -64,37 +63,24 @@ def singularity_residual(
     """min over |lambda|=1 of || conj(d_z f) - lambda d_zbar f ||.
 
     With u = conj(d_z f), v = d_zbar f the minimum is
-    sqrt(||u||^2 + ||v||^2 - 2 |<u, v>|), attained at lambda = phase <u, v>.
+    sqrt(||u||^2 + ||v||^2 - 2 |<u, v>|), attained at lambda = phase <u, v>;
+    one kernel pass gives it and |f| at the point.
     """
-    grad = wirtinger_gradient(poly, point)
-    u = np.conj(np.asarray(grad.d_z))
-    v = np.asarray(grad.d_zbar)
-    inner = complex(np.sum(u * np.conj(v)))
-    uu = float(np.sum(np.abs(u) ** 2))
-    vv = float(np.sum(np.abs(v) ** 2))
-    residual = math.sqrt(max(0.0, uu + vv - 2.0 * abs(inner)))
-    if np.any(v != 0):
+    value, d_z, d_zbar = value_and_gradient(poly, point)
+    residual_sq, uu, re, im = _residual_terms(d_z, d_zbar)
+    inner = complex(re, -im)  # <u, v> = conj(sum_j d_z f * d_zbar f)
+    lam = None  # without zbar terms at the point there is no lambda: the residual is ||u||
+    if np.any(d_zbar != 0):
         lam = inner / abs(inner) if inner != 0 else 1.0 + 0j
-    else:
-        lam = None
-        residual = math.sqrt(uu)
-    return SingularityResidualReport(
-        tuple(complex(z) for z in point),
-        t,
-        residual,
-        lam,
-        abs(evaluate(poly, point)),
-    )
+    residual = math.sqrt(residual_sq if lam is not None else uu)
+    return SingularityResidualReport(tuple(map(complex, point)), t, residual, lam, abs(value))
 
 
-def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
-    """Squared residual uu + vv - 2 |<u, v>| (floored at zero) at a
-    K x ... x 2n array of real points (x_1, y_1, ..., x_n, y_n), where the
-    points x[k] belong to polynomial k of `arrays`.  An overflowed residual
-    (inf - inf) stays NaN: it must not read as a singular point."""
-    z = np.ascontiguousarray(x, dtype=float).view(complex)
-    _, d_z, d_zbar = value_and_gradient_batch(arrays, z)
-    # |<u, v>| = |sum_j d_z f * d_zbar f|; sums run in a fixed order (see core)
+def _residual_terms(d_z: np.ndarray, d_zbar: np.ndarray) -> tuple:
+    """(uu + vv - 2 |<u, v>| floored at zero, uu, re, im) from the Wirtinger
+    partials (... x n), where re + i im = sum_j d_z f * d_zbar f; sums run in
+    a fixed order (see core).  An overflowed residual (inf - inf) stays NaN:
+    it must not read as a singular point."""
     uu = vv = re = im = 0.0
     for j in range(d_z.shape[-1]):
         a, b = d_z[..., j], d_zbar[..., j]
@@ -105,7 +91,16 @@ def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
     # scaled modulus: re * re would underflow where |<u, v>| itself does not
     big = np.maximum(np.abs(re), np.abs(im))
     ratio = np.minimum(np.abs(re), np.abs(im)) / np.where(big > 0, big, 1.0)
-    return np.maximum(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0)
+    return np.maximum(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0), uu, re, im
+
+
+def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
+    """Squared residual uu + vv - 2 |<u, v>| (floored at zero) at a
+    K x ... x 2n array of real points (x_1, y_1, ..., x_n, y_n), where the
+    points x[k] belong to polynomial k of `arrays`."""
+    z = np.ascontiguousarray(x, dtype=float).view(complex)
+    _, d_z, d_zbar = value_and_gradient_batch(arrays, z)
+    return _residual_terms(d_z, d_zbar)[0]
 
 
 def _project_tangent(g: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -116,8 +116,8 @@ def solve_phi_rows(a: int, b: int, tau, w_abs, r) -> tuple[np.ndarray, np.ndarra
         tk, ck = tau[k], c[k]
         s[k] = monotone_roots(
             lambda x, i: x**a * (tk[i] + ck[i] * x ** (2 * b)),
-            lambda x, i: a * x ** (a - 1) * tk[i] + (a + 2 * b) * ck[i] * x ** (a + 2 * b - 1),
             r[k] * (tk + ck),
+            dfn=lambda x, i: a * x ** (a - 1) * tk[i] + (a + 2 * b) * ck[i] * x ** (a + 2 * b - 1),
         )
     s[r == 1.0] = 1.0
     return s, slope

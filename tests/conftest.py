@@ -35,3 +35,17 @@ def random_mixed(rng, n, monomial_count, max_exp=4):
 
 def lcm_of(values):
     return math.lcm(*values)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the arguments of each
+    call; returns that record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import oracle
 from conftest import brieskorn
 from mixed_milnor import (
     FamilySpec,
@@ -150,7 +151,7 @@ def test_criterion_04_radial_witnesses(announce):
                     s, _ = solve_phi_rows(aj, bj, np.full(k, t), mods[live, j], np.full(k, r))
                     xi[live, j] *= s
                 for x in xi.tolist():
-                    assert abs(evaluate(f, x)) <= 1e-9
+                    assert abs(oracle.evaluate(f, x)) <= 1e-9
             checked += len(pts)
         assert checked >= 100
 
@@ -207,7 +208,7 @@ def test_criterion_06_isotopy_transport(announce, trefoil_transport):
         assert fwd.worst_norm_residual <= 1e-8
         holo = fam.member(1.0)
         for tr in fwd.traces:
-            assert abs(evaluate(holo, tr.endpoint)) <= 1e-6
+            assert abs(oracle.evaluate(holo, tr.endpoint)) <= 1e-6
         back = transport(
             fam.reversed(), [tr.endpoint for tr in fwd.traces], 1.0, 200, TUBE
         )
@@ -236,7 +237,7 @@ def test_criterion_07_tube_fiber_transport(announce):
         assert not moved.partial
         holo = fam.member(1.0)
         for tr in moved.traces:
-            assert abs(evaluate(holo, tr.endpoint) - TUBE.tube_level) <= 1e-6
+            assert abs(oracle.evaluate(holo, tr.endpoint) - TUBE.tube_level) <= 1e-6
 
     announce(7, "tube-boundary fiber carries over with its level intact", body)
 
@@ -261,7 +262,7 @@ def test_criterion_08_link_component_counts(announce):
             ends = [tr.endpoint for tr in summary.traces]
             classes = []
             for z in ends:
-                assert abs(evaluate(fam.member(1.0), z)) <= 1e-6
+                assert abs(oracle.evaluate(fam.member(1.0), z)) <= 1e-6
                 if not any(
                     _same_orbit(rep, z, s1.polar_weights, 1e-4) for rep in classes
                 ):

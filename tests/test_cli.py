@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -366,6 +367,24 @@ def test_certify_smooth_overflow_prints_only_its_error(tmp_path, capfd):
     err = capfd.readouterr().err
     assert err.startswith("internal error: shell residual is not finite at t=0.0, restart 0")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["brieskorn", "type_i"])
+@pytest.mark.parametrize("radius", ["1e100", "1e300"])
+def test_trace_link_overflow_exits_3(tmp_path, capsys, kind, radius):
+    """On a large sphere the link search overflows (a float power, or the
+    kernel and the Newton Gram matrix); that is one internal error naming t
+    and the radius, with no traceback and no numpy warning."""
+    spec = _write(tmp_path / "spec.json", {"family": kind, "a": [2, 3], "b": [1, 0]})
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["trace-link", "--family", spec, "--radius", radius, "--out", str(out)])
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == f"internal error: link sampling overflows at t=0.0 (radius {float(radius)!r})\n"
+    assert not out.exists()
 
 
 def test_check_transversality_both_methods(tmp_path, family_spec):

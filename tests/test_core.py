@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import brieskorn, poly, random_mixed
 from mixed_milnor import (
     FamilySpec,
@@ -18,9 +19,11 @@ from mixed_milnor import (
     polar_action,
     wirtinger_gradient,
 )
+from mixed_milnor import core
 from mixed_milnor.core import (
     MixedMonomial,
     MixedPolynomial,
+    WeightSystem,
     integer_determinant,
     polynomial_arrays,
     value_and_gradient_batch,
@@ -332,8 +335,8 @@ def _term_scale(poly, z):
 @settings(max_examples=300, deadline=None)
 @given(_family_members(), st.integers(min_value=1, max_value=3), st.data())
 def test_fused_kernel_matches_scalar(polys, count, data):
-    """Value and Wirtinger partials of the batched kernel against scalar
-    `evaluate` / `wirtinger_gradient`, relative to the size of the terms."""
+    """Value and Wirtinger partials of the batched kernel against the scalar
+    oracle's `evaluate` / `wirtinger_gradient`, relative to the size of the terms."""
     n = polys[0].n
     size = len(polys) * count * 2 * n
     x = np.array(data.draw(st.lists(_coordinate, min_size=size, max_size=size)))
@@ -344,7 +347,64 @@ def test_fused_kernel_matches_scalar(polys, count, data):
         for i in range(count):
             point = tuple(z[k, i])
             tol = 1e-12 * _term_scale(p, point) + 1e-300
-            grad = wirtinger_gradient(p, point)
-            assert abs(value[k, i] - evaluate(p, point)) <= tol
+            grad = oracle.wirtinger_gradient(p, point)
+            assert abs(value[k, i] - oracle.evaluate(p, point)) <= tol
             assert np.all(np.abs(d_z[k, i] - np.array(grad.d_z)) <= tol)
             assert np.all(np.abs(d_zbar[k, i] - np.array(grad.d_zbar)) <= tol)
+
+
+def _assert_one_point_matches_oracle(p, point):
+    tol = 1e-12 * _term_scale(p, point) + 1e-300
+    grad, expected = wirtinger_gradient(p, point), oracle.wirtinger_gradient(p, point)
+    assert abs(evaluate(p, point) - oracle.evaluate(p, point)) <= tol
+    assert np.all(np.abs(np.array(grad.d_z) - np.array(expected.d_z)) <= tol)
+    assert np.all(np.abs(np.array(grad.d_zbar) - np.array(expected.d_zbar)) <= tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_members(), st.data())
+def test_one_point_wrappers_match_oracle_on_family_members(polys, data):
+    """`evaluate` and `wirtinger_gradient`, one-point kernel passes, against
+    the scalar loops of the oracle."""
+    n = polys[0].n
+    for p in polys:
+        x = data.draw(st.lists(_coordinate, min_size=2 * n, max_size=2 * n))
+        _assert_one_point_matches_oracle(p, complexify(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    monomials=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    x=st.lists(_coordinate, min_size=6, max_size=6),
+)
+def test_one_point_wrappers_match_oracle_on_random_polynomials(n, monomials, seed, x):
+    p = random_mixed(np.random.default_rng(seed), n, monomials)
+    _assert_one_point_matches_oracle(p, complexify(x[: 2 * n]))
+
+
+def test_one_point_wrappers_return_python_numbers():
+    f = poly(2, [(1 + 2j, (2, 0), (0, 1)), (-0.5, (0, 1), (1, 0))])
+    assert type(evaluate(f, (0.3, 1j))) is complex
+    grad = wirtinger_gradient(f, (0.3, 1j))
+    assert all(type(c) is complex for c in grad.d_z + grad.d_zbar)
+    assert evaluate(MixedPolynomial(2, ()), (1, 1)) == 0
+    assert wirtinger_gradient(MixedPolynomial(2, ()), (1, 1)).d_z == (0j, 0j)
+
+
+def test_detect_weights_stops_when_a_pivot_cannot_be_positive(monkeypatch):
+    """z1 zbar1 in n = 4 has no polar weights: the polar row reduces to a
+    pivot with no negative free coefficient, so the search draws none of the
+    32^4 assignments; the radial system takes its first."""
+    drawn, product = [], core.product
+
+    def counted(*args, **kwargs):
+        for values in product(*args, **kwargs):
+            drawn.append(values)
+            yield values
+
+    monkeypatch.setattr(core, "product", counted)
+    f = poly(4, [(1, (1, 0, 0, 0), (1, 0, 0, 0))])
+    assert detect_weights(f) == WeightSystem(None, None, (1, 2, 2, 2), 2)
+    assert len(drawn) <= 1

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brieskorn
+import oracle
+from conftest import brieskorn, count_calls
 from mixed_milnor import (
     FamilySpec,
     build_family,
@@ -22,7 +23,7 @@ from mixed_milnor import isotopy
 from mixed_milnor.errors import InputError, NumericalError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec, family_t_derivative
 from mixed_milnor.isotopy import _cutoff
-from mixed_milnor.numerics import real_jacobian_rows, realify, rng_for
+from mixed_milnor.numerics import random_sphere_point, real_jacobian_rows, realify, rng_for
 
 
 TUBE = MilnorTubeSpec(1.0, 0.1)
@@ -105,7 +106,7 @@ def test_transport_link_reaches_holomorphic_link():
     for tr in summary.traces:
         assert tr.samples[0] == (0.0, tuple(tr.start))
         assert all(a[0] < b[0] for a, b in zip(tr.samples, tr.samples[1:]))
-        assert abs(evaluate(holo, tr.endpoint)) <= 1e-6
+        assert abs(oracle.evaluate(holo, tr.endpoint)) <= 1e-6
 
 
 def test_round_trip_returns_to_start():
@@ -176,7 +177,7 @@ def test_tube_fiber_identity_cases():
     moved = transport(fam, pts, 1.0, 100, TUBE, level=TUBE.tube_level)
     holo = fam.member(1.0)
     for tr in moved.traces:
-        assert abs(abs(evaluate(holo, tr.endpoint)) - TUBE.tube_level) <= 1e-6
+        assert abs(abs(oracle.evaluate(holo, tr.endpoint)) - TUBE.tube_level) <= 1e-6
 
 
 def test_tube_fiber_rejects_wrong_level():
@@ -190,6 +191,22 @@ def test_choose_tube_level_positive():
     fam = brieskorn((2, 3), (1, 1))
     level = choose_tube_level(fam, 1.0, samples=64)
     assert 0 < level < 1
+
+
+def test_choose_tube_level_is_one_kernel_pass_per_t(monkeypatch):
+    """Each t's samples are one kernel pass; the oracle's scalar loop over the
+    same stream gives the same level."""
+    fam = brieskorn((2, 3), (1, 1))
+    grid = (0.0, 0.5, 1.0)
+    calls = count_calls(monkeypatch, isotopy, "value_and_gradient_batch")
+    level = choose_tube_level(fam, 1.0, grid, samples=33, seed=4)
+    assert len(calls) == len(grid)
+    rng = rng_for(4, "tube-level")
+    medians = []
+    for t in grid:
+        points = [random_sphere_point(rng, 2, 1.0) for _ in range(33)]
+        medians.append(np.median([abs(oracle.evaluate(fam.member(t), z)) for z in points]))
+    assert abs(level - 0.1 * min(medians)) <= 1e-12 * level
 
 
 def test_integrate_validation():

@@ -5,18 +5,19 @@ import math
 
 import pytest
 
-from conftest import brieskorn, poly
+import oracle
+from conftest import brieskorn, count_calls, poly
+from mixed_milnor import links
 from mixed_milnor import (
     FamilySpec,
     build_family,
-    evaluate,
     fibration_phase,
     polar_action,
     project_svg,
     sample_link,
 )
 from mixed_milnor.errors import InputError, PreconditionError
-from mixed_milnor.links import LinkSample, _brieskorn_representatives
+from mixed_milnor.links import LinkSample, _brieskorn_representatives, _coordinate_circle_orbits
 from mixed_milnor.numerics import on_variety_tolerance
 
 
@@ -53,7 +54,7 @@ def test_sampled_points_lie_on_link():
     sample = sample_link(fam, t, 1.0)
     f = fam.member(t)
     for z in sample.points:
-        assert abs(evaluate(f, z)) <= on_variety_tolerance(f, z)
+        assert abs(oracle.evaluate(f, z)) <= on_variety_tolerance(f, z)
         assert abs(math.sqrt(sum(abs(c) ** 2 for c in z)) - 1.0) <= 1e-10
 
 
@@ -66,7 +67,7 @@ def test_brieskorn_representatives_lie_on_link_before_polish(a, b):
         f = fam.member(t)
         for radius in (0.5, 1.0, 2.0):
             for z in _brieskorn_representatives(fam, t, radius):
-                assert abs(evaluate(f, z)) <= on_variety_tolerance(f, z)
+                assert abs(oracle.evaluate(f, z)) <= on_variety_tolerance(f, z)
                 assert math.sqrt(sum(abs(c) ** 2 for c in z)) == pytest.approx(radius)
 
 
@@ -94,7 +95,7 @@ def test_chained_kind_uses_seeded_sampling():
     assert sample.component_count >= 1
     f = fam.member(0.5)
     for z in sample.points:
-        assert abs(evaluate(f, z)) <= on_variety_tolerance(f, z)
+        assert abs(oracle.evaluate(f, z)) <= on_variety_tolerance(f, z)
 
 
 def test_fibration_phase_examples():
@@ -142,3 +143,19 @@ def test_svg_export(tmp_path):
     out2 = tmp_path / "trefoil.svg"
     project_svg(trefoil, str(out2))
     assert out2.read_text().count("<polyline") == 1
+
+
+@pytest.mark.parametrize(
+    "kind, b, expected",
+    [
+        ("brieskorn", (1, 0), []),
+        ("type_i", (1, 0), [(2.0, 0)]),
+        ("type_ii", (1, 1), [(2.0, 0), (0, 2.0)]),
+    ],
+)
+def test_coordinate_circles_in_one_kernel_pass(monkeypatch, kind, b, expected):
+    """Both coordinate circles at three phases each: six points, one pass."""
+    f = build_family(FamilySpec(kind, (2, 3), b)).member(0.5)
+    calls = count_calls(monkeypatch, links, "value_and_gradient_batch")
+    assert _coordinate_circle_orbits(f, 2.0) == [tuple(map(complex, c)) for c in expected]
+    assert len(calls) == 1

@@ -1,12 +1,16 @@
-"""Seeded streams: the vectorized derivation against numpy's SeedSequence."""
+"""Seeded streams against numpy's SeedSequence, and the lockstep monotone root
+against the scalar oracle."""
 
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixed_milnor.numerics import rng_for, rng_streams, stream_states
+import oracle
+from mixed_milnor.errors import NumericalError
+from mixed_milnor.numerics import monotone_root, monotone_roots, rng_for, rng_streams, stream_states
 
 
 def _seed_sequence_rng(seed: int, label: str) -> np.random.Generator:
@@ -49,3 +53,56 @@ def test_streams_draw_what_seed_sequence_draws(seed, labels, sizes):
 def test_no_labels_no_states():
     assert stream_states(7, []) == []
     assert rng_streams(7, []) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(1, 5),
+    b=st.integers(0, 3),
+    tau=st.floats(0.01, 1.0),
+    c=st.floats(0.0, 10.0),
+    target=st.floats(1e-3, 1e3),
+    newton=st.booleans(),
+    bracket=st.none() | st.tuples(st.floats(1e-3, 10.0), st.floats(1.0, 100.0)),
+)
+def test_one_row_monotone_root_matches_the_oracle(a, b, tau, c, target, newton, bracket):
+    """s^a (tau + c s^(2b)) = target: the one-row root, from scalar and from
+    array closures, against the scalar bracket loop, with and without Newton
+    steps and with the bracket given or grown.  Array ** rounds apart from
+    float **, so roots agree to the stopping width 1e-14 max(1, |s|), not
+    bit for bit."""
+
+    def fn(s):
+        return s**a * (tau + c * s ** (2 * b))
+
+    def dfn(s):
+        return a * s ** (a - 1) * tau + (a + 2 * b) * c * s ** (a + 2 * b - 1)
+
+    lo, hi = (1.0, None) if bracket is None else (bracket[0], bracket[0] * bracket[1])
+    scalar_dfn = dfn if newton else None
+    expected = oracle.monotone_root(fn, target, lo, hi, scalar_dfn)
+    assert monotone_root(fn, target, lo, hi, scalar_dfn) == expected
+    rows = monotone_roots(
+        lambda s, k: fn(s), [target], lo, hi, (lambda s, k: dfn(s)) if newton else None
+    )
+    assert rows.shape == (1,)
+    assert abs(rows[0] - expected) <= 1e-13 * max(1.0, expected)
+
+
+def test_monotone_roots_rows_keep_their_own_brackets():
+    """Rows with other targets, bracket growth in both directions and no
+    Newton steps: each row's root is its own, to the stopping width."""
+    target = np.array([1e-6, 0.5, 1.0, 3.0, 1e6])
+    roots = monotone_roots(lambda s, k: s**3, target, lo=0.5, hi=2.0)
+    assert np.all(np.abs(roots - np.cbrt(target)) <= 1e-13 * np.maximum(1.0, roots))
+    for k, goal in enumerate(target):
+        assert monotone_roots(lambda s, i: s**3, target[k : k + 1], lo=0.5, hi=2.0)[0] == roots[k]
+        expected = oracle.monotone_root(lambda s: s**3, goal, 0.5, 2.0)
+        assert abs(expected - roots[k]) <= 1e-13 * max(1.0, expected)
+
+
+def test_monotone_root_fails_to_bracket():
+    with pytest.raises(NumericalError, match="from above"):
+        monotone_root(lambda s: 0.0, 1.0)
+    with pytest.raises(NumericalError, match="from below"):
+        monotone_roots(lambda s, k: np.ones_like(s), [0.5])

@@ -5,12 +5,14 @@ import math
 
 import pytest
 
-from conftest import brieskorn, poly
+import oracle
+from conftest import brieskorn, count_calls, poly
+from mixed_milnor import scaling
 from mixed_milnor import normalize_coefficients, verify_scaling
 from mixed_milnor.core import polynomial_arrays
 from mixed_milnor.errors import PreconditionError
 from mixed_milnor.scaling import ScalingSolution
-from mixed_milnor.numerics import rng_for
+from mixed_milnor.numerics import random_sphere_point, rng_for
 
 
 def test_unit_coefficients_need_no_scaling():
@@ -112,3 +114,26 @@ def test_rejects_degenerate_determinant():
     f = poly(2, [(1, (1, 0), (1, 0)), (1, (0, 1), (0, 1))])
     with pytest.raises(PreconditionError, match="det"):
         normalize_coefficients(f)
+
+
+def test_verify_scaling_is_one_kernel_pass_over_the_same_draws(monkeypatch):
+    """f at z and f~ at alpha * z for every draw come from one kernel pass; a
+    wrong scaling makes the residual depend on each point, and the oracle's
+    scalar loops over the same stream give it again."""
+    f = poly(2, [(1.5 + 0.5j, (2, 1), (0, 1)), (-0.7 + 2j, (0, 3), (1, 0))])
+    good = normalize_coefficients(f).scaling
+    bad = ScalingSolution((1.1 * good.alpha[0], good.alpha[1]), (0.0, 0.0), (0.0, 0.0), 0.0, 1.0)
+    calls = count_calls(monkeypatch, scaling, "value_and_gradient_batch")
+    worst = verify_scaling(f, bad, samples=40, seed=5)
+    assert len(calls) == 1
+    unit = poly(2, [(1, (2, 1), (0, 1)), (1, (0, 3), (1, 0))])
+    rng = rng_for(5, "verify_scaling")
+    expected = 0.0
+    for _ in range(40):
+        z = random_sphere_point(rng, 2, float(rng.uniform(0.3, 1.5)))
+        fz = oracle.evaluate(f, z)
+        fw = oracle.evaluate(unit, [a * zj for a, zj in zip(bad.alpha, z)])
+        expected = max(expected, abs(fw - fz) / (1.0 + abs(fz)))
+    assert expected > 1e-3
+    assert abs(worst - expected) <= 1e-12 * expected
+    assert verify_scaling(f, bad, samples=0) == 0.0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import brieskorn, poly, random_mixed
 from mixed_milnor import (
     FamilySpec,
@@ -17,7 +18,6 @@ from mixed_milnor import (
     certify_smooth_shell,
     lemma_inequality_check,
     singularity_residual,
-    wirtinger_gradient,
 )
 from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
 from mixed_milnor import singularity
@@ -119,6 +119,34 @@ def test_residual_rotation_invariance():
         assert rot == pytest.approx(base, abs=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    monomials=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    x=st.lists(st.just(0.0) | st.floats(-1.5, 1.5), min_size=6, max_size=6),
+)
+def test_residual_matches_the_oracle(n, monomials, seed, x):
+    """The one-pass residual, lambda and |f| against the scalar oracle,
+    relative to the size of the partials (the squared residual cancels down
+    from uu + vv)."""
+    f = random_mixed(np.random.default_rng(seed), n, monomials)
+    z = tuple(complex(a, b) for a, b in zip(x[: 2 * n : 2], x[1 : 2 * n : 2]))
+    rep, expected = singularity_residual(f, z, t=0.5), oracle.singularity_residual(f, z, t=0.5)
+    grad = oracle.wirtinger_gradient(f, z)
+    scale = max(map(abs, grad.d_z + grad.d_zbar), default=0.0)
+    floor = np.finfo(float).tiny
+    assert (rep.point, rep.t) == (expected.point, expected.t)
+    assert abs(rep.residual**2 - expected.residual**2) <= 1e-12 * scale**2 + floor
+    assert abs(rep.on_variety - expected.on_variety) <= 1e-12 * (1 + abs(expected.on_variety))
+    assert (rep.lambda_star is None) == (expected.lambda_star is None)
+    if rep.lambda_star is not None:
+        # the phase is only as good as <u, v> is large against its rounding
+        inner = abs(sum(a * b for a, b in zip(grad.d_z, grad.d_zbar)))
+        bound = 1e-12 * (scale**2 / inner if inner else 1.0)
+        assert abs(rep.lambda_star - expected.lambda_star) <= bound
+
+
 def test_shell_search_positive_minimum():
     fam = brieskorn((2, 3), (1, 1))
     rep = certify_smooth_shell(fam, (0.0, 0.5, 1.0), 1.0, restarts=8, seed=0)
@@ -201,13 +229,13 @@ def test_batched_kernel_matches_scalar(fam, data):
     floor = np.finfo(float).tiny
     for k, t in enumerate(ts):
         z = x[k, 0].view(complex)
-        grad = wirtinger_gradient(fam.member(t), z)
+        grad = oracle.wirtinger_gradient(fam.member(t), z)
         exact = np.concatenate([grad.d_z, grad.d_zbar])
         scale = np.max(np.abs(exact))
         err = np.abs(np.concatenate([d_z[k, 0], d_zbar[k, 0]]) - exact)
         assert np.all(err <= 1e-12 * scale + floor)
         # the squared residual cancels down from uu + vv <= 2n * scale**2
-        expected = singularity_residual(fam.member(t), z).residual ** 2
+        expected = oracle.singularity_residual(fam.member(t), z).residual ** 2
         assert abs(res_sq[k, 0] - expected) <= 1e-12 * scale**2 + floor
 
 

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import brieskorn, poly
 from mixed_milnor import (
     FamilySpec,
     build_family,
     check_transversality,
     conjecture_search_type_ii,
-    evaluate,
     radial_witness_brieskorn,
     rank_margins,
     rank_test,
@@ -23,7 +23,6 @@ from mixed_milnor import (
     solve_phi,
     transversality,
     type_i_witness,
-    wirtinger_gradient,
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
@@ -31,7 +30,6 @@ from mixed_milnor import core, families, numerics
 from mixed_milnor.core import polynomial_arrays
 from mixed_milnor.transversality import sample_rows, solve_phi_rows
 from mixed_milnor.numerics import (
-    monotone_root,
     newton_on_sphere,
     newton_on_sphere_batch,
     on_variety_tolerance,
@@ -64,8 +62,8 @@ def test_real_gradients_match_finite_differences():
         for part, grad in (("real", grad_g), ("imag", grad_h)):
             dz = h if k == 0 else 1j * h
             fd = (
-                getattr(evaluate(f, (z + dz,)), part)
-                - getattr(evaluate(f, (z - dz,)), part)
+                getattr(oracle.evaluate(f, (z + dz,)), part)
+                - getattr(oracle.evaluate(f, (z - dz,)), part)
             ) / (2 * h)
             assert fd == pytest.approx(grad[k], abs=1e-5)
 
@@ -77,7 +75,7 @@ def test_real_gradients_reconstruct_wirtinger():
     for _ in range(20):
         z = tuple(complex(rng.normal(), rng.normal()) for _ in range(2))
         grad_g, grad_h = map(tuple, real_jacobian_rows(f, z))
-        w = wirtinger_gradient(f, z)
+        w = oracle.wirtinger_gradient(f, z)
         for j in range(2):
             dx = complex(grad_g[2 * j], grad_h[2 * j])
             dy = complex(grad_g[2 * j + 1], grad_h[2 * j + 1])
@@ -196,7 +194,7 @@ def test_radial_witness_mixed_point_and_containment():
             for z, a, b in zip(w, fam.spec.a, fam.spec.b)
         )
         nrm = math.sqrt(sum(abs(z) ** 2 for z in xi))
-        assert abs(evaluate(f, xi)) <= 1e-9 * (1 + nrm**f.max_degree)
+        assert abs(oracle.evaluate(f, xi)) <= 1e-9 * (1 + nrm**f.max_degree)
 
 
 def test_radial_witness_implies_rank_transversality():
@@ -267,7 +265,7 @@ def test_chained_witness_single_component_last_index_form():
     a3_amp = t + (1 - t) * abs(w3) ** 2
     w2 = (-w3 * a3_amp) ** (1 / 3)  # w2^3 w3 + w3^2 A3 = 0
     w = (0, w2, w3)
-    assert abs(evaluate(fam.member(t), w)) <= on_variety_tolerance(fam.member(t), w)
+    assert abs(oracle.evaluate(fam.member(t), w)) <= on_variety_tolerance(fam.member(t), w)
     res = type_i_witness(fam, t, w, r=2.0)
     assert res.trace.I0 == (1,)
     assert res.trace.J == (2, 3)
@@ -339,7 +337,7 @@ def test_conjecture_search_validation():
 def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
     """A row's result is bit for bit the same alone and inside a batch that
     mixes converging, failing and zero starts.  The examples are fixed
-    because the scalar `evaluate` may round a value at the goal differently
+    because the oracle's scalar `evaluate` may round a value at the goal differently
     from the batched kernel."""
     fam = build_family(FamilySpec(kind, (2, 3, 2)[:n], (1, 0, 1)[:n]))
     poly = fam.member(t)
@@ -354,7 +352,7 @@ def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
         if found[k]:
             assert alone[0].tobytes() == points[k].tobytes()
             assert np.array(single).tobytes() == points[k].tobytes()
-            assert abs(evaluate(poly, single)) <= 1e-12
+            assert abs(oracle.evaluate(poly, single)) <= 1e-12
             assert abs(math.sqrt(sum(abs(z) ** 2 for z in single)) - 1.0) <= 1e-14
 
 
@@ -395,7 +393,7 @@ def test_rank_margins_name_the_point_off_the_variety():
 
 def _two_term_root(lead_abs, a, b, t):
     """rho > 0 with rho^a (t + (1-t) rho^(2b)) = lead_abs."""
-    return monotone_root(lambda rho: rho**a * (t + (1 - t) * rho ** (2 * b)), lead_abs)
+    return oracle.monotone_root(lambda rho: rho**a * (t + (1 - t) * rho ** (2 * b)), lead_abs)
 
 
 @st.composite
@@ -502,8 +500,8 @@ def test_conjecture_search_reports_failures_per_t():
 
 
 def _solve_phi_reference(a, b, tau, w_abs, r):
-    """The scalar solve_phi: closed forms, else `monotone_root` on the
-    scalar closure."""
+    """The scalar solve_phi: closed forms, else the oracle's scalar
+    `monotone_root` on the scalar closure."""
     if r == 1.0:
         return 1.0
     c = (1.0 - tau) * w_abs ** (2 * b)
@@ -518,7 +516,7 @@ def _solve_phi_reference(a, b, tau, w_abs, r):
     def dfn(s):
         return a * s ** (a - 1) * tau + (a + 2 * b) * c * s ** (a + 2 * b - 1)
 
-    return monotone_root(fn, r * (tau + c), dfn=dfn)
+    return oracle.monotone_root(fn, r * (tau + c), dfn=dfn)
 
 
 _phi_rows = st.tuples(
@@ -564,7 +562,7 @@ def test_closed_forms_survive_an_underflowing_c():
     assert slope.tolist() == [1.0 / (a + 2 * b)] * 2
     fam = build_family(FamilySpec("type_i", (1, 1), (3, 0)))
     w = (complex(0.6, 0.8), complex(1e-60, 0.0))  # z1 z2 + z2 = 0 only as z2 -> 0
-    assert abs(evaluate(fam.member(0.0), w)) <= on_variety_tolerance(fam.member(0.0), w)
+    assert abs(oracle.evaluate(fam.member(0.0), w)) <= on_variety_tolerance(fam.member(0.0), w)
     res = type_i_witness(fam, 0.0, w)
     assert res.trace.J == (1, 2)
     assert math.isfinite(res.certificate.margin)
