@@ -37,7 +37,6 @@ from .singularity import (
     ShellSearchReport,
     SingularityResidualReport,
     certify_smooth_shell,
-    lemma_inequality_check,
     singularity_residual,
 )
 from .transversality import (

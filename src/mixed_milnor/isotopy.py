@@ -6,10 +6,11 @@ correction restoring the preserved f-value.
 All points of one call move in lockstep.  f_t = (1-t) f + t g is linear in t,
 so each RK4 stage is one pass of the batched polynomial kernel over two
 coefficient rows on the endpoints' monomials (giving f_t, its gradient and
-d f_t / dt = g - f at every point), then one batched SVD that serves both the
-rank test and the minimum-norm solve.  Each point is computed on its own and
-in a fixed order, so its trace is bit for bit the same whatever else shares
-its batch.
+d f_t / dt = g - f at every point), then the closed-form 2 x 2 tangent-space
+solve of `numerics.tangent_step`, the same one the sphere Newton steps with,
+and the closed-form smallest singular value of the tangent Jacobian for the
+rank test.  Each point is computed on its own and in a fixed order, so its
+trace is bit for bit the same whatever else shares its batch.
 """
 
 from __future__ import annotations
@@ -20,18 +21,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import polynomial_arrays, sum_leading, value_and_gradient_batch
+from .core import polynomial_arrays, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily, MilnorTubeSpec
 from .numerics import (
     complexify,
-    normal_coefficients,
+    newton_on_sphere_batch,
     point_rows,
     random_sphere_point,
     real_jacobian,
     require_on_level,
     rng_for,
     row_norm,
+    smallest_singular_values,
+    tangent_step,
 )
 
 
@@ -69,54 +72,58 @@ def _modulus(w: np.ndarray) -> np.ndarray:
     return np.hypot(w.real, w.imag)
 
 
+def _blend(fam: DeformationFamily, t: float):
+    """f_t and d f_t / dt = g - f: fixed coefficient rows over the monomials
+    of the endpoints f and g."""
+    ends = fam.endpoint_arrays
+    f, g = ends.C
+    return ends.with_coefficients(np.array([(1.0 - t) * f + t * g, g - f]))
+
+
 def _jet(fam: DeformationFamily, t: float, x: np.ndarray):
     """f_t, its real Jacobian rows (K x 2 x 2n: gradients of Re f_t and Im f_t)
     and d f_t / dt at the rows of x (K x 2n, C-contiguous)."""
-    ends = fam.endpoint_arrays
-    f, g = ends.C
-    # f_t and d f_t / dt = g - f are fixed coefficient rows over f's and g's monomials
-    arrays = ends.with_coefficients(np.array([(1.0 - t) * f + t * g, g - f]))
     z = x.view(complex)
     both = np.empty((2,) + z.shape, dtype=complex)
     both[...] = z
-    value, d_z, d_zbar = value_and_gradient_batch(arrays, both)
+    value, d_z, d_zbar = value_and_gradient_batch(_blend(fam, t), both)
     return value[0], real_jacobian(d_z[0], d_zbar[0]), value[1]
 
 
+def _require_sphere(x, radius: float, t: float, name="t", what="point") -> np.ndarray:
+    """The norms of the rows of x (K x 2n).  Raises InputError unless t (called
+    `name`) lies in [0, 1], and PreconditionError naming the first `what`
+    whose norm misses the radius by more than SPHERE_TOL (relative to a radius
+    of at least 1); a row with a NaN coordinate has a NaN norm, which passes."""
+    if not 0.0 <= t <= 1.0:
+        raise InputError(f"{name} must lie in [0, 1], not {t!r}")
+    norm = row_norm(x)
+    off = np.abs(norm - radius) > SPHERE_TOL * max(1.0, radius)
+    if off.any():
+        i = int(np.argmax(off))
+        raise PreconditionError(
+            f"{what} {i} has norm {float(norm[i])!r}, off the sphere of radius {radius!r}"
+        )
+    return norm
+
+
 def connection_velocity(
-    fam: DeformationFamily,
-    t: float,
-    points,
-    tube: MilnorTubeSpec,
-    norm_tol: float = SPHERE_TOL,
+    fam: DeformationFamily, t: float, points, tube: MilnorTubeSpec
 ) -> np.ndarray:
     """Minimum-norm real velocity tangent to the sphere whose flow keeps
-    f_t constant inside the Milnor tube (blended off smoothly outside).
+    f_t constant inside the Milnor tube (blended off smoothly outside), for
+    t in [0, 1].
 
     `points` is a K x n batch (the result is K x 2n) or a single point (the
-    result is one 2n vector).  A point with a non-finite coordinate gets a NaN
+    result is one 2n vector).  A point with a NaN coordinate gets a NaN
     velocity; every other point must lie on the sphere.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim not in (1, 2) or z.shape[-1] != fam.n:
         raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
     x = np.ascontiguousarray(z).view(float).reshape(-1, 2 * fam.n)
-    r = row_norm(x)
-    off = _off_sphere(r, tube.radius, norm_tol)
-    if off.any():
-        i = int(np.argmax(off))
-        raise PreconditionError(
-            f"point {i} at t={t!r} has norm {float(r[i])!r}, off the sphere of radius"
-            f" {tube.radius!r}"
-        )
-    v = _velocity(fam, t, x, r, tube)
+    v = _velocity(fam, t, x, _require_sphere(x, tube.radius, t), tube)
     return v[0] if z.ndim == 1 else v
-
-
-def _off_sphere(norm: np.ndarray, radius: float, norm_tol: float) -> np.ndarray:
-    """Which norms miss the radius by more than norm_tol (relative to a radius
-    of at least 1); a NaN norm does not."""
-    return np.abs(norm - radius) > norm_tol * max(1.0, radius)
 
 
 def _velocity(
@@ -129,67 +136,18 @@ def _velocity(
     level = _modulus(value)
     inside = level <= tube.tube_level
     c = 1.0 if inside.all() else _cutoff(level, tube.tube_level)
-    # constraint rows: the sphere normal, then grad Re f_t and grad Im f_t
-    A = np.empty((len(x), 3, x.shape[1]))
-    A[:, 0] = x / r[:, None]
-    A[:, 1:] = J
-    # a non-finite f_t or d f_t / dt still makes b, hence v, NaN
-    ok = np.isfinite(A).all(axis=(1, 2))
-    v = np.full_like(x, np.nan)
-    U, S, Vt = np.linalg.svd(A[ok], full_matrices=False)
-    low = inside[ok] & (S[:, -1] < 1e-10)
+    # the least-norm tangent v with J v = -c dft: zero where the cutoff c is;
+    # a row of x with a NaN coordinate gets a NaN v
+    v, J_T, g = tangent_step(J, x / r[:, None], c * dft)
+    sigma = smallest_singular_values(J_T, g)
+    low = inside & (sigma < 1e-10)
     if low.any():
-        k = int(np.argmax(low))
-        i = int(np.nonzero(ok)[0][k])
+        i = int(np.argmax(low))
         raise NumericalError(
             f"constraint matrix rank-deficient inside the tube at t={t!r} for"
-            f" point {i} {complexify(x[i])} (smallest singular value {S[k, -1]:.3e})"
+            f" point {i} {complexify(x[i])} (smallest singular value {sigma[i]:.3e})"
         )
-    # v = A^T (A A^T + 1e-14)^-1 b = V S (S^2 + 1e-14)^-1 U^T b with
-    # b = (0, -c dft): zero where the cutoff c is
-    b1, b2 = (-c * dft.real)[ok], (-c * dft.imag)[ok]
-    w = (U[:, 1] * b1[:, None] + U[:, 2] * b2[:, None]) * (S / (S * S + 1e-14))
-    v[ok] = sum_leading((w[:, :, None] * Vt).swapaxes(0, 1))
     return v
-
-
-def _newton_value_correction(
-    fam: DeformationFamily,
-    t: float,
-    x: np.ndarray,
-    target: np.ndarray,
-    residual: np.ndarray,
-    radius: float,
-    tol: float,
-    max_iter: int = 5,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Move each row of x along span{grad Re f_t, grad Im f_t} until f_t
-    equals its target, renormalizing to the sphere after each move.
-
-    `residual` is f_t - target at x.  Returns the rows (corrected, or left as
-    they were where the correction failed), which rows were corrected, and
-    f_t - target at the rows returned.  Rows already within tol are untouched.
-    """
-    out, residual = x.copy(), residual.copy()
-    fixed = np.zeros(len(x), dtype=bool)
-    todo, xs, res, J = np.arange(len(x)), x, residual, None
-    for it in range(max_iter + 1):
-        hit = _modulus(res) <= (tol if it < max_iter else 10 * tol)
-        done = todo[hit]
-        fixed[done], out[done], residual[done] = True, xs[hit], res[hit]
-        todo, xs, res = todo[~hit], xs[~hit], res[~hit]
-        if it == max_iter or not todo.size:
-            break
-        J = _jet(fam, t, xs)[1] if J is None else J[~hit]
-        c0, c1 = normal_coefficients(J, res)
-        xs = xs + c0[:, None] * J[:, 0] + c1[:, None] * J[:, 1]
-        nrm = row_norm(xs)
-        good = np.isfinite(xs).all(axis=1) & (nrm != 0)
-        todo, xs, nrm = todo[good], xs[good], nrm[good]
-        xs = xs * (radius / nrm)[:, None]
-        val, J, _ = _jet(fam, t, xs)
-        res = val - target[todo]
-    return out, fixed, residual
 
 
 def _integrate(
@@ -200,34 +158,25 @@ def _integrate(
     tube: MilnorTubeSpec,
     newton_correct: bool = True,
     value_tol: float = 1e-9,
-    residual_tol: float = 1e-6,
 ) -> tuple[IsotopyTrace, ...]:
     """Classical RK4 transport of every point from t = 0 to t_end, in lockstep.
 
     Per step: integrate the connection velocity, rescale back to the sphere,
     then (for points starting inside the tube) Newton-correct the f-value
-    toward f_0(z0).  A point whose state turns non-finite fails at that step.
+    toward f_0(z0) where it is off by more than value_tol.  A point whose
+    state turns non-finite, or whose correction fails, fails at that step.
     """
-    if not 0.0 <= t_end <= 1.0:
-        raise InputError("t_end must lie in [0, 1]")
-    if steps < 1:
-        raise InputError("need at least one step")
     z0 = point_rows(points, fam.n)
-    if not len(z0):
-        return ()
     x = z0.view(float)
     r = tube.radius
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise PreconditionError(f"start point {int(np.argmax(bad))} has a non-finite coordinate")
-    norm = row_norm(x)
-    off = _off_sphere(norm, r, SPHERE_TOL)
-    if off.any():
-        i = int(np.argmax(off))
-        raise PreconditionError(
-            f"start point {i} must lie on the sphere of radius {r!r}; its norm is"
-            f" {float(norm[i])!r}"
-        )
+    _require_sphere(x, r, t_end, "t_end", "start point")
+    if steps < 1:
+        raise InputError("need at least one step")
+    if not len(z0):
+        return ()
     # the jet at each step's start: the previous value check reads it, then k1
     jet = _jet(fam, 0.0, x)
     f0 = jet[0]
@@ -262,23 +211,26 @@ def _integrate(
             value_residual[broke & preserve] = np.nan
             jet = _jet(fam, t_next, x)
             rows = np.nonzero(preserve & ~dead)[0]
-            if rows.size:
+            res = jet[0][rows] - f0[rows]
+            off = rows[_modulus(res) > value_tol]
+            if newton_correct and off.size:
+                # Newton on f_t = f_0 over the sphere; a row not found fails
+                # at this step and keeps its position
+                member = _blend(fam, t_next).rows(np.zeros(len(off), int))
+                z, found = newton_on_sphere_batch(
+                    member, f0[off], r, x[off].view(complex), value_tol, 5
+                )
+                failure_step[off[~found]] = k + 1
+                moved = off[found]
+                x[moved] = z.view(float)[found]
+                for part, fresh in zip(jet, _jet(fam, t_next, x[moved])):
+                    part[moved] = fresh
                 res = jet[0][rows] - f0[rows]
-                if newton_correct:
-                    corrected, fixed, res = _newton_value_correction(
-                        fam, t_next, x[rows], f0[rows], res, r, value_tol
-                    )
-                    failure_step[rows[~fixed]] = k + 1
-                    moved = rows[(corrected != x[rows]).any(axis=1)]
-                    x[rows] = corrected
-                    if moved.size:
-                        for part, fresh in zip(jet, _jet(fam, t_next, x[moved])):
-                            part[moved] = fresh
-                value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
+            value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
             norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - r))
             times.append(t_next)
             states.append(x)
-    failed = (failure_step > 0) | (value_residual > residual_tol) | (norm_residual > residual_tol)
+    failed = (failure_step > 0) | (value_residual > 1e-6) | (norm_residual > 1e-6)
     paths = np.stack(states, axis=1).view(complex).tolist()  # K x samples x n
     return tuple(
         IsotopyTrace(
@@ -303,7 +255,6 @@ def integrate_isotopy(
     tube: MilnorTubeSpec,
     newton_correct: bool = True,
     value_tol: float = 1e-9,
-    residual_tol: float = 1e-6,
 ) -> IsotopyTrace:
     """Classical RK4 transport of one point from t = 0 to t_end: the
     one-point case of `transport`.
@@ -311,9 +262,7 @@ def integrate_isotopy(
     Per step: integrate the connection velocity, rescale back to the sphere,
     then (inside the tube) Newton-correct the f-value toward f_0(z0).
     """
-    (trace,) = _integrate(
-        fam, [z0], t_end, steps, tube, newton_correct, value_tol, residual_tol
-    )
+    (trace,) = _integrate(fam, [z0], t_end, steps, tube, newton_correct, value_tol)
     return trace
 
 

@@ -205,17 +205,41 @@ def real_jacobian_rows(poly: MixedPolynomial, point: Sequence[complex]) -> np.nd
     return real_jacobian(np.array([grad.d_z]), np.array([grad.d_zbar]))[0]
 
 
-def normal_coefficients(J: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the coefficients c of the Gauss-Newton step c_0 J_0 + c_1 J_1
-    that solves (J J^T + 1e-14 I) c = -(Re res, Im res), by Cramer's rule on
-    the 2 x 2 normal equations.  A singular system gives non-finite c."""
-    g00 = row_dot(J[:, 0], J[:, 0]) + 1e-14
-    g01 = row_dot(J[:, 0], J[:, 1])
-    g11 = row_dot(J[:, 1], J[:, 1]) + 1e-14
+def gram(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of J (K x 2 x m), the entries g00, g01, g11 of J J^T, each one
+    fixed-order `row_dot`."""
+    return row_dot(J[:, 0], J[:, 0]), row_dot(J[:, 0], J[:, 1]), row_dot(J[:, 1], J[:, 1])
+
+
+def tangent_step(J: np.ndarray, xhat: np.ndarray, res: np.ndarray):
+    """Per row, the least-norm step s tangent to the sphere at the unit vector
+    xhat with J_T s = -(Re res, Im res), where J_T = J (I - xhat xhat^T) holds
+    J's 2 x 2n rows projected onto the tangent space.  s = c_0 J_T0 + c_1 J_T1,
+    where Cramer's rule solves the 2 x 2 normal equations (J_T J_T^T + 1e-14 I)
+    c = -(Re res, Im res).  Returns (s, J_T, gram(J_T)); a singular system
+    gives a non-finite s."""
+    J = J - row_dot(J, xhat[:, None])[..., None] * xhat[:, None]
+    g = gram(J)
+    g00, g01, g11 = g[0] + 1e-14, g[1], g[2] + 1e-14
     det = g00 * g11 - g01 * g01
     c0 = (g01 * res.imag - g11 * res.real) / det
     c1 = (g01 * res.real - g00 * res.imag) / det
-    return c0, c1
+    return c0[:, None] * J[:, 0] + c1[:, None] * J[:, 1], J, g
+
+
+def smallest_singular_values(J: np.ndarray, g) -> np.ndarray:
+    """Per row, the smallest singular value of J (K x 2 x m), g = gram(J): the
+    root of the Gram matrix's smaller eigenvalue det / (tr/2 +
+    hypot((g00 - g11)/2, g01)).  det is the sum of the squared 2 x 2 minors,
+    which equals g00 g11 - g01^2 without its cancellation (that difference
+    loses every eigenvalue below ~1e-16 g^2, a floor of ~1e-8 |J| on the
+    result).  A zero matrix gives 0; a non-finite one NaN."""
+    minors = J[:, 0, :, None] * J[:, 1, None]
+    minors = minors - minors.swapaxes(1, 2)
+    det = 0.5 * (minors * minors).sum(axis=(1, 2))
+    g00, g01, g11 = g
+    top = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
+    return np.sqrt(det / np.where(top > 0, top, np.inf))
 
 
 def level_tolerance(poly, norm):
@@ -262,7 +286,7 @@ def require_on_level(
 
 def newton_on_sphere_batch(
     poly,
-    target: complex,
+    target,
     radius: float,
     starts,
     tol: float = 1e-12,
@@ -270,11 +294,11 @@ def newton_on_sphere_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve f(z) = target on the sphere ||z|| = radius from every row of
     `starts` (K x n), all rows in lockstep; `poly` is one polynomial or
-    PolynomialArrays rows, start k under polynomial k.
+    PolynomialArrays rows, start k under polynomial k, and `target` one value
+    or K values, start k toward target k.
 
-    Each row runs tangentially projected Newton: the Jacobian rows are
-    projected onto the sphere's tangent space, the 2 x 2 normal equations give
-    the step, and the new point is rescaled to the sphere.  A row is done once
+    Each row runs tangentially projected Newton: `tangent_step` gives the
+    step, and the new point is rescaled to the sphere.  A row is done once
     |f - target| <= tol * (1 + |target|), and fails on a zero-norm start or
     iterate, or a non-finite step (which a singular 2 x 2 system gives).
     Returns (points, found): the K x n complex points (meaningful where found)
@@ -285,7 +309,8 @@ def newton_on_sphere_batch(
         raise InputError("radius must be positive")
     x = point_rows(starts, poly.n).view(float)
     arrays = _as_rows(poly, len(x))
-    goal = tol * (1.0 + abs(target))
+    target = np.broadcast_to(np.asarray(target, dtype=complex), len(x))
+    goal = tol * (1.0 + np.abs(target))
     out = np.zeros_like(x)
     found = np.zeros(len(x), dtype=bool)
     nrm = row_norm(x)
@@ -295,19 +320,14 @@ def newton_on_sphere_batch(
         if not todo.size:
             break
         value, d_z, d_zbar = value_and_gradient_batch(arrays.rows(todo), xs.view(complex))
-        res = value - target
-        hit = np.abs(res) <= goal
+        res = value - target[todo]
+        hit = np.abs(res) <= goal[todo]
         out[todo[hit]], found[todo[hit]] = xs[hit], True
         if it == max_iter:
             break
         live = ~hit
         todo, xs, res = todo[live], xs[live], res[live]
-        J = real_jacobian(d_z[live], d_zbar[live])
-        # restrict both rows to the tangent space of the sphere at xs
-        xhat = xs / radius
-        J -= row_dot(J, xhat[:, None])[..., None] * xhat[:, None]
-        c0, c1 = normal_coefficients(J, res)
-        step = c0[:, None] * J[:, 0] + c1[:, None] * J[:, 1]
+        step = tangent_step(real_jacobian(d_z[live], d_zbar[live]), xs / radius, res)[0]
         xs = xs + step
         nrm = row_norm(xs)
         good = np.isfinite(step).all(axis=1) & (nrm != 0)

@@ -314,54 +314,3 @@ def certify_smooth_shell(
         seed=seed,
         converged=bool(np.all(np.any(iters.reshape(len(grid), restarts) < MAX_ITER, axis=1))),
     )
-
-
-@dataclass(frozen=True)
-class IndexInequality:
-    index: int  # 1-based, as in the per-term formulas
-    L: float
-    R: float
-    strict: bool
-
-
-def lemma_inequality_check(
-    fam: DeformationFamily, t: float, point: Sequence[complex]
-) -> tuple[IndexInequality, ...]:
-    """Per-index lower bound |L| >= L_bound vs exact |R| from the
-    no-singularity argument; strict inequality must hold whenever the
-    governing coordinates are nonzero and 0 < t < 1."""
-    if not 0.0 < t < 1.0:
-        raise PreconditionError("inequality check applies for 0 < t < 1 only")
-    w = [complex(z) for z in point]
-    if len(w) != fam.n:
-        raise InputError("point length mismatch")
-    a, b, n = fam.spec.a, fam.spec.b, fam.n
-    mods = [abs(z) for z in w]
-    out: list[IndexInequality] = []
-    if fam.spec.kind == "brieskorn":
-        for j in range(n):
-            base = mods[j] ** (a[j] + 2 * b[j]) * (1.0 - t)
-            L = (a[j] + b[j]) * base
-            R = b[j] * base
-            out.append(IndexInequality(j + 1, L, R, L > R))
-    elif fam.spec.kind == "type_i":
-        if mods[n - 1] != 0:
-            # governing index s = min{j | w_k != 0 for all k >= j}
-            s = n - 1
-            while s > 0 and mods[s - 1] != 0:
-                s -= 1
-            if s == n - 1:
-                base = mods[s] ** (a[s] + 2 * b[s]) * (1.0 - t)
-            else:
-                base = mods[s] ** (a[s] + 2 * b[s]) * mods[s + 1] * (1.0 - t)
-            L = (a[s] + b[s]) * base
-            R = b[s] * base
-            out.append(IndexInequality(s + 1, L, R, L > R))
-    else:  # type_ii: max index m, ties broken by smallest index
-        scores = [mods[j] ** (a[j] + 2 * b[j]) * mods[(j + 1) % n] for j in range(n)]
-        m = max(range(n), key=lambda j: (scores[j], -j))
-        base = scores[m] * (1.0 - t)
-        L = (a[m] + b[m] - 1) * base
-        R = b[m] * base
-        out.append(IndexInequality(m + 1, L, R, L > R))
-    return tuple(out)

@@ -1,7 +1,8 @@
-"""Scalar reference implementations, independent of the batched engines in
-`mixed_milnor`: evaluation and Wirtinger partials by plain loops over the
-monomials, the monotone root by a scalar bracket loop, and the singularity
-residual from those partials.  Tests compare the engines against these."""
+"""Reference implementations, independent of the engines in `mixed_milnor`:
+evaluation and Wirtinger partials by plain loops over the monomials, the
+monotone root by a scalar bracket loop, the singularity residual from those
+partials, and the connection velocity by a batched SVD of the constraint
+rows.  Tests compare the engines against these."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mixed_milnor.core import MixedPolynomial, WirtingerGradient
+from mixed_milnor.core import MixedPolynomial, WirtingerGradient, sum_leading
 from mixed_milnor.errors import InputError, NumericalError
+from mixed_milnor.isotopy import _cutoff
 from mixed_milnor.singularity import SingularityResidualReport
 
 
@@ -147,3 +149,26 @@ def singularity_residual(
         abs(evaluate(poly, point)),
     )
 
+
+def connection_velocity(x: np.ndarray, r: np.ndarray, tube, jet) -> np.ndarray:
+    """The minimum-norm connection velocity at the rows of x (K x 2n) of norms
+    r, from `jet` = (f_t, real Jacobian rows, d f_t / dt) at those rows, by
+    one batched SVD of the constraint rows [x / r; grad Re f_t; grad Im f_t].
+    A row with a non-finite constraint row gets a NaN velocity."""
+    value, J, dft = jet
+    level = np.hypot(value.real, value.imag)
+    inside = level <= tube.tube_level
+    c = 1.0 if inside.all() else _cutoff(level, tube.tube_level)
+    # constraint rows: the sphere normal, then grad Re f_t and grad Im f_t
+    A = np.empty((len(x), 3, x.shape[1]))
+    A[:, 0] = x / r[:, None]
+    A[:, 1:] = J
+    ok = np.isfinite(A).all(axis=(1, 2))
+    v = np.full_like(x, np.nan)
+    U, S, Vt = np.linalg.svd(A[ok], full_matrices=False)
+    # v = A^T (A A^T + 1e-14)^-1 b = V S (S^2 + 1e-14)^-1 U^T b with
+    # b = (0, -c dft): zero where the cutoff c is
+    b1, b2 = (-c * dft.real)[ok], (-c * dft.imag)[ok]
+    w = (U[:, 1] * b1[:, None] + U[:, 2] * b2[:, None]) * (S / (S * S + 1e-14))
+    v[ok] = sum_leading((w[:, :, None] * Vt).swapaxes(0, 1))
+    return v

@@ -23,7 +23,15 @@ from mixed_milnor import isotopy
 from mixed_milnor.errors import InputError, NumericalError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec, family_t_derivative
 from mixed_milnor.isotopy import _cutoff
-from mixed_milnor.numerics import random_sphere_point, real_jacobian_rows, realify, rng_for
+from mixed_milnor.numerics import (
+    random_sphere_point,
+    real_jacobian_rows,
+    realify,
+    gram,
+    rng_for,
+    row_norm,
+    smallest_singular_values,
+)
 
 
 TUBE = MilnorTubeSpec(1.0, 0.1)
@@ -78,6 +86,71 @@ def test_velocity_requires_sphere_point():
     fam = brieskorn((2, 3), (1, 0))
     with pytest.raises(PreconditionError):
         connection_velocity(fam, 0.5, (0.3, 0.3), TUBE)
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+def test_velocity_requires_t_in_the_unit_interval(t):
+    fam = brieskorn((2, 3), (1, 0))
+    z = _link_points(fam, 1)[0]
+    with pytest.raises(InputError, match=r"t must lie in \[0, 1\]"):
+        connection_velocity(fam, t, z, TUBE)
+
+
+def test_non_finite_point_gets_a_nan_velocity():
+    fam = brieskorn((2, 3), (1, 0))
+    z = _link_points(fam, 1)[0]
+    v = connection_velocity(fam, 0.5, [z, (complex(math.nan, 0.0), z[1])], TUBE)
+    assert np.isfinite(v[0]).all() and np.isnan(v[1]).all()
+
+
+_FAMILIES = (("brieskorn", (2, 3), (1, 1)), ("type_i", (2, 3), (1, 1)), ("type_ii", (2, 2), (1, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_FAMILIES),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.01, max_value=2.0),
+)
+def test_velocity_matches_the_svd_oracle(family, t, seed, level):
+    """The 2 x 2 tangent solve gives the SVD's minimum-norm velocity at random
+    sphere points inside, across and outside the tube, wherever the tangent
+    Jacobian is far from singular (where the two regularizations agree)."""
+    fam = build_family(FamilySpec(*family))
+    tube = MilnorTubeSpec(1.0, level)
+    rng = rng_for(seed, "iso:svd-oracle")
+    z = np.array([random_sphere_point(rng, 2, 1.0) for _ in range(16)])
+    x = z.view(float)
+    r = row_norm(x)
+    jet = isotopy._jet(fam, t, x)
+    expected = oracle.connection_velocity(x, r, tube, jet)
+    v = connection_velocity(fam, t, z, tube)
+    xhat = x / r[:, None]
+    J_T = jet[1] - (jet[1] @ xhat[:, :, None]) * xhat[:, None]
+    well = np.linalg.svd(J_T, compute_uv=False)[:, -1] > 1e-3
+    gap = np.linalg.norm(v - expected, axis=1)
+    assert (gap[well] <= 1e-8 * np.linalg.norm(expected, axis=1)[well]).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.0, 1e-14, 1e-9, 1e-4, 1.0]),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_closed_form_smallest_singular_value_matches_the_svd(seed, spread, scale):
+    """Rows drawn at random and rows nearly (or exactly) of rank one: within a
+    few rounding units of the largest singular value, down to exact zero."""
+    rng = rng_for(seed, "iso:sigma")
+    J = scale * rng.standard_normal((12, 2, 4))
+    J[6:, 1] = rng.standard_normal((6, 1)) * J[6:, 0] + spread * scale * rng.standard_normal((6, 4))
+    expected = np.linalg.svd(J, compute_uv=False)
+    sigma = smallest_singular_values(J, gram(J))
+    assert (np.abs(sigma - expected[:, -1]) <= 1e-14 * expected[:, 0]).all()
+    zero, nan = np.zeros((1, 2, 4)), np.full((1, 2, 4), np.nan)
+    assert smallest_singular_values(zero, gram(zero))[0] == 0.0
+    assert np.isnan(smallest_singular_values(nan, gram(nan))[0])
 
 
 def test_integrate_zero_end():
@@ -361,7 +434,7 @@ def test_reused_jet_is_the_jet_at_the_step_start(monkeypatch):
     kernel pass at the step's start, also where the value correction moved
     points (a tight value tolerance makes it move them at every step)."""
     fam = brieskorn((2, 3), (1, 0))
-    velocity, correction = isotopy._velocity, isotopy._newton_value_correction
+    velocity, correction = isotopy._velocity, isotopy.newton_on_sphere_batch
     reused, moved = [], []
 
     def checked_velocity(fam, t, x, r, tube, jet=None):
@@ -370,13 +443,30 @@ def test_reused_jet_is_the_jet_at_the_step_start(monkeypatch):
             reused.append(all(a.tobytes() == b.tobytes() for a, b in zip(jet, fresh)))
         return velocity(fam, t, x, r, tube, jet)
 
-    def counted_correction(fam, t, x, *args):
-        out, fixed, residual = correction(fam, t, x, *args)
-        moved.append(int((out != x).any(axis=1).sum()))
-        return out, fixed, residual
+    def counted_correction(poly, target, radius, starts, *args):
+        out, found = correction(poly, target, radius, starts, *args)
+        moved.append(int(((out != starts).any(axis=1) & found).sum()))
+        return out, found
 
     monkeypatch.setattr(isotopy, "_velocity", checked_velocity)
-    monkeypatch.setattr(isotopy, "_newton_value_correction", counted_correction)
+    monkeypatch.setattr(isotopy, "newton_on_sphere_batch", counted_correction)
     transport(fam, _link_points(fam, 3), 1.0, 20, TUBE, value_tol=1e-12)
     assert len(reused) == 20 and all(reused)
     assert sum(moved) > 0
+
+
+def test_failed_correction_fails_its_step_and_keeps_the_point(monkeypatch):
+    """A row the Newton correction does not find stays where the RK4 step put
+    it (so the path is the uncorrected one) and fails at that step."""
+    fam = brieskorn((2, 3), (1, 0))
+    pts = _link_points(fam, 2)
+
+    def never_found(poly, target, radius, starts, *args):
+        return np.zeros_like(starts), np.zeros(len(starts), dtype=bool)
+
+    plain = transport(fam, pts, 1.0, 20, TUBE, newton_correct=False)
+    monkeypatch.setattr(isotopy, "newton_on_sphere_batch", never_found)
+    summary = transport(fam, pts, 1.0, 20, TUBE, value_tol=1e-15)
+    for trace, reference in zip(summary.traces, plain.traces):
+        assert _bits(trace)[:3] == _bits(reference)[:3]
+        assert trace.failed and trace.failure_step == 20

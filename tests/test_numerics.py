@@ -1,5 +1,5 @@
-"""Seeded streams against numpy's SeedSequence, and the lockstep monotone root
-against the scalar oracle."""
+"""Seeded streams against numpy's SeedSequence, the lockstep monotone root
+against the scalar oracle, and per-row Newton targets against one-target runs."""
 
 import hashlib
 
@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 import oracle
 from mixed_milnor.errors import NumericalError
-from mixed_milnor.numerics import monotone_root, monotone_roots, rng_for, rng_streams, stream_states
+from conftest import brieskorn
+from mixed_milnor.numerics import (
+    monotone_root,
+    monotone_roots,
+    newton_on_sphere_batch,
+    random_sphere_point,
+    rng_for,
+    rng_streams,
+    stream_states,
+)
 
 
 def _seed_sequence_rng(seed: int, label: str) -> np.random.Generator:
@@ -106,3 +115,20 @@ def test_monotone_root_fails_to_bracket():
         monotone_root(lambda s: 0.0, 1.0)
     with pytest.raises(NumericalError, match="from below"):
         monotone_roots(lambda s, k: np.ones_like(s), [0.5])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_per_row_targets_match_one_target_runs(seed):
+    """A batch with one target per row gives, bit for bit, each row's run
+    under its own scalar target (hits, misses and a zero-norm start alike)."""
+    rng = rng_for(seed, "num:targets")
+    poly = brieskorn((2, 3), (1, 1)).member(0.5)
+    starts = [random_sphere_point(rng, 2, 1.0) for _ in range(8)] + [(0j, 0j)]
+    targets = np.zeros(len(starts), dtype=complex)
+    targets[1:] = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    points, found = newton_on_sphere_batch(poly, targets, 1.0, starts)
+    assert found.any() and not found.all()
+    for k, start in enumerate(starts):
+        alone, hit = newton_on_sphere_batch(poly, complex(targets[k]), 1.0, [start])
+        assert hit[0] == found[k] and alone[0].tobytes() == points[k].tobytes()

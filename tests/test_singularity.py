@@ -16,7 +16,6 @@ from mixed_milnor import (
     FamilySpec,
     build_family,
     certify_smooth_shell,
-    lemma_inequality_check,
     singularity_residual,
 )
 from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
@@ -580,58 +579,6 @@ def test_overflowed_residual_is_not_a_singular_point():
     assert np.isnan(residual).all()
     with pytest.raises(NumericalError, match=r"t=0\.0, restart 0"):
         certify_smooth_shell(fam, (0.0, 1.0), 1e60, restarts=2)
-
-
-def test_inequality_brieskorn_example():
-    fam = brieskorn((2, 2), (1, 1))
-    checks = lemma_inequality_check(fam, 0.5, (1, 1))
-    assert len(checks) == 2
-    for c in checks:
-        assert c.L == pytest.approx(1.5)
-        assert c.R == pytest.approx(0.5)
-        assert c.strict
-
-
-def test_inequality_vanishing_coordinate():
-    fam = brieskorn((2, 2), (1, 1))
-    checks = lemma_inequality_check(fam, 0.5, (0, 1))
-    first = checks[0]
-    assert first.L == 0 and first.R == 0 and not first.strict
-
-
-def test_inequality_cyclic_example():
-    fam = build_family(FamilySpec("type_ii", (2, 2), (1, 1)))
-    checks = lemma_inequality_check(fam, 0.5, (1, 1))
-    assert len(checks) == 1
-    c = checks[0]
-    assert c.index == 1
-    assert c.L == pytest.approx(1.0)
-    assert c.R == pytest.approx(0.5)
-    assert c.strict
-
-
-def test_inequality_strict_on_random_points():
-    rng = rng_for(43, "sing:strict")
-    fams = (
-        brieskorn((2, 3), (1, 1)),
-        build_family(FamilySpec("type_i", (2, 3), (1, 1))),
-        build_family(FamilySpec("type_ii", (2, 2), (1, 1))),
-    )
-    for fam in fams:
-        for _ in range(100):
-            z = random_sphere_point(rng, 2, float(rng.uniform(0.3, 1.5)))
-            if any(abs(c) < 1e-6 for c in z):
-                continue
-            t = float(rng.uniform(0.05, 0.95))
-            assert all(c.strict for c in lemma_inequality_check(fam, t, z))
-
-
-def test_inequality_requires_interior_t():
-    fam = brieskorn((2, 2), (1, 1))
-    with pytest.raises(PreconditionError):
-        lemma_inequality_check(fam, 0.0, (1, 1))
-    with pytest.raises(PreconditionError):
-        lemma_inequality_check(fam, 1.0, (1, 1))
 
 
 def test_report_records_provenance():
