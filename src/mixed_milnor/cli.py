@@ -22,8 +22,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .core import detect_weights, is_simplicial
 from .errors import CertificateFailure, InputError, MixedMilnorError, NumericalError
@@ -241,8 +239,8 @@ def _build_isotopy(args, poly, fam):
 def _trace_link(args, poly, fam):
     sample = sample_link(fam, args.t, args.radius, args.seeds, args.seed)
     # one [re z1, im z1, re z2, im z2] row per traced point
-    orbits = np.asarray(sample.orbits, dtype=complex).view(float).tolist()
-    if args.svg and sample.orbits:
+    orbits = sample.orbits.view(float).tolist()
+    if args.svg and not sample.flagged:
         project_svg(sample, args.svg)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MixedMonomial, MixedPolynomial, PolynomialArrays, evaluate, polynomial_arrays
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .numerics import monotone_roots
 
 KINDS = ("brieskorn", "type_i", "type_ii")
@@ -75,6 +75,12 @@ def _endpoints(spec: FamilySpec) -> tuple[MixedPolynomial, MixedPolynomial]:
     return MixedPolynomial(n, tuple(mixed)), MixedPolynomial(n, tuple(holo))
 
 
+def require_unit_t(t: float, name: str = "t") -> None:
+    """Members, derivatives and transports exist for t in [0, 1] only (not NaN)."""
+    if not 0.0 <= t <= 1.0:
+        raise PreconditionError(f"{name} must lie in [0, 1], not {t!r}")
+
+
 @dataclass(frozen=True)
 class DeformationFamily:
     spec: FamilySpec
@@ -94,6 +100,7 @@ class DeformationFamily:
     def member(self, t: float) -> MixedPolynomial:
         """(1-t) f + t g as a genuine mixed polynomial (merged monomials)."""
         t = float(t)
+        require_unit_t(t)
         if t == 0.0:
             return self.endpoint_mixed
         if t == 1.0:
@@ -112,8 +119,7 @@ def build_family(spec: FamilySpec) -> DeformationFamily:
 
 def family_t_derivative(fam: DeformationFamily, t: float, point: Sequence[complex]) -> complex:
     """d/dt of f_t at a fixed point; the blend is linear in t, so this is g - f."""
-    if not 0.0 <= t <= 1.0:
-        raise InputError("t must lie in [0, 1]")
+    require_unit_t(t)
     return evaluate(fam.endpoint_holomorphic, point) - evaluate(fam.endpoint_mixed, point)
 
 

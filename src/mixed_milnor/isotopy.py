@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import polynomial_arrays, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
-from .families import DeformationFamily, MilnorTubeSpec
+from .families import DeformationFamily, MilnorTubeSpec, require_unit_t
 from .numerics import (
     complexify,
     newton_on_sphere_batch,
@@ -91,14 +91,13 @@ def _jet(fam: DeformationFamily, t: float, x: np.ndarray):
 
 
 def _require_sphere(x, radius: float, t: float, name="t", what="point") -> np.ndarray:
-    """The norms of the rows of x (K x 2n).  Raises InputError unless t (called
-    `name`) lies in [0, 1], and PreconditionError naming the first `what`
-    whose norm misses the radius by more than SPHERE_TOL (relative to a radius
-    of at least 1); a row with a NaN coordinate has a NaN norm, which passes."""
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"{name} must lie in [0, 1], not {t!r}")
+    """The norms of the rows of x (K x 2n).  Raises PreconditionError unless t
+    (called `name`) lies in [0, 1], or naming the first `what` whose norm
+    misses the radius by more than SPHERE_TOL (relative to a radius of at
+    least 1); a row with a non-finite coordinate passes."""
+    require_unit_t(t, name)
     norm = row_norm(x)
-    off = np.abs(norm - radius) > SPHERE_TOL * max(1.0, radius)
+    off = np.isfinite(x).all(axis=1) & (np.abs(norm - radius) > SPHERE_TOL * max(1.0, radius))
     if off.any():
         i = int(np.argmax(off))
         raise PreconditionError(
@@ -115,13 +114,14 @@ def connection_velocity(
     t in [0, 1].
 
     `points` is a K x n batch (the result is K x 2n) or a single point (the
-    result is one 2n vector).  A point with a NaN coordinate gets a NaN
-    velocity; every other point must lie on the sphere.
+    result is one 2n vector).  A point with a non-finite coordinate (NaN or
+    infinite) gets a NaN velocity; every other point must lie on the sphere.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim not in (1, 2) or z.shape[-1] != fam.n:
         raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
     x = np.ascontiguousarray(z).view(float).reshape(-1, 2 * fam.n)
+    x = np.where(np.isfinite(x).all(axis=1, keepdims=True), x, np.nan)
     v = _velocity(fam, t, x, _require_sphere(x, tube.radius, t), tube)
     return v[0] if z.ndim == 1 else v
 

@@ -4,7 +4,9 @@ K_t = V_t intersected with the sphere is a union of orbits of the polar
 circle action; orbit representatives are found on the fundamental torus
 (the two-term structure makes the modulus profile monotone) or, for chained
 kinds, by Newton-polished random sampling.  Each orbit traced at fixed
-angular resolution is one closed curve of the link.
+angular resolution is one closed curve of the link.  The polar action runs
+as one array pass per orbit (`core.polar_orbit`), so the traced orbits are
+the rows of one array, and deduplication and projection work on arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .core import (
     MixedPolynomial,
     detect_weights,
     evaluate,
-    polar_action,
+    polar_orbit,
     polynomial_arrays,
     value_and_gradient_batch,
 )
@@ -37,59 +39,37 @@ from .numerics import (
 DEFAULT_RESOLUTION = 720
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields make == ambiguous
 class LinkSample:
     spec: object
     t: float
     radius: float
     polar_weights: tuple[int, ...]
-    orbits: tuple[tuple[tuple[complex, ...], ...], ...]
+    orbits: np.ndarray  # orbits x resolution x 2 complex, one traced orbit per row
     component_count: int
     seeds_used: int
     flagged: bool  # set when no point of the link could be found
 
     @property
-    def points(self) -> tuple[tuple[complex, ...], ...]:
-        return tuple(pt for orbit in self.orbits for pt in orbit)
+    def points(self) -> np.ndarray:
+        return self.orbits.reshape(-1, 2)
 
 
-def _same_orbit(
-    z: Sequence[complex],
-    w: Sequence[complex],
-    P: Sequence[int],
-    merge_tol: float,
-) -> bool:
-    """Exact polar-orbit membership: moduli must agree and the phase
-    congruence theta_w = theta_z + p_j * phi must be solvable."""
-    if any(abs(abs(a) - abs(b)) > merge_tol for a, b in zip(z, w)):
+def _same_orbit(z, w, P: Sequence[int], merge_tol: float) -> bool:
+    """Exact polar-orbit membership: the moduli agree, and one of the p_j0 phases
+    phi with theta_w = theta_z + p_j0 phi (j0 z's first live coordinate) moves z onto w."""
+    if (np.abs(np.abs(z) - np.abs(w)) > merge_tol).any():
         return False
-    live = [j for j in range(len(z)) if abs(z[j]) > merge_tol]
-    if not live:
+    live = np.flatnonzero(np.abs(z) > merge_tol)
+    if not live.size:
         return True
-    j0 = live[0]
-    p0 = int(P[j0])
+    j0, p0 = live[0], int(P[live[0]])
     base = cmath.phase(w[j0]) - cmath.phase(z[j0])
-    for k in range(p0):
-        phi = (base + 2.0 * math.pi * k) / p0
-        lam = cmath.exp(1j * phi)
-        moved = polar_action(P, lam, z)
-        if all(abs(a - b) <= merge_tol for a, b in zip(moved, w)):
-            return True
-    return False
+    phi = (base + 2.0 * math.pi * np.arange(p0)) / p0
+    return bool((np.abs(polar_orbit(P, np.exp(1j * phi), z) - w) <= merge_tol).all(axis=1).any())
 
 
-def _trace_orbit(
-    rep: Sequence[complex], P: Sequence[int], resolution: int
-) -> tuple[tuple[complex, ...], ...]:
-    return tuple(
-        polar_action(P, cmath.exp(2j * math.pi * k / resolution), rep)
-        for k in range(resolution)
-    )
-
-
-def _brieskorn_representatives(
-    fam: DeformationFamily, t: float, radius: float
-) -> list[tuple[complex, complex]]:
+def _brieskorn_representatives(fam: DeformationFamily, t: float, radius: float) -> np.ndarray:
     """One representative per phase class on the fundamental torus: the
     modulus equation has a unique root by monotonicity, the phase condition
     enumerates a_1 candidates at arg z_2 = 0."""
@@ -105,17 +85,12 @@ def _brieskorn_representatives(
 
     eps = 1e-12 * radius
     rho1 = float(monotone_roots(profile, [0.0], lo=eps, hi=radius - eps)[0])
+    theta1 = (math.pi + 2.0 * math.pi * np.arange(a1)) / a1
     rho2 = math.sqrt(max(radius**2 - rho1**2, 0.0))
-    reps = []
-    for k in range(a1):
-        theta1 = (math.pi + 2.0 * math.pi * k) / a1
-        reps.append((rho1 * cmath.exp(1j * theta1), rho2 + 0j))
-    return reps
+    return np.stack([rho1 * np.exp(1j * theta1), np.full(a1, rho2 + 0j)], axis=-1)
 
 
-def _coordinate_circle_orbits(
-    poly: MixedPolynomial, radius: float
-) -> list[tuple[complex, complex]]:
+def _coordinate_circle_orbits(poly: MixedPolynomial, radius: float) -> np.ndarray:
     """Whole coordinate circles contained in the link (chained kinds): each
     circle's point at three phases, all six in one kernel pass."""
     cands = np.array([(radius, 0.0), (0.0, radius)], dtype=complex)
@@ -123,7 +98,7 @@ def _coordinate_circle_orbits(
     z = (cands[:, None, :] * phases[:, None]).reshape(1, 6, 2)
     value = value_and_gradient_batch(polynomial_arrays([poly]), z)[0].reshape(2, 3)
     on = (np.abs(value) <= level_tolerance(poly, radius)).all(axis=1)
-    return [tuple(c) for c in cands[on].tolist()]
+    return cands[on]
 
 
 def sample_link(
@@ -139,6 +114,8 @@ def sample_link(
         raise PreconditionError("link sampling is implemented for n = 2 only")
     if radius <= 0:
         raise InputError("radius must be positive")
+    if resolution < 1:
+        raise InputError(f"resolution must be at least 1, got {resolution!r}")
     poly = fam.member(float(t))
     weights = detect_weights(poly)
     if not weights.has_polar:
@@ -151,26 +128,24 @@ def sample_link(
     try:
         with np.errstate(over="raise"):
             if fam.spec.kind == "brieskorn":
-                candidates = np.array(_brieskorn_representatives(fam, float(t), radius))
+                candidates = _brieskorn_representatives(fam, float(t), radius)
                 seeds_used = 0
             else:
                 rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
                 starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
                 found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
                 seeds_used = seeds
-                candidates = np.concatenate(
-                    [np.array(_coordinate_circle_orbits(poly, radius)).reshape(-1, 2), found[hit]]
-                )
+                candidates = np.concatenate([_coordinate_circle_orbits(poly, radius), found[hit]])
             # Newton polish, then dedupe by exact orbit membership.
             polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError(f"link sampling overflows at t={t!r} (radius {radius!r})") from exc
-    orbits_reps: list[tuple[complex, ...]] = []
-    for rep in map(tuple, polished[hit].tolist()):
-        if not any(_same_orbit(other, rep, P, merge_tol) for other in orbits_reps):
-            orbits_reps.append(rep)
-
-    orbits = tuple(_trace_orbit(rep, P, resolution) for rep in orbits_reps)
+    reps: list[np.ndarray] = []
+    for rep in polished[hit]:
+        if not any(_same_orbit(other, rep, P, merge_tol) for other in reps):
+            reps.append(rep)
+    lams = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
+    orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)))
     return LinkSample(
         spec=fam.spec,
         t=float(t),
@@ -179,13 +154,11 @@ def sample_link(
         orbits=orbits,
         component_count=len(orbits),
         seeds_used=seeds_used,
-        flagged=not orbits,
+        flagged=not len(orbits),
     )
 
 
-def fibration_phase(
-    poly: MixedPolynomial, point: Sequence[complex], tol: float = 1e-8
-) -> complex:
+def fibration_phase(poly: MixedPolynomial, point: Sequence[complex], tol: float = 1e-8) -> complex:
     """f/|f| away from the link."""
     val = evaluate(poly, point)
     if abs(val) <= tol:
@@ -199,31 +172,24 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def project_svg(sample: LinkSample, path: str) -> None:
     """Stereographic projection of the sampled link to the plane as SVG,
     one closed polyline per orbit, one stroke color per component."""
-    if not sample.orbits:
+    if not len(sample.orbits):
         raise PreconditionError("cannot project an empty sample")
-    polylines: list[list[tuple[float, float]]] = []
-    for orbit in sample.orbits:
-        pts = []
-        for z in orbit:
-            p = np.array([z[0].real, z[0].imag, z[1].real, z[1].imag]) / sample.radius
-            if abs(1.0 - p[3]) < 1e-6:
-                continue  # projection pole
-            q = p[:3] / (1.0 - p[3])
-            pts.append((float(q[0]), float(q[1])))  # orthographic drop to the plane
-        polylines.append(pts)
-    xs = [x for line in polylines for x, _ in line]
-    ys = [y for line in polylines for _, y in line]
-    pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    w, h = max(xs) - x0 + pad, max(ys) - y0 + pad
+    p = sample.orbits.view(float) / sample.radius
+    # skip the projection pole, then drop orthographically to the plane
+    keep = np.abs(1.0 - p[..., 3]) >= 1e-6
+    q = p[..., :2] / np.where(keep, 1.0 - p[..., 3], 1.0)[..., None]
+    xs, ys = q[keep].T
+    pad = 0.05 * max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
+    x0, y0 = xs.min() - pad, ys.min() - pad
+    w, h = xs.max() - x0 + pad, ys.max() - y0 + pad
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0:.6f} {y0:.6f} {w:.6f} {h:.6f}">'
     ]
-    for i, line in enumerate(polylines):
+    for i, (line, mask) in enumerate(zip(q, keep)):
         color = _PALETTE[i % len(_PALETTE)]
-        closed = line + line[:1]  # orbits are closed curves
-        coords = " ".join(f"{x:.6f},{y:.6f}" for x, y in closed)
+        closed = line[mask].tolist()
+        coords = " ".join(f"{x:.6f},{y:.6f}" for x, y in closed + closed[:1])  # a closed curve
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{0.004 * max(w, h):.6f}"/>'

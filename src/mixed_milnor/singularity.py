@@ -21,7 +21,7 @@ from .core import (
     value_and_gradient,
     value_and_gradient_batch,
 )
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, NumericalError
 from .families import DeformationFamily
 from .numerics import complexify, rng_streams, row_dot, row_norm
 
@@ -278,8 +278,6 @@ def certify_smooth_shell(
     grid = tuple(float(t) for t in t_grid)
     if not grid:
         raise InputError("t_grid is empty")
-    if any(not 0.0 <= t <= 1.0 for t in grid):
-        raise PreconditionError("t_grid must lie within [0, 1]")
     # members in ascending t: every member with mixed terms then keeps its own
     # monomial order in the union, and each row the residuals of its member alone
     ts = sorted(set(grid))

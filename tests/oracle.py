@@ -1,8 +1,9 @@
 """Reference implementations, independent of the engines in `mixed_milnor`:
 evaluation and Wirtinger partials by plain loops over the monomials, the
 monotone root by a scalar bracket loop, the singularity residual from those
-partials, and the connection velocity by a batched SVD of the constraint
-rows.  Tests compare the engines against these."""
+partials, the connection velocity by a batched SVD of the constraint rows,
+and the polar action by Python's complex power and product, one coordinate
+at a time.  Tests compare the engines against these."""
 
 from __future__ import annotations
 
@@ -172,3 +173,15 @@ def connection_velocity(x: np.ndarray, r: np.ndarray, tube, jet) -> np.ndarray:
     w = (U[:, 1] * b1[:, None] + U[:, 2] * b2[:, None]) * (S / (S * S + 1e-14))
     v[ok] = sum_leading((w[:, :, None] * Vt).swapaxes(0, 1))
     return v
+
+
+def polar_action(
+    P: Sequence[int], lam: complex, point: Sequence[complex], tol: float = 1e-12
+) -> tuple[complex, ...]:
+    """Componentwise z_j * lam^{p_j} for unimodular lam."""
+    lam = complex(lam)
+    if abs(abs(lam) - 1.0) > tol:
+        raise InputError(f"lambda must be unimodular, got |lambda| = {abs(lam)!r}")
+    if len(P) != len(point):
+        raise InputError("weight vector and point length mismatch")
+    return tuple(complex(z) * lam ** int(p) for z, p in zip(point, P))

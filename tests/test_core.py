@@ -25,6 +25,7 @@ from mixed_milnor.core import (
     MixedPolynomial,
     WeightSystem,
     integer_determinant,
+    polar_orbit,
     polynomial_arrays,
     value_and_gradient_batch,
 )
@@ -260,6 +261,53 @@ def test_polar_action_half_turn():
 def test_polar_action_rejects_nonunimodular():
     with pytest.raises(InputError):
         polar_action((1, 1), 2.0, (1, 1))
+
+
+_PHASE = st.one_of(
+    st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j, complex(1.0, -0.0), complex(-0.0, -1.0)]),
+    st.floats(-10.0, 10.0).map(lambda theta: cmath.exp(1j * theta)),
+)
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.5e-310]), st.floats(-1e3, 1e3)
+)
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of complex values, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=4).flatmap(
+        lambda P: st.tuples(
+            st.just(P),
+            st.lists(_PHASE, min_size=1, max_size=6),
+            st.lists(st.builds(complex, _PART, _PART), min_size=len(P), max_size=len(P)),
+        )
+    )
+)
+def test_polar_orbit_matches_the_oracle_bitwise(case):
+    """Every row of `polar_orbit`, and `polar_action`, has the bits of
+    Python's z * lam ** p, signed zeros and subnormals included."""
+    P, lams, z = case
+    expected = [oracle.polar_action(P, lam, z) for lam in lams]
+    assert _bits(polar_orbit(P, lams, z)) == _bits(expected)
+    assert _bits([polar_action(P, lam, z) for lam in lams]) == _bits(expected)
+    assert _bits(polar_orbit(P, lams, [z, z])) == _bits([expected, expected])
+
+
+def test_polar_orbit_checks_like_the_oracle():
+    for call in (polar_orbit, oracle.polar_action):
+        with pytest.raises(InputError, match="unimodular"):
+            call((1, 1), 1.001, (1, 1))
+        with pytest.raises(InputError, match="length mismatch"):
+            call((1, 1, 2), 1.0, (1, 1))
+    with pytest.raises(InputError, match="unimodular"):
+        polar_orbit((1, 1), [1.0, 2.0], (1, 1))
+    # polar weights are positive; the square-and-multiply has no negative powers
+    with pytest.raises(InputError, match="non-negative"):
+        polar_action((1, -1), 1j, (1, 1))
 
 
 def test_polar_homogeneity_identity():

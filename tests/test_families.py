@@ -9,14 +9,19 @@ from conftest import brieskorn
 from mixed_milnor import (
     FamilySpec,
     build_family,
+    certify_smooth_shell,
+    check_transversality,
+    conjecture_search_type_ii,
     detect_weights,
     eta_map,
     evaluate,
     family_t_derivative,
     normalize_to_sphere,
     polar_action,
+    rank_test,
+    sample_link,
 )
-from mixed_milnor.errors import InputError
+from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec
 from mixed_milnor.numerics import random_sphere_point, rng_for
 
@@ -197,3 +202,23 @@ def test_tube_spec_validation():
     with pytest.raises(InputError):
         MilnorTubeSpec(1.0, -0.1)
     assert MilnorTubeSpec(1.0, 0.05).tube_level == 0.05
+
+
+_SWEEPS = {
+    "check_transversality": lambda fam, t: check_transversality(fam, [t], 1.0, 5, 0),
+    "conjecture_search_type_ii": lambda fam, t: conjecture_search_type_ii(fam, [t], 1.0, 5, 0),
+    "sample_link": lambda fam, t: sample_link(fam, t, 1.0),
+    "rank_test": lambda fam, t: rank_test(fam, t, (0.6, 0.8)),
+    "certify_smooth_shell": lambda fam, t: certify_smooth_shell(fam, [t], 1.0, 2),
+    "family_t_derivative": lambda fam, t: family_t_derivative(fam, t, (0.6, 0.8)),
+}
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+def test_members_outside_the_unit_interval_are_rejected(sweep, t):
+    """No sweep extrapolates the family: each builds its members through
+    `member`, which rejects t outside [0, 1] and NaN, as does the t-derivative."""
+    fam = build_family(FamilySpec("type_ii", (2, 2), (1, 1)))
+    with pytest.raises(PreconditionError, match=r"t must lie in \[0, 1\]"):
+        _SWEEPS[sweep](fam, t)

@@ -99,8 +99,13 @@ def test_velocity_requires_t_in_the_unit_interval(t):
 def test_non_finite_point_gets_a_nan_velocity():
     fam = brieskorn((2, 3), (1, 0))
     z = _link_points(fam, 1)[0]
-    v = connection_velocity(fam, 0.5, [z, (complex(math.nan, 0.0), z[1])], TUBE)
-    assert np.isfinite(v[0]).all() and np.isnan(v[1]).all()
+    for bad in (math.nan, math.inf, -math.inf):
+        broken = (complex(bad, 0.0), z[1])
+        v = connection_velocity(fam, 0.5, [z, broken], TUBE)
+        assert np.isfinite(v[0]).all() and np.isnan(v[1]).all()
+        assert np.isnan(connection_velocity(fam, 0.5, broken, TUBE)).all()
+        # the sphere check passes the row: only the transport's non-finite check names it
+        isotopy._require_sphere(np.array([z, broken]).view(float), 1.0, 0.5)
 
 
 _FAMILIES = (("brieskorn", (2, 3), (1, 1)), ("type_i", (2, 3), (1, 1)), ("type_ii", (2, 2), (1, 1)))

@@ -3,7 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import brieskorn, count_calls, poly
@@ -11,13 +14,19 @@ from mixed_milnor import links
 from mixed_milnor import (
     FamilySpec,
     build_family,
+    detect_weights,
     fibration_phase,
     polar_action,
     project_svg,
     sample_link,
 )
 from mixed_milnor.errors import InputError, PreconditionError
-from mixed_milnor.links import LinkSample, _brieskorn_representatives, _coordinate_circle_orbits
+from mixed_milnor.links import (
+    LinkSample,
+    _brieskorn_representatives,
+    _coordinate_circle_orbits,
+    _same_orbit,
+)
 from mixed_milnor.numerics import on_variety_tolerance
 
 
@@ -45,7 +54,7 @@ def test_constant_family_ignores_t():
     fam = brieskorn((2, 3))
     s0 = sample_link(fam, 0.0, 1.0, seed=4)
     s1 = sample_link(fam, 0.7, 1.0, seed=4)
-    assert s0.orbits == s1.orbits
+    assert np.array_equal(s0.orbits, s1.orbits)
 
 
 def test_sampled_points_lie_on_link():
@@ -128,6 +137,8 @@ def test_sample_link_validation():
     fam = brieskorn((2, 2))
     with pytest.raises(InputError):
         sample_link(fam, 0.0, -1.0)
+    with pytest.raises(InputError, match="resolution"):
+        sample_link(fam, 0.0, 1.0, resolution=0)
 
 
 def test_svg_export(tmp_path):
@@ -145,6 +156,19 @@ def test_svg_export(tmp_path):
     assert out2.read_text().count("<polyline") == 1
 
 
+def test_svg_skips_the_projection_pole(tmp_path):
+    """The cyclic link holds the coordinate circle z_1 = 0, which passes
+    through the pole (0, i r): that one point is left out of its polyline,
+    with no division by zero (a RuntimeWarning fails the suite)."""
+    sample = sample_link(build_family(FamilySpec("type_ii", (2, 2), (1, 1))), 0.0, 1.0)
+    out = tmp_path / "cyclic.svg"
+    project_svg(sample, str(out))
+    lines = [line for line in out.read_text().splitlines() if line.startswith("<polyline")]
+    R = links.DEFAULT_RESOLUTION
+    # one closing point per polyline
+    assert [line.split('"')[1].count(",") for line in lines] == [R + 1, R, R + 1]
+
+
 @pytest.mark.parametrize(
     "kind, b, expected",
     [
@@ -157,5 +181,69 @@ def test_coordinate_circles_in_one_kernel_pass(monkeypatch, kind, b, expected):
     """Both coordinate circles at three phases each: six points, one pass."""
     f = build_family(FamilySpec(kind, (2, 3), b)).member(0.5)
     calls = count_calls(monkeypatch, links, "value_and_gradient_batch")
-    assert _coordinate_circle_orbits(f, 2.0) == [tuple(map(complex, c)) for c in expected]
+    assert _coordinate_circle_orbits(f, 2.0).tolist() == [list(map(complex, c)) for c in expected]
     assert len(calls) == 1
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of complex values, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "kind, a, b, t",
+    [
+        ("brieskorn", (2, 3), (1, 1), 0.4),
+        ("brieskorn", (4, 6), (2, 1), 1.0),
+        ("type_i", (2, 3), (1, 0), 0.4),
+        ("type_ii", (2, 2), (1, 1), 0.0),
+    ],
+)
+def test_traced_points_are_the_oracle_action_bitwise(monkeypatch, kind, a, b, t):
+    """Point k of each traced orbit is Python's z * lam_k ** p at
+    lam_k = cmath.exp(2j pi k / R), coordinate by coordinate."""
+    calls = count_calls(monkeypatch, links, "polar_orbit")
+    sample = sample_link(build_family(FamilySpec(kind, a, b)), t, 1.0, seeds=16, seed=3)
+    P, _, reps = calls[-1]
+    R = links.DEFAULT_RESOLUTION
+    assert sample.orbits.shape == (len(reps), R, 2) and len(reps) >= 1
+    lams = [cmath.exp(2j * math.pi * k / R) for k in range(R)]
+    for rep, orbit in zip(reps, sample.orbits):
+        assert _bits(orbit) == _bits([oracle.polar_action(P, lam, rep) for lam in lams])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(((2, 3), (2, 2), (4, 6), (3, 3), (6, 4))),
+    st.integers(0, 11),
+    st.integers(0, 11),
+    st.floats(-10.0, 10.0),
+)
+def test_same_orbit_agrees_with_the_oracle_action(a, i, j, phi):
+    """The fundamental-torus representatives k and k' of T(a1, a2) lie on one
+    orbit exactly when gcd(a1, a2) divides k - k'; moving one of them by the
+    oracle's action at a random phase keeps it on its orbit."""
+    fam = brieskorn(a)
+    P = detect_weights(fam.member(1.0)).polar_weights
+    reps = _brieskorn_representatives(fam, 1.0, 1.0)
+    z, w = reps[i % len(reps)], reps[j % len(reps)]
+    moved = oracle.polar_action(P, cmath.exp(1j * phi), w)
+    expected = (i % len(reps) - j % len(reps)) % math.gcd(*a) == 0
+    assert _same_orbit(z, moved, P, 1e-4) is expected
+    assert _same_orbit(moved, z, P, 1e-4) is expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.floats(0.1, 2.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+)
+def test_same_orbit_with_a_zero_coordinate(P, rho, theta, phi):
+    """A point with one zero coordinate meets its orbit at every phase; two
+    points whose moduli differ never share one; the origin is its own orbit."""
+    z = (0j, rho * cmath.exp(1j * theta))
+    assert _same_orbit(z, oracle.polar_action(P, cmath.exp(1j * phi), z), P, 1e-4)
+    assert not _same_orbit(z, z[::-1], P, 1e-4)
+    assert _same_orbit((0j, 0j), (0j, 0j), P, 1e-4)
