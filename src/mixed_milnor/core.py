@@ -444,28 +444,28 @@ def detect_weights(poly: MixedPolynomial) -> WeightSystem:
     return WeightSystem(P, d, Q, dr)
 
 
-def polar_orbit(P: Sequence[int], lams, point, tol: float = 1e-12) -> np.ndarray:
+def polar_orbit(P: Sequence[int], lams, point) -> np.ndarray:
     """Componentwise z_j * lam^{p_j}, one row per unimodular lam of `lams` (len(lams) x n,
     or ... x len(lams) x n for a stack of points), with the bits of Python's z * lam ** p:
-    lam^p is CPython's square-and-multiply from 1 + 0j, and every product is a `_cmul`."""
+    CPython's square-and-multiply for p in 0..100, else its own power; products by `_cmul`."""
     lams = np.asarray(lams, dtype=complex).reshape(-1, 1)
     z = np.asarray(point, dtype=complex)[..., None, :]
-    mod = np.abs(lams)
-    if (bad := np.abs(mod - 1.0) > tol).any():
+    if (bad := np.abs((mod := np.abs(lams)) - 1.0) > 1e-12).any():
         raise InputError(f"lambda must be unimodular, got |lambda| = {float(mod[bad][0])!r}")
     P = np.array(P, dtype=int).reshape(-1)
     if len(P) != z.shape[-1]:
         raise InputError("weight vector and point length mismatch")
-    if (P < 0).any():
-        raise InputError(f"polar weights must be non-negative, got {tuple(P.tolist())}")
+    near = np.where(far := (P < 0) | (P > 100), 0, P)  # CPython divides or uses exp/log
     shape = (len(lams), len(P))
     power, square = (np.ones(shape), np.zeros(shape)), (lams.real, lams.imag)
-    for k in range(int(P.max(initial=0)).bit_length()):
-        power = tuple(np.where(P >> k & 1, a, b) for a, b in zip(_cmul(power, square), power))
+    for k in range(int(near.max(initial=0)).bit_length()):
+        power = tuple(np.where(near >> k & 1, a, b) for a, b in zip(_cmul(power, square), power))
         square = _cmul(square, square)
+    exact = (lams.astype(object) ** P[far].astype(object)).astype(complex)  # Python complex ** int
+    power[0][:, far], power[1][:, far] = exact.real, exact.imag
     return np.stack(_cmul((z.real, z.imag), power), axis=-1).view(complex)[..., 0]
 
 
-def polar_action(P: Sequence[int], lam: complex, point, tol: float = 1e-12) -> tuple[complex, ...]:
+def polar_action(P: Sequence[int], lam: complex, point) -> tuple[complex, ...]:
     """z_j * lam^{p_j} for one unimodular lam: the one-row `polar_orbit`."""
-    return tuple(polar_orbit(P, [lam], point, tol)[0].tolist())
+    return tuple(polar_orbit(P, [lam], point)[0].tolist())

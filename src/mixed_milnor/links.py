@@ -146,6 +146,7 @@ def sample_link(
             reps.append(rep)
     lams = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
     orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)))
+    orbits.flags.writeable = False  # the sample is frozen, its points view included
     return LinkSample(
         spec=fam.spec,
         t=float(t),

@@ -201,7 +201,7 @@ def _bits(values) -> list:
 )
 def test_traced_points_are_the_oracle_action_bitwise(monkeypatch, kind, a, b, t):
     """Point k of each traced orbit is Python's z * lam_k ** p at
-    lam_k = cmath.exp(2j pi k / R), coordinate by coordinate."""
+    lam_k = cmath.exp(2j pi k / R), coordinate by coordinate, and is read-only."""
     calls = count_calls(monkeypatch, links, "polar_orbit")
     sample = sample_link(build_family(FamilySpec(kind, a, b)), t, 1.0, seeds=16, seed=3)
     P, _, reps = calls[-1]
@@ -210,6 +210,8 @@ def test_traced_points_are_the_oracle_action_bitwise(monkeypatch, kind, a, b, t)
     lams = [cmath.exp(2j * math.pi * k / R) for k in range(R)]
     for rep, orbit in zip(reps, sample.orbits):
         assert _bits(orbit) == _bits([oracle.polar_action(P, lam, rep) for lam in lams])
+    with pytest.raises(ValueError, match="read-only"):
+        sample.points[0, 0] = 0  # a frozen sample's orbits cannot change through its points
 
 
 @settings(max_examples=60, deadline=None)
