@@ -209,11 +209,24 @@ def _load_points(path: str) -> list[tuple[complex, ...]]:
     return [tuple(_coordinate(c, path) for c in pt) for pt in data]
 
 
+def _start_radius(point) -> float:
+    """The norm of the first start point, the sphere's radius when --radius is
+    not given; a norm past the float range (a float power raises, or the sum
+    reaches inf) is an input error."""
+    try:
+        norm = math.sqrt(sum(abs(c) ** 2 for c in point))
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise InputError("the norm of start point 0 overflows")
+    return norm
+
+
 def _build_isotopy(args, poly, fam):
     points = _load_points(args.points)
     if not points:
         raise InputError("points file is empty")
-    radius = args.radius or math.sqrt(sum(abs(c) ** 2 for c in points[0]))
+    radius = args.radius or _start_radius(points[0])
     tube = MilnorTubeSpec(radius, args.eta0)
     # any sphere point is accepted, on the link or not
     summary = transport(fam, points, args.t_end, args.steps, tube, level=None)

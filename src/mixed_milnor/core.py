@@ -114,12 +114,6 @@ class WeightSystem:
 
 
 @dataclass(frozen=True)
-class WirtingerGradient:
-    d_z: tuple[complex, ...]
-    d_zbar: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class _KernelLayout:
     """Index and exponent arrays the batched kernel derives from N and M."""
 
@@ -318,12 +312,6 @@ def value_and_gradient(
 def evaluate(poly: MixedPolynomial, point: Sequence[complex]) -> complex:
     """Evaluate sum c_i z^{nu_i} zbar^{mu_i} at the given point."""
     return value_and_gradient(poly, point)[0]
-
-
-def wirtinger_gradient(poly: MixedPolynomial, point: Sequence[complex]) -> WirtingerGradient:
-    """Formal partials treating z and zbar as independent variables."""
-    _, d_z, d_zbar = value_and_gradient(poly, point)
-    return WirtingerGradient(tuple(d_z.tolist()), tuple(d_zbar.tolist()))
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:

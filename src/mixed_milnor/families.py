@@ -1,6 +1,6 @@
 """The three deformation families f_t = (1-t) f + t g connecting a mixed
-polynomial to its holomorphic associate, plus the classical reference maps
-eta (value preserving) and the weighted normalization onto a sphere.
+polynomial to its holomorphic associate, plus the classical value-preserving
+reference map eta.
 
 Kinds:
   brieskorn:  f = sum z_j^{a_j+b_j} zbar_j^{b_j},           g = sum z_j^{a_j}
@@ -14,11 +14,8 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .core import MixedMonomial, MixedPolynomial, PolynomialArrays, evaluate, polynomial_arrays
+from .core import MixedMonomial, MixedPolynomial, PolynomialArrays, polynomial_arrays
 from .errors import InputError, PreconditionError
-from .numerics import monotone_roots
 
 KINDS = ("brieskorn", "type_i", "type_ii")
 
@@ -117,12 +114,6 @@ def build_family(spec: FamilySpec) -> DeformationFamily:
     return DeformationFamily(spec, mixed, holo)
 
 
-def family_t_derivative(fam: DeformationFamily, t: float, point: Sequence[complex]) -> complex:
-    """d/dt of f_t at a fixed point; the blend is linear in t, so this is g - f."""
-    require_unit_t(t)
-    return evaluate(fam.endpoint_holomorphic, point) - evaluate(fam.endpoint_mixed, point)
-
-
 @dataclass(frozen=True)
 class MilnorTubeSpec:
     radius: float
@@ -148,31 +139,3 @@ def eta_map(spec: FamilySpec, point: Sequence[complex]) -> tuple[complex, ...]:
         z * abs(z) ** (2.0 * b / a) if z != 0 else 0j
         for z, a, b in zip(pt, spec.a, spec.b)
     )
-
-
-def normalize_to_sphere(
-    P: Sequence[int], point: Sequence[complex], radius: float = 1.0
-) -> tuple[complex, ...]:
-    """Weighted rescaling r(w) o w with || r(w) o w || = radius, r(w) > 0.
-
-    s -> ||(s^{p_j} w_j)_j|| is strictly increasing, so the rescaling factor
-    is found by monotone root-finding.
-    """
-    pt = [complex(w) for w in point]
-    if len(P) != len(pt):
-        raise InputError("weight vector and point length mismatch")
-    if all(z == 0 for z in pt):
-        raise InputError("cannot normalize the zero vector")
-    if radius <= 0:
-        raise InputError("radius must be positive")
-    mods2 = [abs(z) ** 2 for z in pt]
-    powers = [2 * int(p) for p in P]
-
-    def norm2(s: np.ndarray, k) -> np.ndarray:
-        return sum(m * s**p for m, p in zip(mods2, powers))
-
-    def dnorm2(s: np.ndarray, k) -> np.ndarray:
-        return sum(m * p * s ** (p - 1) for m, p in zip(mods2, powers))
-
-    s = float(monotone_roots(norm2, [radius**2], dfn=dnorm2)[0])
-    return tuple(z * s ** int(p) for z, p in zip(pt, P))

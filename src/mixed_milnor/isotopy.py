@@ -15,23 +15,20 @@ trace is bit for bit the same whatever else shares its batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import polynomial_arrays, value_and_gradient_batch
+from .core import value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily, MilnorTubeSpec, require_unit_t
 from .numerics import (
     complexify,
     newton_on_sphere_batch,
     point_rows,
-    random_sphere_point,
     real_jacobian,
     require_on_level,
-    rng_for,
     row_norm,
     smallest_singular_values,
     tangent_step,
@@ -90,48 +87,14 @@ def _jet(fam: DeformationFamily, t: float, x: np.ndarray):
     return value[0], real_jacobian(d_z[0], d_zbar[0]), value[1]
 
 
-def _require_sphere(x, radius: float, t: float, name="t", what="point") -> np.ndarray:
-    """The norms of the rows of x (K x 2n).  Raises PreconditionError unless t
-    (called `name`) lies in [0, 1], or naming the first `what` whose norm
-    misses the radius by more than SPHERE_TOL (relative to a radius of at
-    least 1); a row with a non-finite coordinate passes."""
-    require_unit_t(t, name)
-    norm = row_norm(x)
-    off = np.isfinite(x).all(axis=1) & (np.abs(norm - radius) > SPHERE_TOL * max(1.0, radius))
-    if off.any():
-        i = int(np.argmax(off))
-        raise PreconditionError(
-            f"{what} {i} has norm {float(norm[i])!r}, off the sphere of radius {radius!r}"
-        )
-    return norm
-
-
-def connection_velocity(
-    fam: DeformationFamily, t: float, points, tube: MilnorTubeSpec
-) -> np.ndarray:
-    """Minimum-norm real velocity tangent to the sphere whose flow keeps
-    f_t constant inside the Milnor tube (blended off smoothly outside), for
-    t in [0, 1].
-
-    `points` is a K x n batch (the result is K x 2n) or a single point (the
-    result is one 2n vector).  A point with a non-finite coordinate (NaN or
-    infinite) gets a NaN velocity; every other point must lie on the sphere.
-    """
-    z = np.asarray(points, dtype=complex)
-    if z.ndim not in (1, 2) or z.shape[-1] != fam.n:
-        raise InputError(f"points of shape {z.shape} do not fit {fam.n} variables")
-    x = np.ascontiguousarray(z).view(float).reshape(-1, 2 * fam.n)
-    x = np.where(np.isfinite(x).all(axis=1, keepdims=True), x, np.nan)
-    v = _velocity(fam, t, x, _require_sphere(x, tube.radius, t), tube)
-    return v[0] if z.ndim == 1 else v
-
-
 def _velocity(
     fam: DeformationFamily, t: float, x: np.ndarray, r: np.ndarray, tube: MilnorTubeSpec, jet=None
 ) -> np.ndarray:
-    """The connection velocity at the rows of x (K x 2n, C-contiguous) of
-    norms r, tangent to the sphere through each row, whatever its radius.
-    `jet` is _jet(fam, t, x) when the caller has it already."""
+    """Minimum-norm real velocity whose flow keeps f_t constant inside the
+    Milnor tube (blended off smoothly outside), at the rows of x (K x 2n,
+    C-contiguous) of norms r, tangent to the sphere through each row,
+    whatever its radius.  `jet` is _jet(fam, t, x) when the caller has it
+    already."""
     value, J, dft = jet or _jet(fam, t, x)
     level = _modulus(value)
     inside = level <= tube.tube_level
@@ -165,6 +128,8 @@ def _integrate(
     then (for points starting inside the tube) Newton-correct the f-value
     toward f_0(z0) where it is off by more than value_tol.  A point whose
     state turns non-finite, or whose correction fails, fails at that step.
+    Each start point must be finite and lie on the sphere of the tube's
+    radius, to SPHERE_TOL relative to a radius of at least 1.
     """
     z0 = point_rows(points, fam.n)
     x = z0.view(float)
@@ -172,7 +137,14 @@ def _integrate(
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise PreconditionError(f"start point {int(np.argmax(bad))} has a non-finite coordinate")
-    _require_sphere(x, r, t_end, "t_end", "start point")
+    require_unit_t(t_end, "t_end")
+    norm = np.hypot.reduce(x, axis=1)  # no overflow where row_norm's squares would
+    off = np.abs(norm - r) > SPHERE_TOL * max(1.0, r)
+    if off.any():
+        i = int(np.argmax(off))
+        raise PreconditionError(
+            f"start point {i} has norm {float(norm[i])!r}, off the sphere of radius {r!r}"
+        )
     if steps < 1:
         raise InputError("need at least one step")
     if not len(z0):
@@ -299,23 +271,3 @@ def transport(
         float(np.max([tr.norm_residual for tr in traces], initial=0.0)),
         any(tr.failed for tr in traces),
     )
-
-
-def choose_tube_level(
-    fam: DeformationFamily,
-    radius: float,
-    t_grid: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    samples: int = 256,
-    fraction: float = 0.1,
-    seed: int = 0,
-) -> float:
-    """Desk-scale eta0 heuristic: a small fraction of the median |f_t| over
-    the sphere, minimized over the t grid (recorded, not assumed safe)."""
-    rng = rng_for(seed, "tube-level")
-    level = math.inf
-    for t in t_grid:
-        z = np.array([random_sphere_point(rng, fam.n, radius) for _ in range(samples)])
-        arrays = polynomial_arrays([fam.member(float(t))])
-        value = value_and_gradient_batch(arrays, z.reshape(1, samples, fam.n))[0]
-        level = min(level, float(np.median(np.abs(value))))
-    return fraction * level

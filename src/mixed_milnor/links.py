@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     MixedPolynomial,
     detect_weights,
-    evaluate,
     polar_orbit,
     polynomial_arrays,
     value_and_gradient_batch,
@@ -157,14 +156,6 @@ def sample_link(
         seeds_used=seeds_used,
         flagged=not len(orbits),
     )
-
-
-def fibration_phase(poly: MixedPolynomial, point: Sequence[complex], tol: float = 1e-8) -> complex:
-    """f/|f| away from the link."""
-    val = evaluate(poly, point)
-    if abs(val) <= tol:
-        raise PreconditionError(f"phase undefined near the link: |f| = {abs(val):.3e}")
-    return val / abs(val)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

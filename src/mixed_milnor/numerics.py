@@ -5,12 +5,11 @@ lockstep on-sphere Newton solving."""
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, polynomial_arrays, value_and_gradient_batch, wirtinger_gradient
+from .core import MixedPolynomial, polynomial_arrays, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -109,7 +108,7 @@ def monotone_roots(
             fx[k] = fn(x[k], k)
             k = k[out(fx[k], target[k])]
         if k.size:
-            raise NumericalError(f"monotone_root: failed to bracket from {side}")
+            raise NumericalError(f"monotone_roots: failed to bracket from {side}")
     root = np.where(flo == target, lo, hi)
     k = np.flatnonzero((flo != target) & (fhi != target))
     lo, hi, goal = lo[k], hi[k], target[k]
@@ -129,31 +128,6 @@ def monotone_roots(
         s = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
     root[k] = 0.5 * (lo + hi)
     return root
-
-
-def monotone_root(
-    fn: Callable[[float], float],
-    target: float,
-    lo: float = 1.0,
-    hi: Optional[float] = None,
-    dfn: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Root of fn(s) = target for strictly increasing fn on s > 0: the one-row
-    case of `monotone_roots`, for fn and dfn on floats."""
-
-    def row(g):
-        return None if g is None else lambda s, k: np.array([g(x) for x in s.tolist()], float)
-
-    return float(monotone_roots(row(fn), [target], lo, hi, row(dfn))[0])
-
-
-def realify(point: Sequence[complex]) -> np.ndarray:
-    """(z_1..z_n) -> (x_1, y_1, ..., x_n, y_n)."""
-    pt = np.asarray(point, dtype=complex)
-    out = np.empty(2 * pt.size)
-    out[0::2] = pt.real
-    out[1::2] = pt.imag
-    return out
 
 
 def point_rows(points, n: int) -> np.ndarray:
@@ -196,13 +170,6 @@ def real_jacobian(d_z: np.ndarray, d_zbar: np.ndarray) -> np.ndarray:
     J[:, 1, 0::2] = plus.imag
     J[:, 1, 1::2] = minus.real
     return J
-
-
-def real_jacobian_rows(poly: MixedPolynomial, point: Sequence[complex]) -> np.ndarray:
-    """2 x 2n rows: gradients of Re f and Im f in (x_1,y_1,...) coordinates,
-    from the scalar Wirtinger gradient."""
-    grad = wirtinger_gradient(poly, point)
-    return real_jacobian(np.array([grad.d_z]), np.array([grad.d_zbar]))[0]
 
 
 def gram(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,10 +216,6 @@ def level_tolerance(poly, norm):
     degree = np.asarray(poly.max_degree)
     powers = (np.where(degree == d, norm**d, 0.0) for d in set(degree.ravel().tolist()))
     return 1e-8 * (1.0 + sum(powers))
-
-
-def on_variety_tolerance(poly: MixedPolynomial, point: Sequence[complex]) -> float:
-    return level_tolerance(poly, math.sqrt(sum(abs(z) ** 2 for z in point)))
 
 
 def _as_rows(poly, count: int):

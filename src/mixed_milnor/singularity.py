@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    MixedPolynomial,
-    PolynomialArrays,
-    polynomial_arrays,
-    value_and_gradient,
-    value_and_gradient_batch,
-)
+from .core import PolynomialArrays, polynomial_arrays, value_and_gradient_batch
 from .errors import InputError, NumericalError
 from .families import DeformationFamily
 from .numerics import complexify, rng_streams, row_dot, row_norm
@@ -31,15 +25,6 @@ MAX_ITER = 120
 BATCH_POINTS = 1024
 # halvings in the line search's first block, where two-point first steps mostly land
 FIRST_BLOCK = 2
-
-
-@dataclass(frozen=True)
-class SingularityResidualReport:
-    point: tuple[complex, ...]
-    t: Optional[float]
-    residual: float
-    lambda_star: Optional[complex]
-    on_variety: float
 
 
 @dataclass(frozen=True)
@@ -55,25 +40,6 @@ class ShellSearchReport:
     iterations: int
     seed: int
     converged: bool
-
-
-def singularity_residual(
-    poly: MixedPolynomial, point: Sequence[complex], t: Optional[float] = None
-) -> SingularityResidualReport:
-    """min over |lambda|=1 of || conj(d_z f) - lambda d_zbar f ||.
-
-    With u = conj(d_z f), v = d_zbar f the minimum is
-    sqrt(||u||^2 + ||v||^2 - 2 |<u, v>|), attained at lambda = phase <u, v>;
-    one kernel pass gives it and |f| at the point.
-    """
-    value, d_z, d_zbar = value_and_gradient(poly, point)
-    residual_sq, uu, re, im = _residual_terms(d_z, d_zbar)
-    inner = complex(re, -im)  # <u, v> = conj(sum_j d_z f * d_zbar f)
-    lam = None  # without zbar terms at the point there is no lambda: the residual is ||u||
-    if np.any(d_zbar != 0):
-        lam = inner / abs(inner) if inner != 0 else 1.0 + 0j
-    residual = math.sqrt(residual_sq if lam is not None else uu)
-    return SingularityResidualReport(tuple(map(complex, point)), t, residual, lam, abs(value))
 
 
 def _residual_terms(d_z: np.ndarray, d_zbar: np.ndarray) -> tuple:

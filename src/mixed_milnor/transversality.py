@@ -29,6 +29,8 @@ from .numerics import (
 )
 
 DEFAULT_MARGIN_THRESHOLD = 1e-9
+# random starts per sample before the sampler counts it as a failure
+ATTEMPTS_PER_SAMPLE = 5
 # the radius at which a witness evaluates its curve (and the chained witness
 # records its trace) to check that the curve stays in the variety
 WITNESS_RADIUS = 2.0
@@ -44,21 +46,14 @@ class TransversalityCertificate:
     witness_vector: Optional[tuple[float, ...]] = None
 
 
-def rank_margins(
-    fam: DeformationFamily, t: float, points: Sequence[Sequence[complex]]
-) -> np.ndarray:
-    """Smallest singular value of [w; grad Re f_t; grad Im f_t], rows
-    unit-normalized, at every point of a batch: one batched Jacobian and one
-    batched SVD.  The margin is 0 where a row vanishes.
-
-    Every point must lie on the variety f_t = 0 and away from the origin.
-    """
-    return _margins(fam.member(t), point_rows(points, fam.n), t)
-
-
 def _margins(poly, z: np.ndarray, t, index=None) -> np.ndarray:
-    """`rank_margins` at the rows of z, for one member or for the rows, t and
-    index of a `_stack`ed sweep."""
+    """Smallest singular value of [w; grad Re f; grad Im f], rows
+    unit-normalized, at every row w of z (K x n): one batched Jacobian and one
+    batched SVD.  `poly` is one member, or the rows of a `_stack`ed sweep
+    with their t and index.  The margin is 0 where a row vanishes.
+
+    Every point must lie on the variety f = 0 and away from the origin.
+    """
     d_z, d_zbar = require_on_level(poly, z, t=t, index=index)
     x = z.view(float)
     nrm = row_norm(x)
@@ -78,27 +73,14 @@ def _margins(poly, z: np.ndarray, t, index=None) -> np.ndarray:
     return margins
 
 
-def rank_test(
-    fam: DeformationFamily,
-    t: float,
-    point: Sequence[complex],
-    threshold: float = DEFAULT_MARGIN_THRESHOLD,
-) -> TransversalityCertificate:
-    """Smallest singular value of [w; grad Re f; grad Im f], rows unit-normalized:
-    the one-point case of `rank_margins`."""
-    margin = float(rank_margins(fam, t, [point])[0])
-    return TransversalityCertificate(
-        tuple(complex(z) for z in point), float(t), "rank_test", margin, margin > threshold
-    )
-
-
 def solve_phi_rows(a: int, b: int, tau, w_abs, r) -> tuple[np.ndarray, np.ndarray]:
-    """`solve_phi` at every row, for tau, w_abs and r arrays of one length, with
-    the slopes d s / dr at r = 1, where s = 1: implicit differentiation of
-    s^a (tau + c s^{2b}) = r (tau + c) with c = (1-tau) w^{2b}.  s = 1 at
-    r = 1, r^{1/a} at b = 0 or tau = 1 and r^{1/(a+2b)} at tau = 0, slopes
-    1/a and 1/(a+2b) there (exact when c underflows); the other rows solve by
-    `monotone_roots`, so a row's values do not depend on the other rows."""
+    """The unique s > 0 with s^a (tau + c s^{2b}) = r (tau + c), c = (1-tau) w^{2b}
+    (the left side is strictly increasing in s), at every row of the tau,
+    w_abs and r arrays (of one length), with the slopes d s / dr at r = 1,
+    where s = 1, by implicit differentiation.  s = 1 at r = 1, r^{1/a} at
+    b = 0 or tau = 1 and r^{1/(a+2b)} at tau = 0, slopes 1/a and 1/(a+2b)
+    there (exact when c underflows); the other rows solve by `monotone_roots`,
+    so a row's values do not depend on the other rows."""
     if a < 1 or b < 0:
         raise InputError("need a >= 1 and b >= 0")
     tau, w_abs, r = (np.asarray(v, dtype=float) for v in (tau, w_abs, r))
@@ -123,16 +105,6 @@ def solve_phi_rows(a: int, b: int, tau, w_abs, r) -> tuple[np.ndarray, np.ndarra
     return s, slope
 
 
-def solve_phi(a: int, b: int, tau: float, w_abs: float, r: float) -> float:
-    """Unique s > 0 with s^a (tau + (1-tau) w^{2b} s^{2b}) = r (tau + (1-tau) w^{2b}).
-
-    The left side is strictly increasing in s, so a grown bracket plus
-    safeguarded Newton cannot fail; s = 1 at r = 1 and s = r^{1/a} at tau = 1.
-    The one-point case of `solve_phi_rows`.
-    """
-    return float(solve_phi_rows(a, b, [tau], [w_abs], [r])[0][0])
-
-
 @dataclass(frozen=True)
 class TypeIWitnessTrace:
     I0: tuple[int, ...]  # 1-based indices of vanishing coordinates
@@ -142,12 +114,6 @@ class TypeIWitnessTrace:
     s_values: tuple[float, ...]  # s_j at the evaluation radius
     epsilon_flags: tuple[int, ...]  # trailing-factor exponent per index
     ends_at_last_index: tuple[bool, ...]  # per component: closed by the E_n form
-
-
-@dataclass(frozen=True)
-class TypeIWitnessResult:
-    certificate: TransversalityCertificate
-    trace: TypeIWitnessTrace
 
 
 def _stack(arrays: PolynomialArrays, grid, points_per_t) -> tuple:
@@ -241,42 +207,6 @@ def _witnesses(
         yield cert, trace
 
 
-def radial_witness_brieskorn(
-    fam: DeformationFamily,
-    t: float,
-    point: Sequence[complex],
-) -> TransversalityCertificate:
-    """Constructive non-tangency witness for the brieskorn family.
-
-    The curve xi(r) = (phi_j(r) w_j) stays in the zero set (zero coordinates
-    stay zero) and d(sum |xi_j|^2)/dr at r = 1 = 2 sum |w_j|^2 phi_j'(1) is
-    strictly positive; that derivative is the certificate margin.  The curve
-    is evaluated once, at r = WITNESS_RADIUS, to check that it stays inside.
-    The one-point case of the sweep's lockstep witnesses.
-    """
-    if fam.spec.kind != "brieskorn":
-        raise PreconditionError("radial witness requires a brieskorn family")
-    return next(_witnesses(fam, [t], [[point]]))[0]
-
-
-def type_i_witness(
-    fam: DeformationFamily,
-    t: float,
-    point: Sequence[complex],
-    r: float = WITNESS_RADIUS,
-) -> TypeIWitnessResult:
-    """Constructive witness for the chained family, with the full recursion trace.
-
-    Indices with a vanishing monomial term keep s_j = 1; within each maximal
-    run of nonvanishing terms the scales are solved downward starting from
-    the top index.  When every term vanishes, uniform scaling of all
-    coordinates is the witness.  The one-point case of the lockstep witnesses.
-    """
-    if fam.spec.kind != "type_i":
-        raise PreconditionError("type_i_witness requires a type_i family")
-    return TypeIWitnessResult(*next(_witnesses(fam, [t], [[point]], r)))
-
-
 @dataclass(frozen=True)
 class ConjectureSearchReport:
     spec: object
@@ -300,12 +230,11 @@ def sample_rows(
     count: int,
     seed: int,
     labels: Sequence[str],
-    attempts_per_sample: int = 5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton-polished points on f_i^{-1}(0) intersected with the sphere, for
     every row i of `arrays`: (points, found), G x count x n and G x count.
 
-    Sample k of row i gets up to `attempts_per_sample` random starts, attempt
+    Sample k of row i gets up to ATTEMPTS_PER_SAMPLE random starts, attempt
     att drawn from the stream "{labels[i]}:sample:{k}:attempt:{att}", before
     counting as a failure.  Each attempt index derives the streams of every
     pending (row, sample) pair in one pass and runs them as one lockstep
@@ -319,7 +248,7 @@ def sample_rows(
     found = np.zeros(len(points), dtype=bool)
     pending = np.arange(len(points))
     rng = np.random.Generator(np.random.PCG64(0))
-    for att in range(attempts_per_sample):
+    for att in range(ATTEMPTS_PER_SAMPLE):
         if not pending.size:
             break
         names = [f"{labels[i // count]}:sample:{i % count}:attempt:{att}" for i in pending]
@@ -340,13 +269,10 @@ def sample_on_variety(
     count: int,
     seed: int,
     label: str = "variety",
-    attempts_per_sample: int = 5,
 ) -> tuple[list[tuple[complex, ...]], int]:
     """The one-polynomial case of `sample_rows`: (points, failure_count), the
     points in sample order."""
-    points, found = sample_rows(
-        polynomial_arrays([poly]), radius, count, seed, [label], attempts_per_sample
-    )
+    points, found = sample_rows(polynomial_arrays([poly]), radius, count, seed, [label])
     return [tuple(z) for z in points[found].tolist()], int(count - found.sum())
 
 

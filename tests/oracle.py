@@ -8,14 +8,29 @@ at a time.  Tests compare the engines against these."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mixed_milnor.core import MixedPolynomial, WirtingerGradient, sum_leading
+from mixed_milnor.core import MixedPolynomial, sum_leading
 from mixed_milnor.errors import InputError, NumericalError
 from mixed_milnor.isotopy import _cutoff
-from mixed_milnor.singularity import SingularityResidualReport
+
+
+@dataclass(frozen=True)
+class WirtingerGradient:
+    d_z: tuple[complex, ...]
+    d_zbar: tuple[complex, ...]
+
+
+@dataclass(frozen=True)
+class SingularityResidualReport:
+    point: tuple[complex, ...]
+    t: Optional[float]
+    residual: float
+    lambda_star: Optional[complex]
+    on_variety: float
 
 
 def _check_point(poly: MixedPolynomial, point: Sequence[complex]) -> list[complex]:

@@ -534,6 +534,26 @@ def test_bad_points_file_exits_2(capsys, tmp_path, family_spec, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ([], "the norm of start point 0 overflows"),
+        (["--radius", "1"], "start point 0 has norm 1e+200, off the sphere of radius 1.0"),
+    ],
+    ids=["radius-from-point", "radius-given"],
+)
+def test_build_isotopy_huge_start_point_exits_2(tmp_path, capsys, family_spec, radius, message):
+    """A start point whose squared norm overflows is one input error, with no
+    traceback and no numpy warning, whether or not the radius is given."""
+    points = _write(tmp_path / "points.json", [[[1e200, 0], [0, 0]]])
+    out = tmp_path / "r.json"
+    argv = ["build-isotopy", "--family", family_spec, "--points", points, *radius]
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_build_isotopy_traces_name_their_failure_step(tmp_path, family_spec, points_file):
     code, report = _run_json(
         ["build-isotopy", "--family", family_spec, "--points", points_file, "--steps", "5"],

@@ -15,15 +15,20 @@ from mixed_milnor import (
     detect_weights,
     eta_map,
     evaluate,
-    family_t_derivative,
-    normalize_to_sphere,
     polar_action,
-    rank_test,
     sample_link,
+    transport,
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec
-from mixed_milnor.numerics import random_sphere_point, rng_for
+from mixed_milnor.isotopy import _jet
+from mixed_milnor.numerics import point_rows, random_sphere_point, rng_for
+from mixed_milnor.transversality import _margins
+
+
+def _t_derivative(fam, t, z):
+    """d f_t / dt at one point, as the transport's jet computes it."""
+    return complex(_jet(fam, t, point_rows([z], fam.n).view(float))[2][0])
 
 
 def test_zero_b_family_is_constant():
@@ -77,10 +82,10 @@ def test_reversed_family_swaps_endpoints():
 
 def test_t_derivative_examples():
     fam0 = brieskorn((2, 3))
-    assert family_t_derivative(fam0, 0.5, (1.3 + 0.2j, -0.4j)) == 0
+    assert _t_derivative(fam0, 0.5, (1.3 + 0.2j, -0.4j)) == 0
     fam = brieskorn((2, 3), (1, 0))
-    assert family_t_derivative(fam, 0.5, (1, 1)) == pytest.approx(0)
-    assert family_t_derivative(fam, 0.5, (2, 1)) == pytest.approx(-12)
+    assert _t_derivative(fam, 0.5, (1, 1)) == pytest.approx(0)
+    assert _t_derivative(fam, 0.5, (2, 1)) == pytest.approx(-12)
 
 
 def test_t_derivative_matches_finite_differences():
@@ -91,7 +96,7 @@ def test_t_derivative_matches_finite_differences():
         z = random_sphere_point(rng, 2, 1.0)
         t = float(rng.uniform(h, 1 - h))
         fd = (evaluate(fam.member(t + h), z) - evaluate(fam.member(t - h), z)) / (2 * h)
-        assert abs(fd - family_t_derivative(fam, t, z)) <= 1e-8
+        assert abs(fd - _t_derivative(fam, t, z)) <= 1e-8
 
 
 def test_eta_map_examples():
@@ -150,39 +155,6 @@ def test_members_share_polar_weights():
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(evaluate(f, z)))
 
 
-def test_normalize_to_sphere_fixed_point():
-    z = (0.6, 0.8j)
-    assert normalize_to_sphere((3, 2), z) == pytest.approx(z)
-
-
-def test_normalize_to_sphere_plain_weights():
-    z = (3 + 0j, 4j)
-    out = normalize_to_sphere((1, 1), z, radius=2.0)
-    assert out == pytest.approx((1.2, 1.6j))
-
-
-def test_normalize_to_sphere_weighted():
-    out = normalize_to_sphere((3, 2), (1, 1))
-    s = out[1].real ** 0.5
-    assert out == pytest.approx((s**3, s**2))
-    assert s**6 + s**4 == pytest.approx(1, abs=1e-12)
-    assert math.hypot(abs(out[0]), abs(out[1])) == pytest.approx(1, abs=1e-12)
-
-
-def test_normalize_to_sphere_idempotent():
-    rng = rng_for(29, "families:sphere")
-    for _ in range(20):
-        z = random_sphere_point(rng, 3, float(rng.uniform(0.1, 3.0)))
-        once = normalize_to_sphere((2, 3, 1), z)
-        twice = normalize_to_sphere((2, 3, 1), once)
-        assert max(abs(a - b) for a, b in zip(once, twice)) <= 1e-12
-
-
-def test_normalize_to_sphere_rejects_zero():
-    with pytest.raises(InputError):
-        normalize_to_sphere((1, 1), (0, 0))
-
-
 def test_spec_validation():
     with pytest.raises(InputError):
         FamilySpec("brieskorn", (2, 0), (0, 0))
@@ -208,9 +180,12 @@ _SWEEPS = {
     "check_transversality": lambda fam, t: check_transversality(fam, [t], 1.0, 5, 0),
     "conjecture_search_type_ii": lambda fam, t: conjecture_search_type_ii(fam, [t], 1.0, 5, 0),
     "sample_link": lambda fam, t: sample_link(fam, t, 1.0),
-    "rank_test": lambda fam, t: rank_test(fam, t, (0.6, 0.8)),
+    "rank_test": lambda fam, t: _margins(fam.member(t), point_rows([(0.6, 0.8)], 2), t),
     "certify_smooth_shell": lambda fam, t: certify_smooth_shell(fam, [t], 1.0, 2),
-    "family_t_derivative": lambda fam, t: family_t_derivative(fam, t, (0.6, 0.8)),
+    # the transport is what reads d f_t / dt, and it checks its t_end
+    "family_t_derivative": lambda fam, t: transport(
+        fam, [(0.6, 0.8)], t, 1, MilnorTubeSpec(1.0, 0.1), level=None
+    ),
 }
 
 
@@ -218,7 +193,8 @@ _SWEEPS = {
 @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
 def test_members_outside_the_unit_interval_are_rejected(sweep, t):
     """No sweep extrapolates the family: each builds its members through
-    `member`, which rejects t outside [0, 1] and NaN, as does the t-derivative."""
+    `member`, which rejects t outside [0, 1] and NaN, as does the transport's
+    t_end."""
     fam = build_family(FamilySpec("type_ii", (2, 2), (1, 1)))
-    with pytest.raises(PreconditionError, match=r"t must lie in \[0, 1\]"):
+    with pytest.raises(PreconditionError, match=r"t(_end)? must lie in \[0, 1\]"):
         _SWEEPS[sweep](fam, t)

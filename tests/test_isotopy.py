@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, count_calls
+from conftest import brieskorn
 from mixed_milnor import (
     FamilySpec,
     build_family,
-    choose_tube_level,
-    connection_velocity,
     evaluate,
     integrate_isotopy,
     sample_link,
@@ -21,13 +19,13 @@ from mixed_milnor import (
 )
 from mixed_milnor import isotopy
 from mixed_milnor.errors import InputError, NumericalError, PreconditionError
-from mixed_milnor.families import MilnorTubeSpec, family_t_derivative
+from mixed_milnor.families import MilnorTubeSpec
 from mixed_milnor.isotopy import _cutoff
 from mixed_milnor.numerics import (
-    random_sphere_point,
-    real_jacobian_rows,
-    realify,
     gram,
+    point_rows,
+    random_sphere_point,
+    real_jacobian,
     rng_for,
     row_norm,
     smallest_singular_values,
@@ -35,6 +33,12 @@ from mixed_milnor.numerics import (
 
 
 TUBE = MilnorTubeSpec(1.0, 0.1)
+
+
+def _velocity(fam, t, points, tube):
+    """The connection velocity at a batch of points, one 2n row per point."""
+    x = point_rows(points, fam.n).view(float)
+    return isotopy._velocity(fam, t, x, row_norm(x), tube)
 
 
 def _link_points(fam, count, t=0.0):
@@ -57,7 +61,7 @@ def test_cutoff_profile():
 def test_velocity_vanishes_for_constant_family():
     fam = brieskorn((2, 3))
     pt = _link_points(fam, 1)[0]
-    v = connection_velocity(fam, 0.5, pt, TUBE)
+    v = _velocity(fam, 0.5, [pt], TUBE)
     assert np.linalg.norm(v) <= 1e-10
 
 
@@ -65,7 +69,7 @@ def test_velocity_vanishes_outside_tube():
     fam = brieskorn((2, 3), (1, 0))
     tiny = MilnorTubeSpec(1.0, 1e-6)
     z = (1 / math.sqrt(2), 1 / math.sqrt(2))  # |f_t| = O(1) >> 2 eta0
-    v = connection_velocity(fam, 0.5, z, tiny)
+    v = _velocity(fam, 0.5, [z], tiny)
     assert np.linalg.norm(v) <= 1e-12
 
 
@@ -73,39 +77,41 @@ def test_velocity_satisfies_constraints_exactly():
     fam = brieskorn((2, 3), (1, 0))
     z = _link_points(fam, 1)[0]
     t = 0.3
-    v = connection_velocity(fam, t, z, TUBE)
-    x = realify(z)
+    (v,) = _velocity(fam, t, [z], TUBE)
+    x = np.asarray(z, complex).view(float)
     assert abs(np.dot(x, v)) <= 1e-12
-    J = real_jacobian_rows(fam.member(t), z)
-    dft = family_t_derivative(fam, t, z)
+    # the constraint rows from the oracle's partials of f_t and its closed-form d f_t / dt
+    grad = oracle.wirtinger_gradient(fam.member(t), z)
+    J = real_jacobian(np.array([grad.d_z]), np.array([grad.d_zbar]))[0]
+    dft = oracle.evaluate(fam.endpoint_holomorphic, z) - oracle.evaluate(fam.endpoint_mixed, z)
     res = J @ v + np.array([dft.real, dft.imag])
     assert np.linalg.norm(res) <= 1e-10
 
 
 def test_velocity_requires_sphere_point():
+    """The transport carries sphere points only: its velocity is tangent to
+    the sphere through each row, whatever the row's radius."""
     fam = brieskorn((2, 3), (1, 0))
-    with pytest.raises(PreconditionError):
-        connection_velocity(fam, 0.5, (0.3, 0.3), TUBE)
+    with pytest.raises(PreconditionError, match="off the sphere of radius 1.0"):
+        transport(fam, [(0.3, 0.3)], 1.0, 10, TUBE, level=None)
 
 
 @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
 def test_velocity_requires_t_in_the_unit_interval(t):
     fam = brieskorn((2, 3), (1, 0))
     z = _link_points(fam, 1)[0]
-    with pytest.raises(InputError, match=r"t must lie in \[0, 1\]"):
-        connection_velocity(fam, t, z, TUBE)
+    with pytest.raises(InputError, match=r"t_end must lie in \[0, 1\]"):
+        transport(fam, [z], t, 10, TUBE)
 
 
 def test_non_finite_point_gets_a_nan_velocity():
+    """A state that turns NaN mid-run gets a NaN velocity, and the rest of
+    its batch a finite one."""
     fam = brieskorn((2, 3), (1, 0))
     z = _link_points(fam, 1)[0]
-    for bad in (math.nan, math.inf, -math.inf):
-        broken = (complex(bad, 0.0), z[1])
-        v = connection_velocity(fam, 0.5, [z, broken], TUBE)
+    for broken in ((complex(math.nan, 0.0), z[1]), (math.nan * (1 + 1j), math.nan)):
+        v = _velocity(fam, 0.5, [z, broken], TUBE)
         assert np.isfinite(v[0]).all() and np.isnan(v[1]).all()
-        assert np.isnan(connection_velocity(fam, 0.5, broken, TUBE)).all()
-        # the sphere check passes the row: only the transport's non-finite check names it
-        isotopy._require_sphere(np.array([z, broken]).view(float), 1.0, 0.5)
 
 
 _FAMILIES = (("brieskorn", (2, 3), (1, 1)), ("type_i", (2, 3), (1, 1)), ("type_ii", (2, 2), (1, 1)))
@@ -130,7 +136,7 @@ def test_velocity_matches_the_svd_oracle(family, t, seed, level):
     r = row_norm(x)
     jet = isotopy._jet(fam, t, x)
     expected = oracle.connection_velocity(x, r, tube, jet)
-    v = connection_velocity(fam, t, z, tube)
+    v = isotopy._velocity(fam, t, x, r, tube)
     xhat = x / r[:, None]
     J_T = jet[1] - (jet[1] @ xhat[:, :, None]) * xhat[:, None]
     well = np.linalg.svd(J_T, compute_uv=False)[:, -1] > 1e-3
@@ -265,28 +271,6 @@ def test_tube_fiber_rejects_wrong_level():
         transport(fam, [z], 1.0, 10, TUBE, level=TUBE.tube_level)
 
 
-def test_choose_tube_level_positive():
-    fam = brieskorn((2, 3), (1, 1))
-    level = choose_tube_level(fam, 1.0, samples=64)
-    assert 0 < level < 1
-
-
-def test_choose_tube_level_is_one_kernel_pass_per_t(monkeypatch):
-    """Each t's samples are one kernel pass; the oracle's scalar loop over the
-    same stream gives the same level."""
-    fam = brieskorn((2, 3), (1, 1))
-    grid = (0.0, 0.5, 1.0)
-    calls = count_calls(monkeypatch, isotopy, "value_and_gradient_batch")
-    level = choose_tube_level(fam, 1.0, grid, samples=33, seed=4)
-    assert len(calls) == len(grid)
-    rng = rng_for(4, "tube-level")
-    medians = []
-    for t in grid:
-        points = [random_sphere_point(rng, 2, 1.0) for _ in range(33)]
-        medians.append(np.median([abs(oracle.evaluate(fam.member(t), z)) for z in points]))
-    assert abs(level - 0.1 * min(medians)) <= 1e-12 * level
-
-
 def test_integrate_validation():
     fam = brieskorn((2, 3), (1, 0))
     z0 = _link_points(fam, 1)[0]
@@ -351,19 +335,18 @@ def test_off_sphere_point_in_a_batch_is_rejected():
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 3)
     off = tuple(0.5 * c for c in pts[1])
-    with pytest.raises(PreconditionError, match="point 1"):
+    with pytest.raises(PreconditionError, match="start point 1 has norm"):
         transport(fam, [pts[0], off, pts[2]], 1.0, 10, TUBE, level=None)
-    with pytest.raises(PreconditionError, match="point 2"):
-        connection_velocity(fam, 0.5, [pts[0], pts[1], off], TUBE)
 
 
 def test_velocity_batch_matches_single_points():
+    """Each row's velocity is bit for bit the one it gets alone."""
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 4)
-    batch = connection_velocity(fam, 0.3, pts, TUBE)
+    batch = _velocity(fam, 0.3, pts, TUBE)
     assert batch.shape == (4, 4)
     for z, v in zip(pts, batch):
-        assert connection_velocity(fam, 0.3, z, TUBE).tobytes() == v.tobytes()
+        assert _velocity(fam, 0.3, [z], TUBE)[0].tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -410,7 +393,7 @@ def test_rank_deficiency_names_t_and_point():
     good = (1 / math.sqrt(2), 1j / math.sqrt(2))
     bad = (1 / math.sqrt(2), 1 / math.sqrt(2))
     with pytest.raises(NumericalError, match=r"t=0\.5 for point 1 \("):
-        connection_velocity(fam, 0.5, [good, bad], wide)
+        _velocity(fam, 0.5, [good, bad], wide)
 
 
 @pytest.mark.parametrize("b, newton_correct", [((1, 0), False), ((0, 0), True)])

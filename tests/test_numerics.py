@@ -12,7 +12,6 @@ import oracle
 from mixed_milnor.errors import NumericalError
 from conftest import brieskorn
 from mixed_milnor.numerics import (
-    monotone_root,
     monotone_roots,
     newton_on_sphere_batch,
     random_sphere_point,
@@ -75,9 +74,9 @@ def test_no_labels_no_states():
     bracket=st.none() | st.tuples(st.floats(1e-3, 10.0), st.floats(1.0, 100.0)),
 )
 def test_one_row_monotone_root_matches_the_oracle(a, b, tau, c, target, newton, bracket):
-    """s^a (tau + c s^(2b)) = target: the one-row root, from scalar and from
-    array closures, against the scalar bracket loop, with and without Newton
-    steps and with the bracket given or grown.  Array ** rounds apart from
+    """s^a (tau + c s^(2b)) = target: the one-row root against the scalar
+    bracket loop, with and without Newton steps and with the bracket given or
+    grown.  Array ** rounds apart from
     float **, so roots agree to the stopping width 1e-14 max(1, |s|), not
     bit for bit."""
 
@@ -90,7 +89,6 @@ def test_one_row_monotone_root_matches_the_oracle(a, b, tau, c, target, newton, 
     lo, hi = (1.0, None) if bracket is None else (bracket[0], bracket[0] * bracket[1])
     scalar_dfn = dfn if newton else None
     expected = oracle.monotone_root(fn, target, lo, hi, scalar_dfn)
-    assert monotone_root(fn, target, lo, hi, scalar_dfn) == expected
     rows = monotone_roots(
         lambda s, k: fn(s), [target], lo, hi, (lambda s, k: dfn(s)) if newton else None
     )
@@ -111,8 +109,8 @@ def test_monotone_roots_rows_keep_their_own_brackets():
 
 
 def test_monotone_root_fails_to_bracket():
-    with pytest.raises(NumericalError, match="from above"):
-        monotone_root(lambda s: 0.0, 1.0)
+    with pytest.raises(NumericalError, match="monotone_roots: failed to bracket from above"):
+        monotone_roots(lambda s, k: np.zeros_like(s), [1.0])
     with pytest.raises(NumericalError, match="from below"):
         monotone_roots(lambda s, k: np.ones_like(s), [0.5])
 

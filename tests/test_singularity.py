@@ -12,13 +12,8 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import brieskorn, poly, random_mixed
-from mixed_milnor import (
-    FamilySpec,
-    build_family,
-    certify_smooth_shell,
-    singularity_residual,
-)
-from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
+from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
+from mixed_milnor.core import polynomial_arrays, value_and_gradient, value_and_gradient_batch
 from mixed_milnor import singularity
 from mixed_milnor.errors import InputError, NumericalError, PreconditionError
 from mixed_milnor.numerics import random_sphere_point, rng_for, row_norm
@@ -28,8 +23,16 @@ from mixed_milnor.singularity import (
     _minimize_shell,
     _pattern_search,
     _project_tangent,
+    _residual_terms,
     shell_residual_sq,
 )
+
+
+def _residual(f, z):
+    """The residual and |f| at one point: one kernel pass, then the shell
+    search's squared residual from its partials."""
+    value, d_z, d_zbar = value_and_gradient(f, z)
+    return math.sqrt(_residual_terms(d_z, d_zbar)[0]), abs(value)
 
 
 def _linear_with_gradients(u, v):
@@ -58,30 +61,24 @@ def _grid_min(u, v, points=4096):
 
 def test_residual_zero_at_origin():
     fam = brieskorn((2, 3), (1, 1))
-    rep = singularity_residual(fam.member(0.5), (0, 0))
-    assert rep.residual == 0
-    assert rep.on_variety == 0
+    assert _residual(fam.member(0.5), (0, 0)) == (0, 0)
 
 
 def test_residual_zero_when_parallel():
     f = poly(1, [(1, (1,), (1,))])  # z zbar
-    rep = singularity_residual(f, (1,))
-    assert rep.residual == pytest.approx(0, abs=1e-12)
-    assert rep.lambda_star == pytest.approx(1)
+    assert _residual(f, (1,))[0] == pytest.approx(0, abs=1e-12)
 
 
 def test_residual_orthogonal_gradients():
     f = _linear_with_gradients((1, 0), (0, 1))
-    rep = singularity_residual(f, (0.3, -0.2j))
-    assert rep.residual == pytest.approx(math.sqrt(2))
-    assert rep.residual == pytest.approx(_grid_min((1, 0), (0, 1), 10**4), abs=1e-8)
+    residual = _residual(f, (0.3, -0.2j))[0]
+    assert residual == pytest.approx(math.sqrt(2))
+    assert residual == pytest.approx(_grid_min((1, 0), (0, 1), 10**4), abs=1e-8)
 
 
 def test_residual_holomorphic_criterion():
     f = poly(2, [(1, (2, 0), (0, 0)), (1, (0, 3), (0, 0))])
-    rep = singularity_residual(f, (1, 1))
-    assert rep.lambda_star is None
-    assert rep.residual == pytest.approx(math.sqrt(4 + 9))
+    assert _residual(f, (1, 1))[0] == pytest.approx(math.sqrt(4 + 9))
 
 
 def test_residual_matches_lambda_grid():
@@ -95,11 +92,11 @@ def test_residual_matches_lambda_grid():
         u = tuple(c / un for c in u)
         v = tuple(c / vn for c in v)
         f = _linear_with_gradients(u, v)
-        rep = singularity_residual(f, (0, 0))
+        residual = _residual(f, (0, 0))[0]
         # the closed form is a true lower bound for any grid
-        assert _grid_min(u, v) >= rep.residual - 1e-9
+        assert _grid_min(u, v) >= residual - 1e-9
         # a finer oracle grid pins the value itself below the tolerance
-        assert rep.residual == pytest.approx(_grid_min(u, v, points=1 << 16), abs=1e-6)
+        assert residual == pytest.approx(_grid_min(u, v, points=1 << 16), abs=1e-6)
 
 
 def test_residual_rotation_invariance():
@@ -108,13 +105,9 @@ def test_residual_rotation_invariance():
         u = tuple(complex(rng.normal(), rng.normal()) for _ in range(2))
         v = tuple(complex(rng.normal(), rng.normal()) for _ in range(2))
         theta = cmath.exp(1j * float(rng.uniform(0, 2 * math.pi)))
-        base = singularity_residual(_linear_with_gradients(u, v), (0, 0)).residual
-        rot = singularity_residual(
-            _linear_with_gradients(
-                tuple(theta * c for c in u), tuple(theta * c for c in v)
-            ),
-            (0, 0),
-        ).residual
+        base = _residual(_linear_with_gradients(u, v), (0, 0))[0]
+        rotated = _linear_with_gradients(tuple(theta * c for c in u), tuple(theta * c for c in v))
+        rot = _residual(rotated, (0, 0))[0]
         assert rot == pytest.approx(base, abs=1e-10)
 
 
@@ -126,24 +119,16 @@ def test_residual_rotation_invariance():
     x=st.lists(st.just(0.0) | st.floats(-1.5, 1.5), min_size=6, max_size=6),
 )
 def test_residual_matches_the_oracle(n, monomials, seed, x):
-    """The one-pass residual, lambda and |f| against the scalar oracle,
-    relative to the size of the partials (the squared residual cancels down
-    from uu + vv)."""
+    """The one-pass residual and |f| against the scalar oracle, relative to
+    the size of the partials (the squared residual cancels down from uu + vv)."""
     f = random_mixed(np.random.default_rng(seed), n, monomials)
     z = tuple(complex(a, b) for a, b in zip(x[: 2 * n : 2], x[1 : 2 * n : 2]))
-    rep, expected = singularity_residual(f, z, t=0.5), oracle.singularity_residual(f, z, t=0.5)
+    (residual, level), expected = _residual(f, z), oracle.singularity_residual(f, z)
     grad = oracle.wirtinger_gradient(f, z)
     scale = max(map(abs, grad.d_z + grad.d_zbar), default=0.0)
     floor = np.finfo(float).tiny
-    assert (rep.point, rep.t) == (expected.point, expected.t)
-    assert abs(rep.residual**2 - expected.residual**2) <= 1e-12 * scale**2 + floor
-    assert abs(rep.on_variety - expected.on_variety) <= 1e-12 * (1 + abs(expected.on_variety))
-    assert (rep.lambda_star is None) == (expected.lambda_star is None)
-    if rep.lambda_star is not None:
-        # the phase is only as good as <u, v> is large against its rounding
-        inner = abs(sum(a * b for a, b in zip(grad.d_z, grad.d_zbar)))
-        bound = 1e-12 * (scale**2 / inner if inner else 1.0)
-        assert abs(rep.lambda_star - expected.lambda_star) <= bound
+    assert abs(residual**2 - expected.residual**2) <= 1e-12 * scale**2 + floor
+    assert abs(level - expected.on_variety) <= 1e-12 * (1 + abs(expected.on_variety))
 
 
 def test_shell_search_positive_minimum():
@@ -173,8 +158,8 @@ def test_residual_grows_along_rays_for_holomorphic_family():
     rng = rng_for(41, "sing:ray")
     for _ in range(20):
         z = random_sphere_point(rng, 2, 1.0)
-        inner = singularity_residual(f, z).residual
-        outer = singularity_residual(f, tuple(2 * c for c in z)).residual
+        inner = _residual(f, z)[0]
+        outer = _residual(f, tuple(2 * c for c in z))[0]
         assert outer >= inner - 1e-12
 
 

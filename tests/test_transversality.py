@@ -16,39 +16,66 @@ from mixed_milnor import (
     build_family,
     check_transversality,
     conjecture_search_type_ii,
-    radial_witness_brieskorn,
-    rank_margins,
-    rank_test,
     sample_on_variety,
-    solve_phi,
     transversality,
-    type_i_witness,
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
 from mixed_milnor import core, families, numerics
-from mixed_milnor.core import polynomial_arrays
-from mixed_milnor.transversality import sample_rows, solve_phi_rows
+from mixed_milnor.core import polynomial_arrays, value_and_gradient
+from mixed_milnor.transversality import (
+    ATTEMPTS_PER_SAMPLE,
+    DEFAULT_MARGIN_THRESHOLD,
+    WITNESS_RADIUS,
+    _margins,
+    _witnesses,
+    sample_rows,
+    solve_phi_rows,
+)
 from mixed_milnor.numerics import (
+    level_tolerance,
     newton_on_sphere,
     newton_on_sphere_batch,
-    on_variety_tolerance,
-    real_jacobian_rows,
-    realify,
+    point_rows,
+    real_jacobian,
     rng_for,
 )
 
 
+def _real(z):
+    """(z_1..z_n) as (x_1, y_1, ..., x_n, y_n)."""
+    return np.asarray(z, dtype=complex).view(float)
+
+
+def _real_jacobian(f, z):
+    """The rows (grad Re f, grad Im f) at one point, from one kernel pass."""
+    _, d_z, d_zbar = value_and_gradient(f, z)
+    return real_jacobian(d_z[None], d_zbar[None])[0]
+
+
+def _rank_margins(fam, t, points):
+    return _margins(fam.member(t), point_rows(points, fam.n), t)
+
+
+def _witness(fam, t, w, r=WITNESS_RADIUS):
+    """The lockstep witness pass at one point: (certificate, trace)."""
+    return next(_witnesses(fam, [t], [[w]], r))
+
+
+def _phi(a, b, tau, w_abs, r):
+    return float(solve_phi_rows(a, b, [tau], [w_abs], [r])[0][0])
+
+
 def test_real_gradients_identity_map():
     f = poly(1, [(1, (1,), (0,))])
-    grad_g, grad_h = map(tuple, real_jacobian_rows(f, (0.7 - 0.3j,)))
+    grad_g, grad_h = map(tuple, _real_jacobian(f, (0.7 - 0.3j,)))
     assert grad_g == pytest.approx((1, 0))
     assert grad_h == pytest.approx((0, 1))
 
 
 def test_real_gradients_squared_modulus():
     f = poly(1, [(1, (1,), (1,))])
-    grad_g, grad_h = map(tuple, real_jacobian_rows(f, (1,)))
+    grad_g, grad_h = map(tuple, _real_jacobian(f, (1,)))
     assert grad_g == pytest.approx((2, 0))
     assert grad_h == pytest.approx((0, 0), abs=1e-14)
 
@@ -56,7 +83,7 @@ def test_real_gradients_squared_modulus():
 def test_real_gradients_match_finite_differences():
     f = poly(1, [(1, (3,), (1,))])
     z = 1 + 1j
-    grad_g, grad_h = map(tuple, real_jacobian_rows(f, (z,)))
+    grad_g, grad_h = map(tuple, _real_jacobian(f, (z,)))
     h = 1e-6
     for k in range(2):
         for part, grad in (("real", grad_g), ("imag", grad_h)):
@@ -74,7 +101,7 @@ def test_real_gradients_reconstruct_wirtinger():
     f = fam.member(0.4)
     for _ in range(20):
         z = tuple(complex(rng.normal(), rng.normal()) for _ in range(2))
-        grad_g, grad_h = map(tuple, real_jacobian_rows(f, z))
+        grad_g, grad_h = map(tuple, _real_jacobian(f, z))
         w = oracle.wirtinger_gradient(f, z)
         for j in range(2):
             dx = complex(grad_g[2 * j], grad_h[2 * j])
@@ -86,49 +113,43 @@ def test_real_gradients_reconstruct_wirtinger():
 def test_rank_test_holomorphic_point():
     fam = brieskorn((2, 2))
     w = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    cert = rank_test(fam, 1.0, w)
-    assert cert.transverse
-    assert cert.margin > 0.1
-    assert cert.method == "rank_test"
+    (margin,) = _rank_margins(fam, 1.0, [w])
+    assert margin > 0.1
 
 
 def test_rank_test_degenerate_point():
     f = poly(1, [(1, (1,), (1,)), (-1, (0,), (0,))])  # z zbar - 1
     spec = FamilySpec("brieskorn", (2,), (0,))
     fam = DeformationFamily(spec, f, f)
-    cert = rank_test(fam, 0.5, (1,))
-    assert cert.margin == 0
-    assert not cert.transverse
+    assert _rank_margins(fam, 0.5, [(1,)]).tolist() == [0.0]
 
 
 def test_rank_test_preconditions():
     fam = brieskorn((2, 2))
     with pytest.raises(PreconditionError):
-        rank_test(fam, 1.0, (1, 1))  # not on the variety
+        _rank_margins(fam, 1.0, [(1, 1)])  # not on the variety
     f = poly(1, [(1, (1,), (0,))])
     fam1 = DeformationFamily(FamilySpec("brieskorn", (1,), (0,)), f, f)
     with pytest.raises(PreconditionError):
-        rank_test(fam1, 0.0, (0,))  # origin
+        _rank_margins(fam1, 0.0, [(0,)])  # origin
 
 
 def test_rank_test_on_sampled_mixed_points():
     fam = brieskorn((2, 3), (1, 1))
     pts, failures = sample_on_variety(fam.member(0.5), 1.0, 10, seed=0, label="t")
     assert failures == 0
-    for z in pts:
-        cert = rank_test(fam, 0.5, z)
-        assert cert.transverse and cert.margin > 0
+    assert (_rank_margins(fam, 0.5, pts) > DEFAULT_MARGIN_THRESHOLD).all()
 
 
 def test_solve_phi_fixed_points():
-    assert solve_phi(3, 2, 0.7, 1.3, 1.0) == 1.0
-    assert solve_phi(3, 2, 1.0, 1.3, 5.0) == pytest.approx(5 ** (1 / 3))
-    assert solve_phi(4, 0, 0.5, 2.0, 5.0) == pytest.approx(5 ** 0.25)
-    assert solve_phi(2, 1, 0.0, 1.0, 5.0) == pytest.approx(5 ** 0.25)
+    assert _phi(3, 2, 0.7, 1.3, 1.0) == 1.0
+    assert _phi(3, 2, 1.0, 1.3, 5.0) == pytest.approx(5 ** (1 / 3))
+    assert _phi(4, 0, 0.5, 2.0, 5.0) == pytest.approx(5 ** 0.25)
+    assert _phi(2, 1, 0.0, 1.0, 5.0) == pytest.approx(5 ** 0.25)
 
 
 def test_solve_phi_quadratic_closed_form():
-    s = solve_phi(2, 1, 0.5, 1.0, 4.0)
+    s = _phi(2, 1, 0.5, 1.0, 4.0)
     assert s == pytest.approx(math.sqrt((-1 + math.sqrt(33)) / 2), abs=1e-10)
     assert s**4 + s**2 == pytest.approx(8, abs=1e-9)
 
@@ -142,7 +163,7 @@ def test_solve_phi_quadratic_closed_form():
     st.floats(min_value=0.1, max_value=10.0),
 )
 def test_solve_phi_round_trip(a, b, tau, w_abs, r):
-    s = solve_phi(a, b, tau, w_abs, r)
+    s = _phi(a, b, tau, w_abs, r)
     c = (1 - tau) * w_abs ** (2 * b)
     lhs = s**a * (tau + c * s ** (2 * b))
     rhs = r * (tau + c)
@@ -152,24 +173,25 @@ def test_solve_phi_round_trip(a, b, tau, w_abs, r):
 def test_solve_phi_monotone_in_r():
     prev = 0.0
     for r in (0.2, 0.5, 1.0, 2.0, 5.0):
-        s = solve_phi(3, 2, 0.4, 0.7, r)
+        s = _phi(3, 2, 0.4, 0.7, r)
         assert s > prev
         prev = s
 
 
 def test_solve_phi_validation():
     with pytest.raises(InputError):
-        solve_phi(0, 1, 0.5, 1.0, 2.0)
+        _phi(0, 1, 0.5, 1.0, 2.0)
     with pytest.raises(InputError):
-        solve_phi(2, 1, 1.5, 1.0, 2.0)
+        _phi(2, 1, 1.5, 1.0, 2.0)
     with pytest.raises(InputError):
-        solve_phi(2, 1, 0.5, 0.0, 2.0)
+        _phi(2, 1, 0.5, 0.0, 2.0)
 
 
 def test_radial_witness_holomorphic_margin_formula():
     fam = brieskorn((2, 2))
     w = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    cert = radial_witness_brieskorn(fam, 1.0, w)
+    cert, trace = _witness(fam, 1.0, w)
+    assert trace is None
     expected = sum((2.0 / a) * abs(c) ** 2 for a, c in zip((2, 2), w))
     assert cert.margin == pytest.approx(expected, abs=1e-6)
     assert cert.transverse
@@ -185,12 +207,12 @@ def _mixed_on_variety_pair(t=0.5):
 def test_radial_witness_mixed_point_and_containment():
     fam, w = _mixed_on_variety_pair()
     t = 0.5
-    cert = radial_witness_brieskorn(fam, t, w)
+    cert, _ = _witness(fam, t, w)
     assert cert.margin > 0
     f = fam.member(t)
     for r in (0.5, 0.8, 1.0, 1.25, 2.0):
         xi = tuple(
-            z * solve_phi(a, b, t, abs(z), r)
+            z * _phi(a, b, t, abs(z), r)
             for z, a, b in zip(w, fam.spec.a, fam.spec.b)
         )
         nrm = math.sqrt(sum(abs(z) ** 2 for z in xi))
@@ -201,30 +223,27 @@ def test_radial_witness_implies_rank_transversality():
     fam = brieskorn((2, 3), (1, 1))
     for t in (0.25, 0.75):
         pts, _ = sample_on_variety(fam.member(t), 1.0, 10, seed=1, label=f"w:{t}")
-        for z in pts:
-            wc = radial_witness_brieskorn(fam, t, z)
-            if wc.margin > 1e-6:
-                assert rank_test(fam, t, z).margin > 0
+        witnesses = _witnesses(fam, [t], [pts])
+        for (cert, _), margin in zip(witnesses, _rank_margins(fam, t, pts)):
+            if cert.margin > 1e-6:
+                assert margin > 0
 
 
 def test_radial_witness_preconditions():
-    fam, w = _mixed_on_variety_pair()
+    fam, _ = _mixed_on_variety_pair()
     with pytest.raises(PreconditionError):
-        radial_witness_brieskorn(fam, 0.5, (0.5, 0))  # single nonzero coord, not on V
-    chained = build_family(FamilySpec("type_i", (2, 2), (1, 1)))
-    with pytest.raises(PreconditionError):
-        radial_witness_brieskorn(chained, 0.5, w)
+        _witness(fam, 0.5, (0.5, 0))  # single nonzero coord, not on V
 
 
 def test_chained_witness_empty_index_set():
     fam = build_family(FamilySpec("type_i", (2, 2), (1, 0)))
     w = (0.8, 0)  # both monomials vanish
-    res = type_i_witness(fam, 0.5, w)
-    assert res.trace.J == ()
-    assert res.trace.I0 == (2,)
-    assert res.trace.components == ()
-    assert res.certificate.margin == pytest.approx(2 * 0.64)
-    assert res.certificate.witness_vector == pytest.approx(tuple(realify(w)))
+    cert, trace = _witness(fam, 0.5, w)
+    assert trace.J == ()
+    assert trace.I0 == (2,)
+    assert trace.components == ()
+    assert cert.margin == pytest.approx(2 * 0.64)
+    assert cert.witness_vector == pytest.approx(tuple(_real(w)))
 
 
 def test_witness_margin_threshold_scales_with_the_point():
@@ -233,12 +252,12 @@ def test_witness_margin_threshold_scales_with_the_point():
     fam = build_family(FamilySpec("type_i", (1, 1), (0, 0)))
     w1 = complex(-0.9365, 0.3506)
     w = (w1 / abs(w1), complex(-7.2e-23, -2.6e-23))
-    cert = type_i_witness(fam, 0.0, w).certificate
+    cert, _ = _witness(fam, 0.0, w)
     assert 0 < cert.margin < 1e-43
     assert cert.transverse is False
-    assert rank_test(fam, 0.0, w).margin == pytest.approx(1.0)
+    assert _rank_margins(fam, 0.0, [w])[0] == pytest.approx(1.0)
     # the same threshold passes a margin of the size of |w|^2
-    assert type_i_witness(fam, 0.5, (0.8, 0)).certificate.transverse is True
+    assert _witness(fam, 0.5, (0.8, 0))[0].transverse is True
 
 
 def test_chained_witness_holomorphic_closed_form():
@@ -246,16 +265,16 @@ def test_chained_witness_holomorphic_closed_form():
     fam = build_family(FamilySpec("type_i", a, (1, 1)))
     w2 = 0.6 * cmath.exp(0.3j)
     w1 = 1j * w2  # w1^2 w2 + w2^3 = 0
-    res = type_i_witness(fam, 1.0, (w1, w2), r=2.0)
-    assert res.trace.J == (1, 2)
-    assert res.trace.components == ((1, 2),)
-    assert res.trace.ends_at_last_index == (True,)
+    cert, trace = _witness(fam, 1.0, (w1, w2), r=2.0)
+    assert trace.J == (1, 2)
+    assert trace.components == ((1, 2),)
+    assert trace.ends_at_last_index == (True,)
     s2 = 2.0 ** (1 / a[1])
     r1 = 2.0 / s2
-    assert res.trace.s_values[1] == pytest.approx(s2, abs=1e-10)
-    assert res.trace.r_values[0] == pytest.approx(r1, abs=1e-10)
-    assert res.trace.s_values[0] == pytest.approx(r1 ** (1 / a[0]), abs=1e-10)
-    assert res.certificate.margin > 0
+    assert trace.s_values[1] == pytest.approx(s2, abs=1e-10)
+    assert trace.r_values[0] == pytest.approx(r1, abs=1e-10)
+    assert trace.s_values[0] == pytest.approx(r1 ** (1 / a[0]), abs=1e-10)
+    assert cert.margin > 0
 
 
 def test_chained_witness_single_component_last_index_form():
@@ -265,15 +284,16 @@ def test_chained_witness_single_component_last_index_form():
     a3_amp = t + (1 - t) * abs(w3) ** 2
     w2 = (-w3 * a3_amp) ** (1 / 3)  # w2^3 w3 + w3^2 A3 = 0
     w = (0, w2, w3)
-    assert abs(oracle.evaluate(fam.member(t), w)) <= on_variety_tolerance(fam.member(t), w)
-    res = type_i_witness(fam, t, w, r=2.0)
-    assert res.trace.I0 == (1,)
-    assert res.trace.J == (2, 3)
-    assert res.trace.components == ((2, 3),)
-    assert res.trace.ends_at_last_index == (True,)
-    assert res.trace.r_values[0] is None
-    assert res.certificate.margin > 0
-    for rj, sj, aj in zip(res.trace.r_values, res.trace.s_values, fam.spec.a):
+    f = fam.member(t)
+    assert abs(oracle.evaluate(f, w)) <= level_tolerance(f, np.linalg.norm(w))
+    cert, trace = _witness(fam, t, w, r=2.0)
+    assert trace.I0 == (1,)
+    assert trace.J == (2, 3)
+    assert trace.components == ((2, 3),)
+    assert trace.ends_at_last_index == (True,)
+    assert trace.r_values[0] is None
+    assert cert.margin > 0
+    for rj, sj, aj in zip(trace.r_values, trace.s_values, fam.spec.a):
         if rj is not None:
             assert rj >= 1 - 1e-12
             assert sj >= 1 - 1e-12
@@ -283,17 +303,14 @@ def test_chained_witness_single_component_last_index_form():
 def test_chained_witness_epsilon_flags():
     fam = build_family(FamilySpec("type_i", (2, 2, 2), (1, 1, 1)))
     pts, _ = sample_on_variety(fam.member(0.5), 1.0, 3, seed=3, label="eps")
-    for z in pts:
-        res = type_i_witness(fam, 0.5, z)
-        assert res.trace.epsilon_flags == (1, 1, 0)
+    for _, trace in _witnesses(fam, [0.5], [pts]):
+        assert trace.epsilon_flags == (1, 1, 0)
 
 
 def test_chained_witness_validation():
     fam = build_family(FamilySpec("type_i", (2, 2), (1, 0)))
-    with pytest.raises(InputError):
-        type_i_witness(fam, 0.5, (0.8, 0), r=0.0)
-    with pytest.raises(PreconditionError):
-        type_i_witness(brieskorn((2, 2), (1, 1)), 0.5, (1, 1))
+    with pytest.raises(InputError, match="evaluation radius must be positive"):
+        _witness(fam, 0.5, (0.8, 0), r=0.0)
 
 
 def test_conjecture_search_runs_and_reports():
@@ -369,26 +386,25 @@ def test_rank_margins_match_per_point_svd(kind, a, b, n, t, seed):
     fam = build_family(FamilySpec(kind, tuple(a[:n]), tuple(b[:n])))
     poly = fam.member(t)
     pts, _ = sample_on_variety(poly, 1.0, 6, seed, label="rank-oracle")
-    margins = rank_margins(fam, t, pts)
+    margins = _rank_margins(fam, t, pts)
     assert margins.shape == (len(pts),)
     for z, margin in zip(pts, margins):
-        rows = np.vstack([realify(z), real_jacobian_rows(poly, z)])
+        rows = np.vstack([_real(z), _real_jacobian(poly, z)])
         norms = np.linalg.norm(rows, axis=1)
         expected = 0.0
         if np.all(norms > 0):
             expected = np.linalg.svd(rows / norms[:, None], compute_uv=False)[-1]
         assert abs(margin - expected) <= 1e-12
-        assert rank_test(fam, t, z).margin == margin
 
 
 def test_rank_margins_name_the_point_off_the_variety():
     fam = brieskorn((2, 2))
     w = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    assert rank_margins(fam, 1.0, []).shape == (0,)
+    assert _rank_margins(fam, 1.0, []).shape == (0,)
     with pytest.raises(PreconditionError, match="point 1 "):
-        rank_margins(fam, 1.0, [w, (1, 1)])
+        _rank_margins(fam, 1.0, [w, (1, 1)])
     with pytest.raises(InputError):
-        rank_margins(fam, 1.0, [(1, 1, 1)])
+        _rank_margins(fam, 1.0, [(1, 1, 1)])
 
 
 def _two_term_root(lead_abs, a, b, t):
@@ -454,19 +470,19 @@ def _fd_witness(fam, t, w, components, h=1e-6):
 
     def scales(r):
         if fam.spec.kind == "brieskorn":
-            return [solve_phi(a[j], b[j], t, m, r) if m > 0 else 0.0 for j, m in enumerate(mods)]
+            return [_phi(a[j], b[j], t, m, r) if m > 0 else 0.0 for j, m in enumerate(mods)]
         if not components:  # every monomial vanishes: uniform scaling
             return [r] * len(w)
         s = [1.0] * len(w)
         for lo, hi in components:  # 1-based closed intervals, solved downward
             for j in range(hi - 1, lo - 2, -1):
-                s[j] = solve_phi(a[j], b[j], t, mods[j], r if j == hi - 1 else r / s[j + 1])
+                s[j] = _phi(a[j], b[j], t, mods[j], r if j == hi - 1 else r / s[j + 1])
         return s
 
     xp = [s * z for s, z in zip(scales(1 + h), w)]
     xm = [s * z for s, z in zip(scales(1 - h), w)]
     margin = (sum(abs(z) ** 2 for z in xp) - sum(abs(z) ** 2 for z in xm)) / (2 * h)
-    return margin, (realify(xp) - realify(xm)) / (2 * h)
+    return margin, (_real(xp) - _real(xm)) / (2 * h)
 
 
 @settings(max_examples=150, deadline=None)
@@ -474,21 +490,17 @@ def _fd_witness(fam, t, w, components, h=1e-6):
 def test_closed_form_witness_matches_central_differences(case):
     fam, t, w = case
     poly = fam.member(t)
-    if fam.spec.kind == "brieskorn":
-        cert, components = radial_witness_brieskorn(fam, t, w), None
-    else:
-        res = type_i_witness(fam, t, w)
-        cert, components = res.certificate, res.trace.components
-    margin, vector = _fd_witness(fam, t, w, components)
+    cert, trace = _witness(fam, t, w)
+    margin, vector = _fd_witness(fam, t, w, trace and trace.components)
     # 1e-6 relative, plus the oracle's own error: the 1e-14 tolerance of
-    # solve_phi's root over the step h = 1e-6, per unit of |w|
-    size = float(np.linalg.norm(realify(w)))
+    # solve_phi_rows' root over the step h = 1e-6, per unit of |w|
+    size = float(np.linalg.norm(w))
     assert abs(cert.margin - margin) <= 1e-6 * abs(margin) + 1e-7 * size**2
     witness = np.array(cert.witness_vector)
     assert np.linalg.norm(witness - vector) <= 1e-6 * np.linalg.norm(vector) + 1e-7 * size
     # the curve stays in the variety, so its velocity is tangent to it
-    tangency = np.linalg.norm(real_jacobian_rows(poly, w) @ witness)
-    assert tangency <= 10 * on_variety_tolerance(poly, w)
+    tangency = np.linalg.norm(_real_jacobian(poly, w) @ witness)
+    assert tangency <= 10 * level_tolerance(poly, size)
 
 
 def test_conjecture_search_reports_failures_per_t():
@@ -500,8 +512,8 @@ def test_conjecture_search_reports_failures_per_t():
 
 
 def _solve_phi_reference(a, b, tau, w_abs, r):
-    """The scalar solve_phi: closed forms, else the oracle's scalar
-    `monotone_root` on the scalar closure."""
+    """One row of `solve_phi_rows` by scalar code: closed forms, else the
+    oracle's scalar `monotone_root` on the scalar closure."""
     if r == 1.0:
         return 1.0
     c = (1.0 - tau) * w_abs ** (2 * b)
@@ -538,7 +550,6 @@ def test_lockstep_solve_phi_matches_the_scalar_reference(a, b, rows):
     for k, (tk, wk, rk) in enumerate(rows):
         alone = solve_phi_rows(a, b, [tk], [wk], [rk])
         assert (s[k].tobytes(), slope[k].tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
-        assert solve_phi(a, b, tk, wk, rk) == s[k]
         expected = _solve_phi_reference(a, b, tk, wk, rk)
         if rk == 1.0:
             assert s[k] == 1.0
@@ -553,7 +564,7 @@ def test_lockstep_solve_phi_matches_the_scalar_reference(a, b, rows):
 
 def test_closed_forms_survive_an_underflowing_c():
     """At tau = 0 and |w|^(2b) below the smallest float the general formulas
-    are 0/0; solve_phi and its slope take their closed forms instead."""
+    are 0/0; the root and its slope take their closed forms instead."""
     a, b = 2, 3
     w_abs = np.array([1e-300, 1e-60])
     assert ((1.0 - 0.0) * w_abs[:1] ** (2 * b) == 0).all()
@@ -562,10 +573,11 @@ def test_closed_forms_survive_an_underflowing_c():
     assert slope.tolist() == [1.0 / (a + 2 * b)] * 2
     fam = build_family(FamilySpec("type_i", (1, 1), (3, 0)))
     w = (complex(0.6, 0.8), complex(1e-60, 0.0))  # z1 z2 + z2 = 0 only as z2 -> 0
-    assert abs(oracle.evaluate(fam.member(0.0), w)) <= on_variety_tolerance(fam.member(0.0), w)
-    res = type_i_witness(fam, 0.0, w)
-    assert res.trace.J == (1, 2)
-    assert math.isfinite(res.certificate.margin)
+    f = fam.member(0.0)
+    assert abs(oracle.evaluate(f, w)) <= level_tolerance(f, np.linalg.norm(w))
+    cert, trace = _witness(fam, 0.0, w)
+    assert trace.J == (1, 2)
+    assert math.isfinite(cert.margin)
 
 
 @st.composite
@@ -592,39 +604,31 @@ def _witness_bits(cert, trace):
 @given(_witness_batches())
 def test_witness_rows_ignore_their_batch(case):
     """Every witness of a lockstep batch is bit for bit the one its point gets
-    alone, and the one the public one-point functions give."""
+    alone."""
     fam, rows = case
     grid = [t for t, _ in rows]
-    together = list(transversality._witnesses(fam, grid, [[w] for _, w in rows]))
+    together = list(_witnesses(fam, grid, [[w] for _, w in rows]))
     # the same rows grouped by t, as the sweep passes them
     by_t = sorted(set(grid))
-    grouped = list(
-        transversality._witnesses(fam, by_t, [[w for t, w in rows if t == u] for u in by_t])
-    )
+    grouped = list(_witnesses(fam, by_t, [[w for t, w in rows if t == u] for u in by_t]))
     order = sorted(range(len(rows)), key=lambda k: (by_t.index(grid[k]), k))
     for k, (t, w) in enumerate(rows):
-        (alone,) = transversality._witnesses(fam, [t], [[w]])
+        alone = _witness(fam, t, w)
         assert _witness_bits(*together[k]) == _witness_bits(*alone)
         assert _witness_bits(*grouped[order.index(k)]) == _witness_bits(*alone)
-        if fam.spec.kind == "brieskorn":
-            one = (radial_witness_brieskorn(fam, t, w), None)
-        else:
-            res = type_i_witness(fam, t, w)
-            one = (res.certificate, res.trace)
-        assert _witness_bits(*one) == _witness_bits(*alone)
 
 
 def test_witness_errors_name_t_and_point():
     fam = build_family(FamilySpec("type_i", (2, 2), (1, 0)))
     good = (0.8, 0)
     with pytest.raises(PreconditionError, match=r"point 1 is off the level set .* at t=0\.25"):
-        list(transversality._witnesses(fam, [0.5, 0.25], [[good], [good, (0.6, 0.8)]]))
+        list(_witnesses(fam, [0.5, 0.25], [[good], [good, (0.6, 0.8)]]))
 
 
-def _sample_alone(poly, seed, label, k, attempts=5):
+def _sample_alone(poly, seed, label, k):
     """Sample k by itself: one start per attempt from its own stream, each
     run as a Newton batch of one row, until one lands."""
-    for att in range(attempts):
+    for att in range(ATTEMPTS_PER_SAMPLE):
         start = rng_for(seed, f"{label}:sample:{k}:attempt:{att}").standard_normal(2 * poly.n)
         point, hit = newton_on_sphere_batch(poly, 0j, 1.0, start.view(complex)[None])
         if hit[0]:
@@ -730,7 +734,7 @@ def test_conjecture_search_summarizes_per_t_sampling(a, b, grid, seed, threshold
         pts, missed = sample_on_variety(fam.member(t), 1.0, 5, seed, label=f"conj:t={ti}")
         failures.append(missed)
         found += len(pts)
-        for z, margin in zip(pts, rank_margins(fam, t, pts).tolist()):
+        for z, margin in zip(pts, _rank_margins(fam, t, pts).tolist()):
             if margin < best[0]:
                 best = (margin, z, t)
             if margin < threshold:
