@@ -19,9 +19,7 @@ from .links import LinkSample, project_svg, sample_link
 from .scaling import ScalingSolution, normalize_coefficients, verify_scaling
 from .singularity import ShellSearchReport, certify_smooth_shell
 from .transversality import (
-    TransversalityCertificate,
     TransversalitySweep,
-    TypeIWitnessTrace,
     check_transversality,
     conjecture_search_type_ii,
     sample_on_variety,

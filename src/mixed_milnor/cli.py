@@ -14,12 +14,14 @@ per-label substreams; reports are byte-deterministic for a fixed manifest
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -28,7 +30,7 @@ from .errors import CertificateFailure, InputError, MixedMilnorError, NumericalE
 from .families import MilnorTubeSpec
 from .isotopy import transport
 from .links import project_svg, sample_link
-from .report import build_manifest, content_digest, dumps
+from .report import dumps
 from .scaling import normalize_coefficients, verify_scaling
 from .singularity import certify_smooth_shell
 from .specio import load_spec, require_family
@@ -145,18 +147,8 @@ def _normalize(args, poly, fam):
 
 def _certify_smooth(args, poly, fam):
     grid = parse_t_grid(args.t_grid)
-    rep = certify_smooth_shell(fam, grid, args.radius, args.restarts, args.seed)
-    certified = rep.min_residual_found > args.tolerance
-    result = {
-        **_fields(args, "radius", "restarts"),
-        **_fields(rep, "min_residual_found", "argmin_t", "argmin_restart", "argmin_point"),
-        **_fields(rep, "iterations", "converged"),
-        "t_grid": grid,
-        "threshold": args.tolerance,
-        "certified": certified,
-        "note": "numerical evidence, not proof",
-    }
-    return result, "certified" if certified else "below-threshold", certified
+    rep = certify_smooth_shell(fam, grid, args.radius, args.restarts, args.seed, args.tolerance)
+    return rep, "certified" if rep.certified else "below-threshold", rep.certified
 
 
 def _check_transversality(args, poly, fam):
@@ -167,21 +159,10 @@ def _check_transversality(args, poly, fam):
 
 
 def _explore_conjecture(args, poly, fam):
-    if fam.spec.kind != "type_ii":
-        raise InputError("explore-conjecture applies to type_ii families only")
     grid = parse_t_grid(args.t_grid)
     rep = conjecture_search_type_ii(fam, grid, args.radius, args.samples, args.seed)
-    result = {
-        **_fields(rep, "samples_requested", "samples_found", "sampler_failures"),
-        **_fields(rep, "sampler_failures_per_t"),
-        **_fields(rep, "min_margin", "argmin_t", "argmin_point", "note"),
-        "t_grid": grid,
-        "radius": args.radius,
-        "flagged_count": len(rep.flagged),
-        "flagged": [_fields(c, "t", "point", "margin") for c in rep.flagged],
-    }
     ok = rep.samples_found > 0 and not rep.flagged
-    return result, "no-counterexample-found" if ok else "flagged", ok
+    return rep, "no-counterexample-found" if ok else "flagged", ok
 
 
 def _coordinate(value, path: str) -> complex:
@@ -249,17 +230,26 @@ def _build_isotopy(args, poly, fam):
     return result, "partial" if summary.partial else "ok", not summary.partial
 
 
+def _save(path: str, write: Callable[[str], object]) -> None:
+    """write(path), where a path that cannot be written is an input error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _trace_link(args, poly, fam):
     sample = sample_link(fam, args.t, args.radius, args.seeds, args.seed)
     # one [re z1, im z1, re z2, im z2] row per traced point
     orbits = sample.orbits.view(float).tolist()
     if args.svg and not sample.flagged:
-        project_svg(sample, args.svg)
+        _save(args.svg, lambda path: project_svg(sample, path))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("orbit,re_z1,im_z1,re_z2,im_z2\n")
-            for i, orbit in enumerate(orbits):
-                fh.writelines(f"{i},{','.join(map(repr, row))}\n" for row in orbit)
+        rows = (
+            f"{i},{','.join(map(repr, row))}\n" for i, orbit in enumerate(orbits) for row in orbit
+        )
+        csv = "orbit,re_z1,im_z1,re_z2,im_z2\n" + "".join(rows)
+        _save(args.csv, lambda path: Path(path).write_text(csv, encoding="utf-8"))
     result = {
         **_fields(args, "t", "radius"),
         **_fields(sample, "polar_weights", "seeds_used", "flagged", "component_count"),
@@ -368,21 +358,20 @@ def _execute(cmd: Subcommand, args) -> int:
     if family:
         fam = require_family(fam)
     result, outcome, ok = cmd.compute(args, poly, fam)
-    manifest = build_manifest(
-        subcommand=cmd.name,
-        spec_digest=content_digest(raw),
-        parameters=_fields(args, *cmd.parameters),
-        seed=args.seed,
-        version=__version__,
-        outcome=outcome,
-        canonical=args.canonical,
-        started=started,
-        finished=time.time(),
-    )
+    manifest = {
+        "subcommand": cmd.name,
+        "spec_digest": hashlib.sha256(raw).hexdigest(),
+        "parameters": _fields(args, *cmd.parameters),
+        "seed": args.seed,
+        "tool_version": __version__,
+        "outcome": outcome,
+    }
+    if not args.canonical:
+        for key, when in (("started_at", started), ("finished_at", time.time())):
+            manifest[key] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(when))
     text = dumps({"manifest": manifest, "result": result})
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _save(args.out, lambda path: Path(path).write_text(text, encoding="utf-8"))
         if cmd.summary:
             print(dumps({k: result[k] for k in cmd.summary}, one_line=True))
     else:

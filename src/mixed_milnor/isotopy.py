@@ -26,6 +26,7 @@ from .families import DeformationFamily, MilnorTubeSpec, require_unit_t
 from .numerics import (
     complexify,
     newton_on_sphere_batch,
+    overflow_raises,
     point_rows,
     real_jacobian,
     require_on_level,
@@ -42,8 +43,6 @@ SPHERE_TOL = 1e-6
 @dataclass(frozen=True)
 class IsotopyTrace:
     start: tuple[complex, ...]
-    radius: float
-    tube: MilnorTubeSpec
     samples: tuple[tuple[float, tuple[complex, ...]], ...]
     value_residual: float
     norm_residual: float
@@ -127,7 +126,8 @@ def _integrate(
     Per step: integrate the connection velocity, rescale back to the sphere,
     then (for points starting inside the tube) Newton-correct the f-value
     toward f_0(z0) where it is off by more than value_tol.  A point whose
-    state turns non-finite, or whose correction fails, fails at that step.
+    state turns non-finite, or whose correction fails, fails at that step;
+    an overflow (f evaluated on a huge sphere) raises NumericalError.
     Each start point must be finite and lie on the sphere of the tube's
     radius, to SPHERE_TOL relative to a radius of at least 1.
     """
@@ -149,66 +149,66 @@ def _integrate(
         raise InputError("need at least one step")
     if not len(z0):
         return ()
-    # the jet at each step's start: the previous value check reads it, then k1
-    jet = _jet(fam, 0.0, x)
-    f0 = jet[0]
-    preserve = _modulus(f0) <= tube.tube_level
-    K = len(x)
-    times = [0.0]
-    states = [x]
-    value_residual = np.zeros(K)
-    norm_residual = np.zeros(K)
-    failure_step = np.zeros(K, dtype=int)  # 0: no failure
-    dead = np.zeros(K, dtype=bool)
+    t = 0.0  # the step under way, named if f overflows on the sphere
+    with overflow_raises(lambda: f"transport overflows at t={t!r} (radius {r!r})"):
+        # the jet at each step's start: the previous value check reads it, then k1
+        jet = _jet(fam, 0.0, x)
+        f0 = jet[0]
+        preserve = _modulus(f0) <= tube.tube_level
+        K = len(x)
+        times = [0.0]
+        states = [x]
+        value_residual = np.zeros(K)
+        norm_residual = np.zeros(K)
+        failure_step = np.zeros(K, dtype=int)  # 0: no failure
+        dead = np.zeros(K, dtype=bool)
 
-    if t_end > 0.0:
-        h = t_end / steps
-        for k in range(steps):
-            t = k * h
-            k1 = _velocity(fam, t, x, row_norm(x), tube, jet)
-            # a stage state y leaves the sphere by O(h^2); the field is
-            # defined there all the same, so no sphere check applies
-            y = x + 0.5 * h * k1
-            k2 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
-            y = x + 0.5 * h * k2
-            k3 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
-            y = x + h * k3
-            k4 = _velocity(fam, t + h, y, row_norm(y), tube)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = x * (r / row_norm(x))[:, None]
-            t_next = (k + 1) * h
-            broke = ~dead & ~np.isfinite(x).all(axis=1)
-            dead |= broke
-            failure_step[broke] = k + 1
-            value_residual[broke & preserve] = np.nan
-            jet = _jet(fam, t_next, x)
-            rows = np.nonzero(preserve & ~dead)[0]
-            res = jet[0][rows] - f0[rows]
-            off = rows[_modulus(res) > value_tol]
-            if newton_correct and off.size:
-                # Newton on f_t = f_0 over the sphere; a row not found fails
-                # at this step and keeps its position
-                member = _blend(fam, t_next).rows(np.zeros(len(off), int))
-                z, found = newton_on_sphere_batch(
-                    member, f0[off], r, x[off].view(complex), value_tol, 5
-                )
-                failure_step[off[~found]] = k + 1
-                moved = off[found]
-                x[moved] = z.view(float)[found]
-                for part, fresh in zip(jet, _jet(fam, t_next, x[moved])):
-                    part[moved] = fresh
+        if t_end > 0.0:
+            h = t_end / steps
+            for k in range(steps):
+                t = k * h
+                k1 = _velocity(fam, t, x, row_norm(x), tube, jet)
+                # a stage state y leaves the sphere by O(h^2); the field is
+                # defined there all the same, so no sphere check applies
+                y = x + 0.5 * h * k1
+                k2 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
+                y = x + 0.5 * h * k2
+                k3 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
+                y = x + h * k3
+                k4 = _velocity(fam, t + h, y, row_norm(y), tube)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                x = x * (r / row_norm(x))[:, None]
+                t_next = (k + 1) * h
+                broke = ~dead & ~np.isfinite(x).all(axis=1)
+                dead |= broke
+                failure_step[broke] = k + 1
+                value_residual[broke & preserve] = np.nan
+                jet = _jet(fam, t_next, x)
+                rows = np.nonzero(preserve & ~dead)[0]
                 res = jet[0][rows] - f0[rows]
-            value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
-            norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - r))
-            times.append(t_next)
-            states.append(x)
+                off = rows[_modulus(res) > value_tol]
+                if newton_correct and off.size:
+                    # Newton on f_t = f_0 over the sphere; a row not found fails
+                    # at this step and keeps its position
+                    member = _blend(fam, t_next).rows(np.zeros(len(off), int))
+                    z, found = newton_on_sphere_batch(
+                        member, f0[off], r, x[off].view(complex), value_tol, 5
+                    )
+                    failure_step[off[~found]] = k + 1
+                    moved = off[found]
+                    x[moved] = z.view(float)[found]
+                    for part, fresh in zip(jet, _jet(fam, t_next, x[moved])):
+                        part[moved] = fresh
+                    res = jet[0][rows] - f0[rows]
+                value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
+                norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - r))
+                times.append(t_next)
+                states.append(x)
     failed = (failure_step > 0) | (value_residual > 1e-6) | (norm_residual > 1e-6)
     paths = np.stack(states, axis=1).view(complex).tolist()  # K x samples x n
     return tuple(
         IsotopyTrace(
             tuple(path[0]),
-            r,
-            tube,
             tuple(zip(times, map(tuple, path))),
             float(value_residual[i]),
             float(norm_residual[i]),

@@ -31,6 +31,7 @@ from .numerics import (
     level_tolerance,
     monotone_roots,
     newton_on_sphere_batch,
+    overflow_raises,
     random_sphere_point,
     rng_streams,
 )
@@ -40,7 +41,6 @@ DEFAULT_RESOLUTION = 720
 
 @dataclass(frozen=True, eq=False)  # array fields make == ambiguous
 class LinkSample:
-    spec: object
     t: float
     radius: float
     polar_weights: tuple[int, ...]
@@ -122,23 +122,19 @@ def sample_link(
     P = weights.polar_weights
     merge_tol = 1e-4 * radius
 
-    # on a large sphere a Python float power raises OverflowError, and numpy
-    # is made to raise on overflow instead of warning
-    try:
-        with np.errstate(over="raise"):
-            if fam.spec.kind == "brieskorn":
-                candidates = _brieskorn_representatives(fam, float(t), radius)
-                seeds_used = 0
-            else:
-                rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
-                starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
-                found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
-                seeds_used = seeds
-                candidates = np.concatenate([_coordinate_circle_orbits(poly, radius), found[hit]])
-            # Newton polish, then dedupe by exact orbit membership.
-            polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
-    except (OverflowError, FloatingPointError) as exc:
-        raise NumericalError(f"link sampling overflows at t={t!r} (radius {radius!r})") from exc
+    # on a large sphere a float power or the polynomial kernel overflows
+    with overflow_raises(lambda: f"link sampling overflows at t={t!r} (radius {radius!r})"):
+        if fam.spec.kind == "brieskorn":
+            candidates = _brieskorn_representatives(fam, float(t), radius)
+            seeds_used = 0
+        else:
+            rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
+            starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
+            found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
+            seeds_used = seeds
+            candidates = np.concatenate([_coordinate_circle_orbits(poly, radius), found[hit]])
+        # Newton polish, then dedupe by exact orbit membership.
+        polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
     reps: list[np.ndarray] = []
     for rep in polished[hit]:
         if not any(_same_orbit(other, rep, P, merge_tol) for other in reps):
@@ -147,7 +143,6 @@ def sample_link(
     orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)))
     orbits.flags.writeable = False  # the sample is frozen, its points view included
     return LinkSample(
-        spec=fam.spec,
         t=float(t),
         radius=float(radius),
         polar_weights=tuple(P),

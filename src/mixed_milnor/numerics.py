@@ -5,6 +5,7 @@ lockstep on-sphere Newton solving."""
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -128,6 +129,17 @@ def monotone_roots(
         s = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
     root[k] = 0.5 * (lo + hi)
     return root
+
+
+@contextmanager
+def overflow_raises(message: Callable[[], str]):
+    """Run the block with numpy raising on overflow instead of warning; that
+    or a float power's OverflowError becomes one NumericalError(message())."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError(message()) from exc
 
 
 def point_rows(points, n: int) -> np.ndarray:

@@ -1,12 +1,10 @@
-"""Deterministic JSON report assembly: manifests, complex serialization and
-byte-stable dumping (sorted keys, shortest round-trip floats)."""
+"""Deterministic JSON report writing: complex serialization and byte-stable
+dumping (sorted keys, shortest round-trip floats)."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
-import time
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Optional
 
@@ -98,36 +96,3 @@ def dumps(report: Any, one_line: bool = False) -> str:
     out: list[str] = []
     _write(report, out, None if one_line else "\n", {})
     return "".join(out) + ("" if one_line else "\n")
-
-
-def content_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def build_manifest(
-    subcommand: str,
-    spec_digest: Optional[str],
-    parameters: dict,
-    seed: Optional[int],
-    version: str,
-    outcome: str,
-    canonical: bool,
-    started: float,
-    finished: float,
-) -> dict:
-    manifest = {
-        "subcommand": subcommand,
-        "spec_digest": spec_digest,
-        "parameters": parameters,
-        "seed": seed,
-        "tool_version": version,
-        "outcome": outcome,
-    }
-    if not canonical:
-        manifest["started_at"] = time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)
-        )
-        manifest["finished_at"] = time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime(finished)
-        )
-    return manifest

@@ -29,17 +29,18 @@ FIRST_BLOCK = 2
 
 @dataclass(frozen=True)
 class ShellSearchReport:
-    spec: object
     t_grid: tuple[float, ...]
     radius: float
+    restarts: int
+    threshold: float
     min_residual_found: float
     argmin_point: tuple[complex, ...]
     argmin_t: float
     argmin_restart: int
-    restarts: int
     iterations: int
-    seed: int
     converged: bool
+    certified: bool  # min_residual_found > threshold
+    note: str = "numerical evidence, not proof"
 
 
 def _residual_terms(d_z: np.ndarray, d_zbar: np.ndarray) -> tuple:
@@ -222,6 +223,7 @@ def certify_smooth_shell(
     radius: float,
     restarts: int = 32,
     seed: int = 0,
+    threshold: float = 1e-3,
 ) -> ShellSearchReport:
     """Global-ish minimum of the singularity residual over the shell ||z|| = radius.
 
@@ -233,14 +235,15 @@ def certify_smooth_shell(
     stopped before the iteration cap.  A restart that ends on a residual that
     is not finite (it overflows on a large shell) raises NumericalError.
 
-    Numerical evidence only, never a proof: a positive minimum over all
-    seeded restarts is the echo of the no-singularity lemma, reported with
-    full provenance.
+    Numerical evidence only, never a proof: a minimum over all seeded restarts
+    above `threshold` (`certified`) echoes the no-singularity lemma.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InputError(f"radius must be positive and finite, got {radius!r}")
     if restarts < 1:
         raise InputError(f"restarts must be at least 1, got {restarts!r}")
+    if not threshold > 0:  # a residual of 0 must never certify
+        raise InputError(f"threshold must be positive, got {threshold!r}")
     grid = tuple(float(t) for t in t_grid)
     if not grid:
         raise InputError("t_grid is empty")
@@ -265,16 +268,17 @@ def certify_smooth_shell(
             f" restart {i % restarts} (radius {radius!r})"
         )
     best = int(np.argmin(f))
+    least = math.sqrt(max(float(f[best]), 0.0))
     return ShellSearchReport(
-        spec=fam.spec,
         t_grid=grid,
         radius=float(radius),
-        min_residual_found=math.sqrt(max(float(f[best]), 0.0)),
+        restarts=restarts,
+        threshold=threshold,
+        min_residual_found=least,
         argmin_point=complexify(x[best]),
         argmin_t=grid[best // restarts],
         argmin_restart=best % restarts,
-        restarts=restarts,
         iterations=int(iters.sum()),
-        seed=seed,
         converged=bool(np.all(np.any(iters.reshape(len(grid), restarts) < MAX_ITER, axis=1))),
+        certified=least > threshold,
     )

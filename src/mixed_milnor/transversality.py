@@ -36,16 +36,6 @@ ATTEMPTS_PER_SAMPLE = 5
 WITNESS_RADIUS = 2.0
 
 
-@dataclass(frozen=True)
-class TransversalityCertificate:
-    point: tuple[complex, ...]
-    t: float
-    method: str  # "rank_test" | "radial_witness"
-    margin: float
-    transverse: bool
-    witness_vector: Optional[tuple[float, ...]] = None
-
-
 def _margins(poly, z: np.ndarray, t, index=None) -> np.ndarray:
     """Smallest singular value of [w; grad Re f; grad Im f], rows
     unit-normalized, at every row w of z (K x n): one batched Jacobian and one
@@ -105,17 +95,6 @@ def solve_phi_rows(a: int, b: int, tau, w_abs, r) -> tuple[np.ndarray, np.ndarra
     return s, slope
 
 
-@dataclass(frozen=True)
-class TypeIWitnessTrace:
-    I0: tuple[int, ...]  # 1-based indices of vanishing coordinates
-    J: tuple[int, ...]  # 1-based indices with nonzero monomial term
-    components: tuple[tuple[int, int], ...]  # closed intervals [lo, hi], 1-based
-    r_values: tuple[Optional[float], ...]  # r_j at the evaluation radius
-    s_values: tuple[float, ...]  # s_j at the evaluation radius
-    epsilon_flags: tuple[int, ...]  # trailing-factor exponent per index
-    ends_at_last_index: tuple[bool, ...]  # per component: closed by the E_n form
-
-
 def _stack(arrays: PolynomialArrays, grid, points_per_t) -> tuple:
     """The points of V_t at every t of the grid as one batch (rows, W, T, index):
     each point's member as a row of `arrays` (one row per t), the K x n
@@ -134,11 +113,13 @@ def _witnesses(
     r: float = WITNESS_RADIUS,
     arrays: Optional[PolynomialArrays] = None,
     on_level: bool = False,
-) -> Iterator[tuple[TransversalityCertificate, Optional[TypeIWitnessTrace]]]:
+) -> Iterator[dict]:
     """Constructive witnesses at the points points_per_t[i] of V_t, t = t_grid[i],
     in one lockstep pass over `arrays`, the members' array form (built when
-    None); yields (certificate, trace) per point in order, the trace None for
-    the brieskorn kind.
+    None); yields each point's report record in order: witness_margin,
+    witness_transverse, witness_vector and, for the chained kind, the
+    recursion `trace` (1-based I0, J and the runs `components` of J, r_values
+    and s_values at radius r, r_j None off J, and epsilon_flags).
 
     The curve xi(r) = (s_j(r) w_j) stays in the zero set; the witness is
     xi'(1) = (s_j'(1) w_j), with margin 2 sum |w_j|^2 s_j'(1), transverse
@@ -168,7 +149,8 @@ def _witnesses(
         in_J[:, :-1] &= nonzero[:, 1:]
     S, R, slopes = np.ones(mods.shape), np.full(mods.shape, np.nan), np.zeros(mods.shape)
     pattern = (nonzero * (1 << np.arange(n))).sum(axis=1)  # bit j set where w_j != 0
-    traces = {}  # per pattern: (I0, J, components, ends_at_last_index), 1-based
+    eps = tuple(1 if j < n - 1 else 0 for j in range(n))
+    traces = {}  # per pattern: the trace fields its rows share, indices 1-based
     for code in set(pattern.tolist()):
         rows = np.flatnonzero(pattern == code)
         on, zero = in_J[rows[0]].tolist(), (~nonzero[rows[0]]).tolist()
@@ -179,8 +161,8 @@ def _witnesses(
             elif on[j]:
                 runs.append([j, j])
         I0, J = (tuple(j + 1 for j in range(n) if mask[j]) for mask in (zero, on))
-        ends = tuple(hi == n - 1 for _, hi in runs)
-        traces[code] = (I0, J, tuple((lo + 1, hi + 1) for lo, hi in runs), ends)
+        comps = tuple((lo + 1, hi + 1) for lo, hi in runs)
+        traces[code] = {"I0": I0, "J": J, "components": comps, "epsilon_flags": eps}
         if chained and not runs:
             slopes[rows] = 1.0  # uniform scaling
         tau = T[rows]
@@ -196,20 +178,18 @@ def _witnesses(
     R = R.astype(object)
     R[~in_J] = None
     columns = zip(
-        W.tolist(), T.tolist(), margin.tolist(), transverse.tolist(),
-        (slopes * W).view(float).tolist(), pattern.tolist(), S.tolist(), R.tolist(),
+        margin.tolist(), transverse.tolist(), (slopes * W).view(float).tolist(),
+        pattern.tolist(), S.tolist(), R.tolist(),
     )
-    eps = tuple(1 if j < n - 1 else 0 for j in range(n))
-    for w, t, m, ok, vector, g, s, rv in columns:
-        cert = TransversalityCertificate(tuple(w), t, "radial_witness", m, ok, tuple(vector))
-        I0, J, comps, ends = traces[g]
-        trace = TypeIWitnessTrace(I0, J, comps, tuple(rv), tuple(s), eps, ends) if chained else None
-        yield cert, trace
+    for m, ok, vector, g, s, rv in columns:
+        record = {"witness_margin": m, "witness_transverse": ok, "witness_vector": tuple(vector)}
+        if chained:
+            record["trace"] = traces[g] | {"r_values": tuple(rv), "s_values": tuple(s)}
+        yield record
 
 
 @dataclass(frozen=True)
 class ConjectureSearchReport:
-    spec: object
     t_grid: tuple[float, ...]
     radius: float
     samples_requested: int
@@ -219,8 +199,8 @@ class ConjectureSearchReport:
     min_margin: float
     argmin_point: tuple[complex, ...]
     argmin_t: float
-    flagged: tuple[TransversalityCertificate, ...]
-    seed: int
+    flagged_count: int
+    flagged: tuple[dict, ...]  # {"t", "point", "margin"} per margin below the threshold
     note: str = "evidence only - open problem"
 
 
@@ -315,8 +295,8 @@ def conjecture_search_type_ii(
     rows, z, T, index = _stack(arrays, grid, points)
     columns = list(zip(_margins(rows, z, T, index).tolist(), map(tuple, z.tolist()), T.tolist()))
     least = min(columns, key=lambda c: c[0], default=(float("nan"), (), float("nan")))
+    flagged = tuple({"t": t, "point": p, "margin": m} for m, p, t in columns if m < threshold)
     return ConjectureSearchReport(
-        spec=fam.spec,
         t_grid=grid,
         radius=float(radius),
         samples_requested=samples * len(grid),
@@ -326,12 +306,8 @@ def conjecture_search_type_ii(
         min_margin=least[0],  # the first of equal minima
         argmin_point=least[1],
         argmin_t=least[2],
-        flagged=tuple(
-            TransversalityCertificate(p, t, "rank_test", m, m > DEFAULT_MARGIN_THRESHOLD)
-            for m, p, t in columns
-            if m < threshold
-        ),
-        seed=seed,
+        flagged_count=len(flagged),
+        flagged=flagged,
     )
 
 
@@ -355,9 +331,6 @@ class TransversalitySweep:
     # the smallest margin of each method; None when it did not run or found no point
     min_rank_margin: Optional[float] = None
     min_witness_margin: Optional[float] = None
-
-
-TRACE_FIELDS = ("I0", "J", "components", "r_values", "s_values", "epsilon_flags")
 
 
 def check_transversality(
@@ -396,12 +369,9 @@ def check_transversality(
             entry.update(rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD)
     if witness:
         witnesses = _witnesses(fam, grid, points, arrays=arrays, on_level=rank)
-        for entry, (cert, trace) in zip(certificates, witnesses):
-            witness_values.append(cert.margin)
-            entry.update(witness_margin=cert.margin, witness_transverse=cert.transverse)
-            entry["witness_vector"] = cert.witness_vector
-            if trace is not None:
-                entry["trace"] = {name: getattr(trace, name) for name in TRACE_FIELDS}
+        for entry, record in zip(certificates, witnesses):
+            witness_values.append(record["witness_margin"])
+            entry.update(record)
     return TransversalitySweep(
         method=method,
         radius=float(radius),

@@ -141,8 +141,8 @@ def test_criterion_04_radial_witnesses(announce):
             f = fam.member(t)
             pts, failures = sample_on_variety(f, 1.0, 34, seed=0, label=f"acc4:{t}")
             assert failures == 0
-            for cert, _ in _witnesses(fam, [t], [pts]):
-                assert cert.margin > 0
+            for w in _witnesses(fam, [t], [pts]):
+                assert w["witness_margin"] > 0
             z = np.array(pts)
             mods = np.abs(z)
             for r in (0.5, 0.75, 1.0, 1.5, 2.0):
@@ -176,15 +176,15 @@ def test_criterion_05_chained_recursion(announce):
             assert (s == 1.0).all()
         scales = {}  # r -> the s_values of every point
         for r in (1.0, 1.5, 2.0, 4.0):
-            traces = [trace for _, trace in _witnesses(fam, [t], [pts], r)]
+            traces = [w["trace"] for w in _witnesses(fam, [t], [pts], r)]
             for trace in traces:
-                for rj, sj, aj in zip(trace.r_values, trace.s_values, a):
+                for rj, sj, aj in zip(trace["r_values"], trace["s_values"], a):
                     if rj is None:
                         continue
                     assert rj >= 1 - 1e-12
                     assert sj >= 1 - 1e-12
                     assert sj**aj <= rj * (1 + 1e-12)
-            scales[r] = [trace.s_values for trace in traces]
+            scales[r] = [trace["s_values"] for trace in traces]
         # the per-index scale grows monotonically with the target radius
         for r_lo, r_hi in ((1.5, 2.0), (2.0, 4.0)):
             for s_lo, s_hi in zip(scales[r_lo], scales[r_hi]):

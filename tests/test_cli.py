@@ -298,6 +298,8 @@ def test_certify_smooth_matches_library(tmp_path, family_spec):
     assert res["argmin_point"] == [[z.real, z.imag] for z in rep.argmin_point]
     assert res["iterations"] == rep.iterations
     assert res["converged"] == rep.converged
+    assert res["certified"] is rep.certified is True
+    assert report["manifest"]["seed"] == 7
     _validate(report, "certify-smooth")
 
 
@@ -441,8 +443,23 @@ def test_explore_conjecture_deterministic(tmp_path, cyclic_spec):
     _validate(report, "explore-conjecture")
 
 
-def test_explore_conjecture_rejects_other_kinds(family_spec):
+def test_explore_conjecture_rejects_other_kinds(family_spec, capsys):
     assert run(["explore-conjecture", "--family", family_spec]) == 2
+    assert capsys.readouterr().err == "input error: conjecture search requires a type_ii family\n"
+
+
+@pytest.mark.parametrize(
+    "option, target",
+    [("--out", "missing"), ("--out", "directory"), ("--csv", "missing"), ("--svg", "missing")],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, family_spec, option, target):
+    """An output path that cannot be written is one input error naming it."""
+    path = str(tmp_path / "no-such-dir" / "x") if target == "missing" else str(tmp_path)
+    argv = ["trace-link", "--family", family_spec, "--seeds", "4", option, path]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_trace_link(tmp_path, family_spec):
@@ -552,6 +569,22 @@ def test_build_isotopy_huge_start_point_exits_2(tmp_path, capsys, family_spec, r
     captured = capsys.readouterr()
     assert captured.err == f"input error: {message}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_build_isotopy_overflow_exits_3(tmp_path, capsys, family_spec):
+    """A start point on a sphere where f overflows is one internal error
+    naming t and the radius, with no numpy warning and no report."""
+    points = _write(tmp_path / "points.json", [[[1e100, 0], [0, 0]]])
+    out = tmp_path / "r.json"
+    argv = ["build-isotopy", "--family", family_spec, "--points", points, "--steps", "5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv + ["--out", str(out)])
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == "internal error: transport overflows at t=0.0 (radius 1e+100)\n"
+    assert not out.exists()
 
 
 def test_build_isotopy_traces_name_their_failure_step(tmp_path, family_spec, points_file):

