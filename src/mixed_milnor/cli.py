@@ -14,6 +14,7 @@ per-label substreams; reports are byte-deterministic for a fixed manifest
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .core import detect_weights, is_simplicial
-from .errors import CertificateFailure, InputError, MixedMilnorError, NumericalError
+from .errors import InputError, MixedMilnorError, NumericalError
 from .families import MilnorTubeSpec
 from .isotopy import transport
 from .links import project_svg, sample_link
@@ -238,6 +239,19 @@ def _save(path: str, write: Callable[[str], object]) -> None:
         raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
+def _require_writable(path: str) -> None:
+    """Refuse, in `_save`'s words, a path whose parent is not an existing
+    directory or that is a directory itself, before any work is done."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise InputError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
 def _trace_link(args, poly, fam):
     sample = sample_link(fam, args.t, args.radius, args.seeds, args.seed)
     # one [re z1, im z1, re z2, im z2] row per traced point
@@ -357,6 +371,9 @@ def _execute(cmd: Subcommand, args) -> int:
     poly, fam, raw = load_spec(args.family if family else args.spec)
     if family:
         fam = require_family(fam)
+    for path in (args.out, getattr(args, "csv", None), getattr(args, "svg", None)):
+        if path:
+            _require_writable(path)
     result, outcome, ok = cmd.compute(args, poly, fam)
     manifest = {
         "subcommand": cmd.name,
@@ -416,9 +433,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAIL
     except (NumericalError, MixedMilnorError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

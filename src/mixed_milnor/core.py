@@ -80,22 +80,6 @@ class MixedPolynomial:
     def max_degree(self) -> int:
         return max((m.total_degree for m in self.monomials), default=0)
 
-    def scaled(self, factor: complex) -> "MixedPolynomial":
-        if factor == 0:
-            return MixedPolynomial(self.n, ())
-        return MixedPolynomial(
-            self.n,
-            tuple(
-                MixedMonomial(factor * m.coefficient, m.nu, m.mu)
-                for m in self.monomials
-            ),
-        )
-
-    def __add__(self, other: "MixedPolynomial") -> "MixedPolynomial":
-        if other.n != self.n:
-            raise InputError("cannot add polynomials in different arities")
-        return MixedPolynomial(self.n, self.monomials + other.monomials)
-
 
 @dataclass(frozen=True)
 class WeightSystem:
@@ -174,41 +158,25 @@ class PolynomialArrays:
         return PolynomialArrays(self.N, self.M, C, self.layout)
 
 
-def polynomial_arrays(
-    polys: Sequence[MixedPolynomial], own_order: bool = False
-) -> PolynomialArrays:
+def polynomial_arrays(polys: Sequence[MixedPolynomial]) -> PolynomialArrays:
     """Stack polynomials of one arity over the union of their monomials, in
-    order of first appearance.
-
-    The kernel sums a row's monomials in column order, and a sum keeps its
-    bits under a swap of its first two terms only.  With own_order, a
-    monomial whose first column would otherwise reorder its polynomial's
-    monomials gets a column of its own, so that every row computes the
-    bits of its polynomial alone; a blend of such rows no longer holds a
-    shared monomial in one column.
-    """
+    order of first appearance."""
     if not polys:
         raise InputError("polynomial_arrays needs at least one polynomial")
     n = polys[0].n
     if any(p.n != n for p in polys):
         raise InputError("polynomials must share one variable count")
-    keys: list[tuple] = []
+    columns: dict[tuple, int] = {}
     terms = []  # (row, column, coefficient)
     for k, p in enumerate(polys):
-        floor = 0  # the first column that keeps this row's order
-        for i, mono in enumerate(p.monomials):
-            key = (mono.nu, mono.mu)
-            start = floor if own_order and i > 1 else 0
-            col = next((c for c in range(start, len(keys)) if keys[c] == key), len(keys))
-            if col == len(keys):
-                keys.append(key)
+        for mono in p.monomials:
+            col = columns.setdefault((mono.nu, mono.mu), len(columns))
             terms.append((k, col, mono.coefficient))
-            floor = max(floor, col + 1)
-    C = np.zeros((len(polys), len(keys)), dtype=complex)
+    C = np.zeros((len(polys), len(columns)), dtype=complex)
     for k, col, coefficient in terms:
         C[k, col] = coefficient
-    N = np.array([key[0] for key in keys], dtype=int).reshape(len(keys), n)
-    M = np.array([key[1] for key in keys], dtype=int).reshape(len(keys), n)
+    N = np.array([key[0] for key in columns], dtype=int).reshape(len(columns), n)
+    M = np.array([key[1] for key in columns], dtype=int).reshape(len(columns), n)
     return PolynomialArrays(N, M, C)
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: InputError -> 2, CertificateFailure -> 1,
-NumericalError -> 3.
+Exit-code mapping used by the CLI: InputError -> 2, NumericalError -> 3;
+exit 1 comes from a failed verdict, never from an exception.
 """
 
 
@@ -15,10 +15,6 @@ class InputError(MixedMilnorError):
 
 class PreconditionError(InputError):
     """A documented operation precondition was violated."""
-
-
-class CertificateFailure(MixedMilnorError):
-    """A property / certificate check did not meet its tolerance."""
 
 
 class NumericalError(MixedMilnorError):

@@ -14,6 +14,8 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import MixedMonomial, MixedPolynomial, PolynomialArrays, polynomial_arrays
 from .errors import InputError, PreconditionError
 
@@ -94,15 +96,32 @@ class DeformationFamily:
         linear in t, so every member's value and partials blend from these."""
         return polynomial_arrays([self.endpoint_mixed, self.endpoint_holomorphic])
 
+    def members(self, ts) -> PolynomialArrays:
+        """The members (1-t) f + t g at every t of `ts` as rows over the
+        monomials of `endpoint_arrays`, row k computed from ts[k] alone: the
+        one array form in which a member reaches the kernel."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        bad = ts[~((0.0 <= ts) & (ts <= 1.0))]  # NaN included
+        if bad.size:
+            require_unit_t(float(bad[0]))
+        ends = self.endpoint_arrays
+        f, g = ends.C
+        return ends.with_coefficients((1.0 - ts)[:, None] * f + ts[:, None] * g)
+
     def member(self, t: float) -> MixedPolynomial:
-        """(1-t) f + t g as a genuine mixed polynomial (merged monomials)."""
+        """(1-t) f + t g as a genuine mixed polynomial: its `members` row
+        without zero coefficients.  The endpoints are f and g themselves,
+        whose own monomial order the endpoint layout may not keep."""
         t = float(t)
         require_unit_t(t)
         if t == 0.0:
             return self.endpoint_mixed
         if t == 1.0:
             return self.endpoint_holomorphic
-        return self.endpoint_mixed.scaled(1.0 - t) + self.endpoint_holomorphic.scaled(t)
+        row = self.members([t])
+        terms = zip(row.C[0].tolist(), row.N.tolist(), row.M.tolist())
+        monos = (MixedMonomial(c, nu, mu) for c, nu, mu in terms if c != 0)
+        return MixedPolynomial(self.n, tuple(monos))
 
     def reversed(self) -> "DeformationFamily":
         """Family running from g back to f (member(t) = original member(1-t))."""

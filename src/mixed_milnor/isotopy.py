@@ -70,7 +70,7 @@ def _modulus(w: np.ndarray) -> np.ndarray:
 
 def _blend(fam: DeformationFamily, t: float):
     """f_t and d f_t / dt = g - f: fixed coefficient rows over the monomials
-    of the endpoints f and g."""
+    of the endpoints f and g, row 0 bit for bit `fam.members([t])`."""
     ends = fam.endpoint_arrays
     f, g = ends.C
     return ends.with_coefficients(np.array([(1.0 - t) * f + t * g, g - f]))
@@ -262,7 +262,8 @@ def transport(
     the start points are not checked against any level.
     """
     if level is not None:
-        require_on_level(fam.member(0.0), point_rows(points, fam.n), level)
+        z = point_rows(points, fam.n)
+        require_on_level(fam.members(np.zeros(len(z))), z, level)
     traces = _integrate(fam, points, t_end, steps, tube, **kwargs)
     # np.max keeps a NaN residual (a point whose state broke) where max() drops it
     return TransportSummary(

@@ -18,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    MixedPolynomial,
-    detect_weights,
-    polar_orbit,
-    polynomial_arrays,
-    value_and_gradient_batch,
-)
+from .core import PolynomialArrays, detect_weights, polar_orbit, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
@@ -89,14 +83,15 @@ def _brieskorn_representatives(fam: DeformationFamily, t: float, radius: float) 
     return np.stack([rho1 * np.exp(1j * theta1), np.full(a1, rho2 + 0j)], axis=-1)
 
 
-def _coordinate_circle_orbits(poly: MixedPolynomial, radius: float) -> np.ndarray:
-    """Whole coordinate circles contained in the link (chained kinds): each
-    circle's point at three phases, all six in one kernel pass."""
+def _coordinate_circle_orbits(member: PolynomialArrays, radius: float) -> np.ndarray:
+    """Whole coordinate circles contained in the link (chained kinds) of the
+    one-row `member`: each circle's point at three phases, all six in one
+    kernel pass."""
     cands = np.array([(radius, 0.0), (0.0, radius)], dtype=complex)
     phases = np.exp(1j * np.array([0.0, 0.7, 2.1]))
     z = (cands[:, None, :] * phases[:, None]).reshape(1, 6, 2)
-    value = value_and_gradient_batch(polynomial_arrays([poly]), z)[0].reshape(2, 3)
-    on = (np.abs(value) <= level_tolerance(poly, radius)).all(axis=1)
+    value = value_and_gradient_batch(member, z)[0].reshape(2, 3)
+    on = (np.abs(value) <= level_tolerance(member, radius)).all(axis=1)
     return cands[on]
 
 
@@ -115,8 +110,7 @@ def sample_link(
         raise InputError("radius must be positive")
     if resolution < 1:
         raise InputError(f"resolution must be at least 1, got {resolution!r}")
-    poly = fam.member(float(t))
-    weights = detect_weights(poly)
+    weights = detect_weights(fam.member(float(t)))
     if not weights.has_polar:
         raise NumericalError("family member is unexpectedly not polar weighted")
     P = weights.polar_weights
@@ -130,11 +124,14 @@ def sample_link(
         else:
             rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
             starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
-            found, hit = newton_on_sphere_batch(poly, 0j, radius, starts)
+            found, hit = newton_on_sphere_batch(fam.members([t] * seeds), 0j, radius, starts)
             seeds_used = seeds
-            candidates = np.concatenate([_coordinate_circle_orbits(poly, radius), found[hit]])
+            circles = _coordinate_circle_orbits(fam.members([t]), radius)
+            candidates = np.concatenate([circles, found[hit]])
         # Newton polish, then dedupe by exact orbit membership.
-        polished, hit = newton_on_sphere_batch(poly, 0j, radius, candidates)
+        polished, hit = newton_on_sphere_batch(
+            fam.members([t] * len(candidates)), 0j, radius, candidates
+        )
     reps: list[np.ndarray] = []
     for rep in polished[hit]:
         if not any(_same_orbit(other, rep, P, merge_tol) for other in reps):

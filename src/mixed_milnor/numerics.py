@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, polynomial_arrays, value_and_gradient_batch
+from .core import MixedPolynomial, PolynomialArrays, polynomial_arrays, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -221,33 +221,27 @@ def smallest_singular_values(J: np.ndarray, g) -> np.ndarray:
     return np.sqrt(det / np.where(top > 0, top, np.inf))
 
 
-def level_tolerance(poly, norm):
-    """Tolerance on |f| at points of the given norm (a float or an array), for
-    a polynomial or for array rows (one per norm).  Each degree is raised as a
-    Python int: numpy rounds norm ** 2 apart from an array exponent of 2."""
-    degree = np.asarray(poly.max_degree)
+def level_tolerance(arrays: PolynomialArrays, norm):
+    """Tolerance on |f| at points of the given norm (a float or an array), one
+    per row of `arrays` (row k at norm k).  Each degree is raised as a Python
+    int: numpy rounds norm ** 2 apart from an array exponent of 2."""
+    degree = arrays.max_degree
     powers = (np.where(degree == d, norm**d, 0.0) for d in set(degree.ravel().tolist()))
     return 1e-8 * (1.0 + sum(powers))
 
 
-def _as_rows(poly, count: int):
-    """A polynomial as `count` rows of its array form; array rows pass through."""
-    one = isinstance(poly, MixedPolynomial)
-    return polynomial_arrays([poly]).rows(np.zeros(count, int)) if one else poly
-
-
 def require_on_level(
-    poly, z: np.ndarray, level=0.0, t=0.0, slack=1.0, error=PreconditionError, index=None
+    arrays, z: np.ndarray, level=0.0, t=0.0, slack=1.0, error=PreconditionError, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Wirtinger partials of f (one polynomial, or array rows: row k at
-    point k) at the rows of z (K x n complex), from one kernel pass that also
+    """The Wirtinger partials of f (the rows of `arrays`, row k at point k)
+    at the rows of z (K x n complex), from one kernel pass that also
     checks ||f| - level| <= slack * level_tolerance at every row; the first
     row off the level set raises `error` (default PreconditionError) naming
     its index (or index[row]) and its t (a float or one per row)."""
     if not len(z):
         return z, z
-    value, d_z, d_zbar = value_and_gradient_batch(_as_rows(poly, len(z)), z)
-    tol = slack * level_tolerance(poly, row_norm(z.view(float)))
+    value, d_z, d_zbar = value_and_gradient_batch(arrays, z)
+    tol = slack * level_tolerance(arrays, row_norm(z.view(float)))
     off = np.abs(np.abs(value) - level) > tol
     if off.any():
         i = int(np.argmax(off))
@@ -260,7 +254,7 @@ def require_on_level(
 
 
 def newton_on_sphere_batch(
-    poly,
+    arrays: PolynomialArrays,
     target,
     radius: float,
     starts,
@@ -268,9 +262,8 @@ def newton_on_sphere_batch(
     max_iter: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve f(z) = target on the sphere ||z|| = radius from every row of
-    `starts` (K x n), all rows in lockstep; `poly` is one polynomial or
-    PolynomialArrays rows, start k under polynomial k, and `target` one value
-    or K values, start k toward target k.
+    `starts` (K x n), all rows in lockstep, start k under row k of `arrays`
+    and toward `target` (one value) or target[k] (K values).
 
     Each row runs tangentially projected Newton: `tangent_step` gives the
     step, and the new point is rescaled to the sphere.  A row is done once
@@ -282,8 +275,9 @@ def newton_on_sphere_batch(
     """
     if radius <= 0:
         raise InputError("radius must be positive")
-    x = point_rows(starts, poly.n).view(float)
-    arrays = _as_rows(poly, len(x))
+    x = point_rows(starts, arrays.n).view(float)
+    if len(arrays.C) != len(x):
+        raise InputError(f"{len(x)} starts do not fit {len(arrays.C)} polynomial rows")
     target = np.broadcast_to(np.asarray(target, dtype=complex), len(x))
     goal = tol * (1.0 + np.abs(target))
     out = np.zeros_like(x)
@@ -325,7 +319,9 @@ def newton_on_sphere(
     `newton_on_sphere_batch`.  Returns None when the iteration fails to reach
     |f - target| <= tol * (1 + |target|).
     """
-    points, found = newton_on_sphere_batch(poly, target, radius, [start], tol, max_iter)
+    points, found = newton_on_sphere_batch(
+        polynomial_arrays([poly]), target, radius, [start], tol, max_iter
+    )
     return tuple(points[0].tolist()) if found[0] else None
 
 

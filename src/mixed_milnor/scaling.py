@@ -115,15 +115,12 @@ def verify_scaling(
     where f~ is the unit-coefficient polynomial on the same exponents."""
     if len(scaling.alpha) != poly.n:
         raise InputError("scaling arity does not match polynomial")
-    unit = MixedPolynomial(
-        poly.n,
-        tuple(MixedMonomial(1.0, m.nu, m.mu) for m in poly.monomials),
-    )
     rng = rng_for(seed, "verify_scaling")
     z = np.array(
         [random_sphere_point(rng, poly.n, float(rng.uniform(0.3, 1.5))) for _ in range(samples)]
     ).reshape(samples, poly.n)
     # f at z and f~ at alpha * z, as two rows of one kernel pass
-    arrays = polynomial_arrays([poly, unit])
+    arrays = polynomial_arrays([poly])
+    arrays = arrays.with_coefficients(np.concatenate([arrays.C, np.ones_like(arrays.C)]))
     fz, fw = value_and_gradient_batch(arrays, np.stack([z, np.asarray(scaling.alpha) * z]))[0]
     return float(np.max(np.abs(fw - fz) / (1.0 + np.abs(fz)), initial=0.0))

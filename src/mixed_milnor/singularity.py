@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PolynomialArrays, polynomial_arrays, value_and_gradient_batch
+from .core import PolynomialArrays, value_and_gradient_batch
 from .errors import InputError, NumericalError
 from .families import DeformationFamily
 from .numerics import complexify, rng_streams, row_dot, row_norm
@@ -247,19 +247,14 @@ def certify_smooth_shell(
     grid = tuple(float(t) for t in t_grid)
     if not grid:
         raise InputError("t_grid is empty")
-    # members in ascending t: every member with mixed terms then keeps its own
-    # monomial order in the union, and each row the residuals of its member alone
-    ts = sorted(set(grid))
-    arrays = polynomial_arrays([fam.member(t) for t in ts])
+    arrays = fam.members(np.repeat(grid, restarts))  # row ti * restarts + k: restart k
     rngs = rng_streams(
         seed, [f"shell:t={ti}:restart:{k}" for ti in range(len(grid)) for k in range(restarts)]
     )
     x0 = np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
     # a large shell overflows to inf - inf = NaN, reported below with its t and restart
     with np.errstate(over="ignore", invalid="ignore"):
-        x, f, iters = _minimize_shell(
-            arrays.rows(np.repeat(np.searchsorted(ts, grid), restarts)), x0, float(radius), rngs
-        )
+        x, f, iters = _minimize_shell(arrays, x0, float(radius), rngs)
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         i = int(bad[0])

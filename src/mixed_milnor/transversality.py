@@ -36,15 +36,15 @@ ATTEMPTS_PER_SAMPLE = 5
 WITNESS_RADIUS = 2.0
 
 
-def _margins(poly, z: np.ndarray, t, index=None) -> np.ndarray:
+def _margins(rows: PolynomialArrays, z: np.ndarray, t, index=None) -> np.ndarray:
     """Smallest singular value of [w; grad Re f; grad Im f], rows
     unit-normalized, at every row w of z (K x n): one batched Jacobian and one
-    batched SVD.  `poly` is one member, or the rows of a `_stack`ed sweep
-    with their t and index.  The margin is 0 where a row vanishes.
+    batched SVD.  Point k lies on the member rows[k] at t (a float or one per
+    point) with the given index.  The margin is 0 where a row vanishes.
 
     Every point must lie on the variety f = 0 and away from the origin.
     """
-    d_z, d_zbar = require_on_level(poly, z, t=t, index=index)
+    d_z, d_zbar = require_on_level(rows, z, t=t, index=index)
     x = z.view(float)
     nrm = row_norm(x)
     if (nrm == 0).any():
@@ -111,15 +111,14 @@ def _witnesses(
     t_grid: Sequence[float],
     points_per_t: Sequence[Sequence[Sequence[complex]]],
     r: float = WITNESS_RADIUS,
-    arrays: Optional[PolynomialArrays] = None,
     on_level: bool = False,
 ) -> Iterator[dict]:
     """Constructive witnesses at the points points_per_t[i] of V_t, t = t_grid[i],
-    in one lockstep pass over `arrays`, the members' array form (built when
-    None); yields each point's report record in order: witness_margin,
-    witness_transverse, witness_vector and, for the chained kind, the
-    recursion `trace` (1-based I0, J and the runs `components` of J, r_values
-    and s_values at radius r, r_j None off J, and epsilon_flags).
+    in one lockstep pass over `fam.members(t_grid)`; yields each point's
+    report record in order: witness_margin, witness_transverse,
+    witness_vector and, for the chained kind, the recursion `trace` (1-based
+    I0, J and the runs `components` of J, r_values and s_values at radius r,
+    r_j None off J, and epsilon_flags).
 
     The curve xi(r) = (s_j(r) w_j) stays in the zero set; the witness is
     xi'(1) = (s_j'(1) w_j), with margin 2 sum |w_j|^2 s_j'(1), transverse
@@ -137,11 +136,9 @@ def _witnesses(
         raise InputError("evaluation radius must be positive")
     chained = fam.spec.kind == "type_i"
     n, a, b = fam.n, fam.spec.a, fam.spec.b
-    if arrays is None:
-        arrays = polynomial_arrays([fam.member(t) for t in t_grid], own_order=True)
-    poly, W, T, index = _stack(arrays, t_grid, points_per_t)
+    members, W, T, index = _stack(fam.members(t_grid), t_grid, points_per_t)
     if not on_level:
-        require_on_level(poly, W, t=T, index=index)
+        require_on_level(members, W, t=T, index=index)
     mods = np.abs(W)
     nonzero = mods > 0
     in_J = nonzero.copy()
@@ -172,7 +169,7 @@ def _witnesses(
                 R[rows, j] = rj
                 S[rows, j], slope = solve_phi_rows(a[j], b[j], tau, mods[rows, j], rj)
                 slopes[rows, j] = slope if j == hi else slope * (1.0 - slopes[rows, j + 1])
-    require_on_level(poly, S * W, t=T, slack=10.0, error=NumericalError, index=index)
+    require_on_level(members, S * W, t=T, slack=10.0, error=NumericalError, index=index)
     margin = 2.0 * row_dot(mods * mods, slopes)
     transverse = margin > DEFAULT_MARGIN_THRESHOLD * row_dot(mods, mods)
     R = R.astype(object)
@@ -218,8 +215,7 @@ def sample_rows(
     att drawn from the stream "{labels[i]}:sample:{k}:attempt:{att}", before
     counting as a failure.  Each attempt index derives the streams of every
     pending (row, sample) pair in one pass and runs them as one lockstep
-    Newton batch.  Over `polynomial_arrays(..., own_order=True)` a row's
-    points are those of its polynomial sampled alone.
+    Newton batch, so a row's points are those it gets sampled alone.
     """
     if radius <= 0:
         raise InputError("radius must be positive")
@@ -264,7 +260,7 @@ def _sample_sweep(
     the grid's members as one array form and the points and failures per t."""
     if not grid:
         raise InputError("t_grid is empty")
-    arrays = polynomial_arrays([fam.member(t) for t in grid], own_order=True)
+    arrays = fam.members(grid)
     labels = [f"{label}:t={ti}" for ti in range(len(grid))]
     points, found = sample_rows(arrays, radius, samples, seed, labels)
     failures = tuple(int(samples - f.sum()) for f in found)
@@ -345,8 +341,8 @@ def check_transversality(
     certify each by the rank test, the constructive witness or both.
 
     The points at grid index ti come from the streams "ct:t={ti}", and the
-    whole grid is sampled as one Newton batch per attempt over one array
-    form of its members, which the rank margins and the witnesses share.
+    whole grid is sampled as one Newton batch per attempt over the rows
+    `fam.members(grid)`, which the rank margins and the witnesses read too.
     The witnesses of all points of the sweep are solved in one lockstep pass.
     `all_transverse` needs at least one certificate, and every certificate
     transverse by every method run.
@@ -368,7 +364,7 @@ def check_transversality(
         for entry, margin in zip(certificates, rank_values):
             entry.update(rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD)
     if witness:
-        witnesses = _witnesses(fam, grid, points, arrays=arrays, on_level=rank)
+        witnesses = _witnesses(fam, grid, points, on_level=rank)
         for entry, record in zip(certificates, witnesses):
             witness_values.append(record["witness_margin"])
             entry.update(record)

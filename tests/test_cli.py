@@ -11,8 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import count_calls
 import mixed_milnor
-from mixed_milnor import FamilySpec, build_family, certify_smooth_shell, check_transversality
+from mixed_milnor import FamilySpec, build_family, certify_smooth_shell, check_transversality, cli
 from mixed_milnor.cli import SUBCOMMANDS, parse_t_grid, run, worker_count
 from mixed_milnor.errors import InputError
 from mixed_milnor.report import dumps
@@ -452,14 +453,24 @@ def test_explore_conjecture_rejects_other_kinds(family_spec, capsys):
     "option, target",
     [("--out", "missing"), ("--out", "directory"), ("--csv", "missing"), ("--svg", "missing")],
 )
-def test_unwritable_output_path_exits_2(tmp_path, capsys, family_spec, option, target):
-    """An output path that cannot be written is one input error naming it."""
+def test_unwritable_output_path_exits_2(
+    tmp_path, capsys, monkeypatch, family_spec, option, target
+):
+    """An output path that cannot be written is one input error naming it,
+    raised before the engine runs: nothing is sampled and no other output
+    (here a writable --csv) is written."""
+    calls = count_calls(monkeypatch, cli, "sample_link")
     path = str(tmp_path / "no-such-dir" / "x") if target == "missing" else str(tmp_path)
+    csv = tmp_path / "ok.csv"
     argv = ["trace-link", "--family", family_spec, "--seeds", "4", option, path]
+    if option != "--csv":
+        argv += ["--csv", str(csv)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {path!r}: ")
     assert err.count("\n") == 1
+    assert calls == []
+    assert not csv.exists()
 
 
 def test_trace_link(tmp_path, family_spec):

@@ -4,6 +4,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brieskorn
 from mixed_milnor import (
@@ -19,9 +21,10 @@ from mixed_milnor import (
     sample_link,
     transport,
 )
+from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
 from mixed_milnor.errors import InputError, PreconditionError
-from mixed_milnor.families import MilnorTubeSpec
-from mixed_milnor.isotopy import _jet
+from mixed_milnor.families import KINDS, MilnorTubeSpec
+from mixed_milnor.isotopy import _blend, _jet
 from mixed_milnor.numerics import point_rows, random_sphere_point, rng_for
 from mixed_milnor.transversality import _margins
 
@@ -58,6 +61,40 @@ def test_member_endpoints_and_blend_coefficients():
     assert coeffs[((3, 0), (1, 0))] == pytest.approx(0.75)
     assert coeffs[((2, 0), (0, 0))] == pytest.approx(0.25)
     assert len(coeffs) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(2, 3),
+    a=st.tuples(*[st.integers(1, 4)] * 3),
+    b=st.tuples(*[st.integers(0, 2)] * 3),
+    grid=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_members_rows_depend_on_their_own_t(kind, n, a, b, grid, seed):
+    """Each row of `members` over an unsorted grid with repeats is its t's row
+    alone and the transport's f_t row, bit for bit.  Below t = 1, and for
+    n = 2 everywhere, it computes its member's kernel values bit for bit and
+    its partials up to the sign of a zero (a zero coefficient of the shared
+    layout adds a signed zero term); at t = 1 of n = 3 the layout can
+    reorder g's monomials."""
+    fam = build_family(FamilySpec(kind, a[:n], b[:n]))
+    rows = fam.members(grid)
+    z = rng_for(seed, "members").standard_normal((len(grid), 4, 2 * n)).view(complex)
+    value, d_z, d_zbar = value_and_gradient_batch(rows, z)
+    for k, t in enumerate(grid):
+        one = fam.members([t])
+        assert rows.C[k].tobytes() == one.C[0].tobytes()
+        assert _blend(fam, t).C[0].tobytes() == one.C[0].tobytes()
+        if t < 1.0 or n == 2:
+            alone = value_and_gradient_batch(polynomial_arrays([fam.member(t)]), z[k : k + 1])
+            assert value[k].tobytes() == alone[0][0].tobytes()
+            for got, want in zip((d_z[k], d_zbar[k]), alone[1:]):
+                assert (got + 0.0).tobytes() == (want[0] + 0.0).tobytes()
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(PreconditionError, match=r"^t must lie in \[0, 1\], not "):
+            fam.members(grid + [bad])
 
 
 def test_cyclic_kind_wraps_last_index():
@@ -180,7 +217,7 @@ _SWEEPS = {
     "check_transversality": lambda fam, t: check_transversality(fam, [t], 1.0, 5, 0),
     "conjecture_search_type_ii": lambda fam, t: conjecture_search_type_ii(fam, [t], 1.0, 5, 0),
     "sample_link": lambda fam, t: sample_link(fam, t, 1.0),
-    "rank_test": lambda fam, t: _margins(fam.member(t), point_rows([(0.6, 0.8)], 2), t),
+    "rank_test": lambda fam, t: _margins(fam.members([t]), point_rows([(0.6, 0.8)], 2), t),
     "certify_smooth_shell": lambda fam, t: certify_smooth_shell(fam, [t], 1.0, 2),
     # the transport is what reads d f_t / dt, and it checks its t_end
     "family_t_derivative": lambda fam, t: transport(
@@ -193,8 +230,8 @@ _SWEEPS = {
 @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
 def test_members_outside_the_unit_interval_are_rejected(sweep, t):
     """No sweep extrapolates the family: each builds its members through
-    `member`, which rejects t outside [0, 1] and NaN, as does the transport's
-    t_end."""
+    `member` or `members`, which reject t outside [0, 1] and NaN, as does the
+    transport's t_end."""
     fam = build_family(FamilySpec("type_ii", (2, 2), (1, 1)))
     with pytest.raises(PreconditionError, match=r"t(_end)? must lie in \[0, 1\]"):
         _SWEEPS[sweep](fam, t)

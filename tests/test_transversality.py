@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, poly
+from conftest import brieskorn, count_calls, poly
 from mixed_milnor import (
     FamilySpec,
     build_family,
+    certify_smooth_shell,
     check_transversality,
     conjecture_search_type_ii,
     sample_on_variety,
@@ -21,7 +22,7 @@ from mixed_milnor import (
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
-from mixed_milnor import core, families, numerics
+from mixed_milnor import core, numerics
 from mixed_milnor.core import polynomial_arrays, value_and_gradient
 from mixed_milnor.transversality import (
     ATTEMPTS_PER_SAMPLE,
@@ -54,7 +55,8 @@ def _real_jacobian(f, z):
 
 
 def _rank_margins(fam, t, points):
-    return _margins(fam.member(t), point_rows(points, fam.n), t)
+    z = point_rows(points, fam.n)
+    return _margins(fam.members(np.full(len(z), t)), z, t)
 
 
 def _witness(fam, t, w, r=WITNESS_RADIUS):
@@ -286,7 +288,7 @@ def test_chained_witness_single_component_last_index_form():
     w2 = (-w3 * a3_amp) ** (1 / 3)  # w2^3 w3 + w3^2 A3 = 0
     w = (0, w2, w3)
     f = fam.member(t)
-    assert abs(oracle.evaluate(f, w)) <= level_tolerance(f, np.linalg.norm(w))
+    assert abs(oracle.evaluate(f, w)) <= level_tolerance(fam.members([t]), np.linalg.norm(w))
     rec = _witness(fam, t, w, r=2.0)
     trace = rec["trace"]
     assert trace["I0"] == (1,)
@@ -360,12 +362,13 @@ def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
     from the batched kernel."""
     fam = build_family(FamilySpec(kind, (2, 3, 2)[:n], (1, 0, 1)[:n]))
     poly = fam.member(t)
+    one = polynomial_arrays([poly])
     starts = rng_for(seed, "newton:lockstep").standard_normal((size, 2 * n)).view(complex)
     starts = np.vstack([starts, np.zeros((1, n))])  # a zero start fails
-    points, found = newton_on_sphere_batch(poly, 0j, 1.0, starts)
+    points, found = newton_on_sphere_batch(one.rows(np.zeros(len(starts), int)), 0j, 1.0, starts)
     assert not found[-1]
     for k, start in enumerate(starts):
-        alone, hit = newton_on_sphere_batch(poly, 0j, 1.0, [start])
+        alone, hit = newton_on_sphere_batch(one, 0j, 1.0, [start])
         single = newton_on_sphere(poly, 0j, 1.0, tuple(start))
         assert hit[0] == found[k] == (single is not None)
         if found[k]:
@@ -502,7 +505,7 @@ def test_closed_form_witness_matches_central_differences(case):
     assert np.linalg.norm(witness - vector) <= 1e-6 * np.linalg.norm(vector) + 1e-7 * size
     # the curve stays in the variety, so its velocity is tangent to it
     tangency = np.linalg.norm(_real_jacobian(poly, w) @ witness)
-    assert tangency <= 10 * level_tolerance(poly, size)
+    assert tangency <= 10 * level_tolerance(fam.members([t]), size)
 
 
 def test_conjecture_search_reports_failures_per_t():
@@ -576,7 +579,7 @@ def test_closed_forms_survive_an_underflowing_c():
     fam = build_family(FamilySpec("type_i", (1, 1), (3, 0)))
     w = (complex(0.6, 0.8), complex(1e-60, 0.0))  # z1 z2 + z2 = 0 only as z2 -> 0
     f = fam.member(0.0)
-    assert abs(oracle.evaluate(f, w)) <= level_tolerance(f, np.linalg.norm(w))
+    assert abs(oracle.evaluate(f, w)) <= level_tolerance(fam.members([0.0]), np.linalg.norm(w))
     rec = _witness(fam, 0.0, w)
     assert rec["trace"]["J"] == (1, 2)
     assert math.isfinite(rec["witness_margin"])
@@ -627,12 +630,12 @@ def test_witness_errors_name_t_and_point():
         list(_witnesses(fam, [0.5, 0.25], [[good], [good, (0.6, 0.8)]]))
 
 
-def _sample_alone(poly, seed, label, k):
+def _sample_alone(row, seed, label, k):
     """Sample k by itself: one start per attempt from its own stream, each
-    run as a Newton batch of one row, until one lands."""
+    run as a Newton batch of the one polynomial row, until one lands."""
     for att in range(ATTEMPTS_PER_SAMPLE):
-        start = rng_for(seed, f"{label}:sample:{k}:attempt:{att}").standard_normal(2 * poly.n)
-        point, hit = newton_on_sphere_batch(poly, 0j, 1.0, start.view(complex)[None])
+        start = rng_for(seed, f"{label}:sample:{k}:attempt:{att}").standard_normal(2 * row.n)
+        point, hit = newton_on_sphere_batch(row, 0j, 1.0, start.view(complex)[None])
         if hit[0]:
             return point[0]
     return None
@@ -651,45 +654,38 @@ def _sample_alone(poly, seed, label, k):
 )
 def test_grid_sampler_rows_ignore_their_batch(kind, n, b, grid, seed, count):
     """Every sample of the whole-grid batch is bit for bit the one it gets
-    alone and the one its t gets by itself.  Members of different t (with
-    shared and unshared monomials, so their monomial orders differ) share
-    one array form in the grid batch."""
+    alone and the one its t gets by itself, under its `members` row.  Below
+    t = 1, and for n = 2 everywhere, that row computes its member's values
+    bit for bit, so the member sampled alone lands on the same points too."""
     fam = build_family(FamilySpec(kind, (2, 3, 2)[:n], b[:n]))
     arrays, points, failures = transversality._sample_sweep(fam, tuple(grid), 1.0, count, seed, "g")
     for ti, t in enumerate(grid):
-        poly, label = fam.member(t), f"g:t={ti}"
-        per_t, hit = sample_rows(polynomial_arrays([poly]), 1.0, count, seed, [label])
+        row, label = fam.members([t]), f"g:t={ti}"
+        per_t, hit = sample_rows(row, 1.0, count, seed, [label])
         assert per_t[0][hit[0]].tobytes() == points[ti].tobytes()
         assert failures[ti] == count - hit[0].sum()
-        pts, missed = sample_on_variety(poly, 1.0, count, seed, label)
-        assert missed == failures[ti]
-        assert np.array(pts, dtype=complex).reshape(-1, n).tobytes() == points[ti].tobytes()
-        alone = [_sample_alone(poly, seed, label, k) for k in range(count)]
+        if t < 1.0 or n == 2:
+            pts, missed = sample_on_variety(fam.member(t), 1.0, count, seed, label)
+            assert missed == failures[ti]
+            assert np.array(pts, dtype=complex).reshape(-1, n).tobytes() == points[ti].tobytes()
+        alone = [_sample_alone(row, seed, label, k) for k in range(count)]
         assert [k for k, z in enumerate(alone) if z is None] == np.flatnonzero(~hit[0]).tolist()
         landed = np.array([z for z in alone if z is not None]).reshape(-1, n)
         assert landed.tobytes() == points[ti].tobytes()
 
 
-def test_sweep_builds_one_array_form(monkeypatch):
-    """The sampler, the rank margins and both witness checks of a 5-t sweep
-    share one `polynomial_arrays` over the grid's members."""
-    builds = []
-
-    def counting(polys, **options):
-        builds.append(len(polys))
-        return core.polynomial_arrays(polys, **options)
-
-    for module in (transversality, numerics, families):
-        monkeypatch.setattr(module, "polynomial_arrays", counting)
+def test_sweeps_build_no_member_polynomial(monkeypatch):
+    """The sampler, the rank margins, both witness checks and the shell search
+    read their members as `members` rows: no sweep builds a MixedPolynomial."""
     fam = build_family(FamilySpec("type_i", (2, 3, 2), (1, 0, 1)))
+    cyclic = build_family(FamilySpec("type_ii", (2, 2), (1, 1)))
+    built = count_calls(monkeypatch, core.MixedPolynomial, "__post_init__")
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     sweep = check_transversality(fam, grid, 1.0, 6, 3, method="both")
     assert len(sweep.certificates) > 0
-    assert builds == [5]
-    # the members' orders agree up to a swap of two leading terms: no extra column
-    members = [fam.member(t) for t in grid]
-    own = core.polynomial_arrays(members, own_order=True)
-    assert own.N.tolist() == core.polynomial_arrays(members).N.tolist()
+    certify_smooth_shell(fam, grid, 1.0, 2, 3)
+    conjecture_search_type_ii(cyclic, grid, 1.0, 5, 3)
+    assert built == []
 
 
 def test_both_methods_check_the_points_on_the_variety_once(monkeypatch):
