@@ -157,6 +157,30 @@ class PolynomialArrays:
         """Other polynomials over the same monomial list."""
         return PolynomialArrays(self.N, self.M, C, self.layout)
 
+    def on_sphere(self, radius: float) -> tuple["PolynomialArrays", np.ndarray]:
+        """The rows on the unit sphere and their scales e: row k's coefficients
+        c_i r^(d_i - e_k), d_i monomial i's total degree and e_k the row's largest
+        degree with c_i != 0 (smallest when r < 1), so f_k(r u) = r^e_k f~_k(u),
+        no coefficient grows, zeros stay zero and r = 1 changes no bit."""
+        if not 0.0 < radius < math.inf:
+            raise InputError(f"radius must be positive and finite, got {radius!r}")
+        degree, live = (self.N + self.M).sum(axis=1), self.C != 0
+        e = self.max_degree
+        if radius < 1.0:
+            e = np.where(live, degree, top := int(degree.max(initial=0))).min(axis=1, initial=top)
+        factor = np.power(float(radius), np.where(live, degree - e[:, None], 0).astype(float))
+        return self.with_coefficients(self.C * factor), e
+
+
+def rescaled(values, radius: float, power) -> np.ndarray:
+    """values * radius ** power entrywise, one factor of radius at a time: exact
+    at radius 1, zero where values is, inf only where the product overflows."""
+    out, power = np.broadcast_arrays(np.asarray(values) * 1.0, power)
+    with np.errstate(over="ignore", under="ignore"):
+        for k in range(int(np.abs(power).max(initial=0))):
+            out = np.where(power > k, out * radius, np.where(power < -k, out / radius, out))
+    return out
+
 
 def polynomial_arrays(polys: Sequence[MixedPolynomial]) -> PolynomialArrays:
     """Stack polynomials of one arity over the union of their monomials, in

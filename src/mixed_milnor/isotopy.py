@@ -20,13 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import value_and_gradient_batch
+from .core import PolynomialArrays, rescaled, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily, MilnorTubeSpec, require_unit_t
 from .numerics import (
     complexify,
     newton_on_sphere_batch,
-    overflow_raises,
     point_rows,
     real_jacobian,
     require_on_level,
@@ -59,7 +58,9 @@ class IsotopyTrace:
 
 
 def _cutoff(level, eta0: float):
-    """C^1 (quintic smoothstep) blend: 1 below eta0, 0 above 2*eta0."""
+    """C^1 (quintic smoothstep) blend: 1 below eta0, 0 above 2*eta0 (above 0 if eta0 is 0)."""
+    if not eta0:
+        return np.where(level > 0.0, 0.0, 1.0)
     u = np.minimum(np.maximum((level - eta0) / eta0, 0.0), 1.0)
     return 1.0 - u * u * u * (10.0 + u * (6.0 * u - 15.0))
 
@@ -68,36 +69,34 @@ def _modulus(w: np.ndarray) -> np.ndarray:
     return np.hypot(w.real, w.imag)
 
 
-def _blend(fam: DeformationFamily, t: float):
-    """f_t and d f_t / dt = g - f: fixed coefficient rows over the monomials
-    of the endpoints f and g, row 0 bit for bit `fam.members([t])`."""
-    ends = fam.endpoint_arrays
+def _blend(ends: PolynomialArrays, t: float):
+    """f_t and d f_t / dt = g - f from the endpoint rows f, g of `ends`; row 0
+    is bit for bit `fam.members([t])` for `ends = fam.endpoint_arrays`."""
     f, g = ends.C
     return ends.with_coefficients(np.array([(1.0 - t) * f + t * g, g - f]))
 
 
-def _jet(fam: DeformationFamily, t: float, x: np.ndarray):
+def _jet(ends: PolynomialArrays, t: float, x: np.ndarray):
     """f_t, its real Jacobian rows (K x 2 x 2n: gradients of Re f_t and Im f_t)
     and d f_t / dt at the rows of x (K x 2n, C-contiguous)."""
     z = x.view(complex)
     both = np.empty((2,) + z.shape, dtype=complex)
     both[...] = z
-    value, d_z, d_zbar = value_and_gradient_batch(_blend(fam, t), both)
+    value, d_z, d_zbar = value_and_gradient_batch(_blend(ends, t), both)
     return value[0], real_jacobian(d_z[0], d_zbar[0]), value[1]
 
 
 def _velocity(
-    fam: DeformationFamily, t: float, x: np.ndarray, r: np.ndarray, tube: MilnorTubeSpec, jet=None
+    ends: PolynomialArrays, t: float, x: np.ndarray, r: np.ndarray, eta0: float, jet=None
 ) -> np.ndarray:
-    """Minimum-norm real velocity whose flow keeps f_t constant inside the
-    Milnor tube (blended off smoothly outside), at the rows of x (K x 2n,
-    C-contiguous) of norms r, tangent to the sphere through each row,
-    whatever its radius.  `jet` is _jet(fam, t, x) when the caller has it
-    already."""
-    value, J, dft = jet or _jet(fam, t, x)
+    """Minimum-norm real velocity whose flow keeps f_t constant inside the tube
+    |f_t| <= eta0 (blended off smoothly outside), at the rows of x (K x 2n,
+    C-contiguous) of norms r, tangent to the sphere through each row, whatever
+    its radius.  `jet` is _jet(ends, t, x) when the caller has it already."""
+    value, J, dft = jet or _jet(ends, t, x)
     level = _modulus(value)
-    inside = level <= tube.tube_level
-    c = 1.0 if inside.all() else _cutoff(level, tube.tube_level)
+    inside = level <= eta0
+    c = 1.0 if inside.all() else _cutoff(level, eta0)
     # the least-norm tangent v with J v = -c dft: zero where the cutoff c is;
     # a row of x with a NaN coordinate gets a NaN v
     v, J_T, g = tangent_step(J, x / r[:, None], c * dft)
@@ -123,13 +122,14 @@ def _integrate(
 ) -> tuple[IsotopyTrace, ...]:
     """Classical RK4 transport of every point from t = 0 to t_end, in lockstep.
 
-    Per step: integrate the connection velocity, rescale back to the sphere,
-    then (for points starting inside the tube) Newton-correct the f-value
-    toward f_0(z0) where it is off by more than value_tol.  A point whose
-    state turns non-finite, or whose correction fails, fails at that step;
-    an overflow (f evaluated on a huge sphere) raises NumericalError.
-    Each start point must be finite and lie on the sphere of the tube's
-    radius, to SPHERE_TOL relative to a radius of at least 1.
+    It runs on the unit sphere, f and g scaled to one common e (the larger of
+    their two, the smaller when r < 1) so that f_t stays linear in t; the tube
+    level is eta0 r^-e.  Per step: integrate the connection velocity, rescale
+    back to the sphere, then (for points starting inside the tube)
+    Newton-correct f_t toward f_0(z0) where it is off by more than value_tol.
+    A point whose state turns non-finite, or whose correction fails, fails at
+    that step.  Each start point must be finite and lie on the sphere of the
+    tube's radius, to SPHERE_TOL relative.
     """
     z0 = point_rows(points, fam.n)
     x = z0.view(float)
@@ -139,7 +139,7 @@ def _integrate(
         raise PreconditionError(f"start point {int(np.argmax(bad))} has a non-finite coordinate")
     require_unit_t(t_end, "t_end")
     norm = np.hypot.reduce(x, axis=1)  # no overflow where row_norm's squares would
-    off = np.abs(norm - r) > SPHERE_TOL * max(1.0, r)
+    off = np.abs(norm - r) > SPHERE_TOL * r
     if off.any():
         i = int(np.argmax(off))
         raise PreconditionError(
@@ -149,62 +149,66 @@ def _integrate(
         raise InputError("need at least one step")
     if not len(z0):
         return ()
-    t = 0.0  # the step under way, named if f overflows on the sphere
-    with overflow_raises(lambda: f"transport overflows at t={t!r} (radius {r!r})"):
-        # the jet at each step's start: the previous value check reads it, then k1
-        jet = _jet(fam, 0.0, x)
-        f0 = jet[0]
-        preserve = _modulus(f0) <= tube.tube_level
-        K = len(x)
-        times = [0.0]
-        states = [x]
-        value_residual = np.zeros(K)
-        norm_residual = np.zeros(K)
-        failure_step = np.zeros(K, dtype=int)  # 0: no failure
-        dead = np.zeros(K, dtype=bool)
+    ends = fam.endpoint_arrays  # each of its columns is a monomial of f or of g
+    scale, e = ends.with_coefficients(np.ones((1, len(ends.N)))).on_sphere(r)
+    ends = ends.with_coefficients(ends.C * scale.C)
+    eta0 = float(rescaled(tube.tube_level, r, -e)[0])
+    x = x * (1.0 / r)
+    # the jet at each step's start: the previous value check reads it, then k1
+    jet = _jet(ends, 0.0, x)
+    f0 = jet[0]
+    preserve = _modulus(f0) <= eta0
+    K = len(x)
+    times = [0.0]
+    states = [z0.view(float)]  # the start points as given, then each step's times r
+    value_residual = np.zeros(K)
+    norm_residual = np.zeros(K)
+    failure_step = np.zeros(K, dtype=int)  # 0: no failure
+    dead = np.zeros(K, dtype=bool)
 
-        if t_end > 0.0:
-            h = t_end / steps
-            for k in range(steps):
-                t = k * h
-                k1 = _velocity(fam, t, x, row_norm(x), tube, jet)
-                # a stage state y leaves the sphere by O(h^2); the field is
-                # defined there all the same, so no sphere check applies
-                y = x + 0.5 * h * k1
-                k2 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
-                y = x + 0.5 * h * k2
-                k3 = _velocity(fam, t + 0.5 * h, y, row_norm(y), tube)
-                y = x + h * k3
-                k4 = _velocity(fam, t + h, y, row_norm(y), tube)
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                x = x * (r / row_norm(x))[:, None]
-                t_next = (k + 1) * h
-                broke = ~dead & ~np.isfinite(x).all(axis=1)
-                dead |= broke
-                failure_step[broke] = k + 1
-                value_residual[broke & preserve] = np.nan
-                jet = _jet(fam, t_next, x)
-                rows = np.nonzero(preserve & ~dead)[0]
+    if t_end > 0.0:
+        h = t_end / steps
+        for k in range(steps):
+            t = k * h
+            k1 = _velocity(ends, t, x, row_norm(x), eta0, jet)
+            # a stage state y leaves the sphere by O(h^2); the field is
+            # defined there all the same, so no sphere check applies
+            y = x + 0.5 * h * k1
+            k2 = _velocity(ends, t + 0.5 * h, y, row_norm(y), eta0)
+            y = x + 0.5 * h * k2
+            k3 = _velocity(ends, t + 0.5 * h, y, row_norm(y), eta0)
+            y = x + h * k3
+            k4 = _velocity(ends, t + h, y, row_norm(y), eta0)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = x * (1.0 / row_norm(x))[:, None]
+            t_next = (k + 1) * h
+            broke = ~dead & ~np.isfinite(x).all(axis=1)
+            dead |= broke
+            failure_step[broke] = k + 1
+            value_residual[broke & preserve] = np.nan
+            jet = _jet(ends, t_next, x)
+            rows = np.nonzero(preserve & ~dead)[0]
+            res = jet[0][rows] - f0[rows]
+            off = rows[_modulus(res) > value_tol]
+            if newton_correct and off.size:
+                # Newton on f_t = f_0 over the sphere; a row not found fails
+                # at this step and keeps its position
+                member = _blend(ends, t_next).rows(np.zeros(len(off), int))
+                z, found = newton_on_sphere_batch(
+                    member, f0[off], x[off].view(complex), value_tol, 5
+                )
+                failure_step[off[~found]] = k + 1
+                moved = off[found]
+                x[moved] = z.view(float)[found]
+                for part, fresh in zip(jet, _jet(ends, t_next, x[moved])):
+                    part[moved] = fresh
                 res = jet[0][rows] - f0[rows]
-                off = rows[_modulus(res) > value_tol]
-                if newton_correct and off.size:
-                    # Newton on f_t = f_0 over the sphere; a row not found fails
-                    # at this step and keeps its position
-                    member = _blend(fam, t_next).rows(np.zeros(len(off), int))
-                    z, found = newton_on_sphere_batch(
-                        member, f0[off], r, x[off].view(complex), value_tol, 5
-                    )
-                    failure_step[off[~found]] = k + 1
-                    moved = off[found]
-                    x[moved] = z.view(float)[found]
-                    for part, fresh in zip(jet, _jet(fam, t_next, x[moved])):
-                        part[moved] = fresh
-                    res = jet[0][rows] - f0[rows]
-                value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
-                norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - r))
-                times.append(t_next)
-                states.append(x)
+            value_residual[rows] = np.maximum(value_residual[rows], _modulus(res))
+            norm_residual = np.maximum(norm_residual, np.abs(row_norm(x) - 1.0))
+            times.append(t_next)
+            states.append(x * r)
     failed = (failure_step > 0) | (value_residual > 1e-6) | (norm_residual > 1e-6)
+    value_residual, norm_residual = rescaled(value_residual, r, e), norm_residual * r
     paths = np.stack(states, axis=1).view(complex).tolist()  # K x samples x n
     return tuple(
         IsotopyTrace(
@@ -262,8 +266,9 @@ def transport(
     the start points are not checked against any level.
     """
     if level is not None:
-        z = point_rows(points, fam.n)
-        require_on_level(fam.members(np.zeros(len(z))), z, level)
+        member, e = fam.members([0.0]).on_sphere(tube.radius)
+        z = point_rows(points, fam.n) * (1.0 / tube.radius)
+        require_on_level(member.rows([0] * len(z)), z, float(rescaled(level, tube.radius, -e)[0]))
     traces = _integrate(fam, points, t_end, steps, tube, **kwargs)
     # np.max keeps a NaN residual (a point whose state broke) where max() drops it
     return TransportSummary(

@@ -25,7 +25,6 @@ from .numerics import (
     level_tolerance,
     monotone_roots,
     newton_on_sphere_batch,
-    overflow_raises,
     random_sphere_point,
     rng_streams,
 )
@@ -62,36 +61,36 @@ def _same_orbit(z, w, P: Sequence[int], merge_tol: float) -> bool:
     return bool((np.abs(polar_orbit(P, np.exp(1j * phi), z) - w) <= merge_tol).all(axis=1).any())
 
 
-def _brieskorn_representatives(fam: DeformationFamily, t: float, radius: float) -> np.ndarray:
-    """One representative per phase class on the fundamental torus: the
-    modulus equation has a unique root by monotonicity, the phase condition
-    enumerates a_1 candidates at arg z_2 = 0."""
+def _brieskorn_representatives(fam: DeformationFamily, member: PolynomialArrays) -> np.ndarray:
+    """One representative per phase class on the fundamental torus of the
+    unit sphere for the one-row unit-scale `member`, whose u_j terms sum to
+    u_j^a_j amp_j(|u_j|): the modulus equation has a unique root by
+    monotonicity, the phase condition enumerates a_1 candidates at arg u_2 = 0."""
     a1, a2 = fam.spec.a
-    b1, b2 = fam.spec.b
+    terms = [np.flatnonzero(member.N[:, j]) for j in range(2)]
 
-    def amp(rho: np.ndarray, b: int) -> np.ndarray:
-        return t + (1.0 - t) * rho ** (2 * b)
+    def amp(rho: np.ndarray, j: int) -> np.ndarray:
+        return sum(member.C[0, i].real * rho ** int(2 * member.M[i, j]) for i in terms[j])
 
     def profile(rho1: np.ndarray, k) -> np.ndarray:
-        rho2 = np.sqrt(np.maximum(radius**2 - rho1**2, 0.0))
-        return rho1**a1 * amp(rho1, b1) - rho2**a2 * amp(rho2, b2)
+        rho2 = np.sqrt(np.maximum(1.0 - rho1**2, 0.0))
+        return rho1**a1 * amp(rho1, 0) - rho2**a2 * amp(rho2, 1)
 
-    eps = 1e-12 * radius
-    rho1 = float(monotone_roots(profile, [0.0], lo=eps, hi=radius - eps)[0])
+    rho1 = float(monotone_roots(profile, [0.0], lo=1e-12, hi=1.0 - 1e-12)[0])
     theta1 = (math.pi + 2.0 * math.pi * np.arange(a1)) / a1
-    rho2 = math.sqrt(max(radius**2 - rho1**2, 0.0))
+    rho2 = math.sqrt(max(1.0 - rho1**2, 0.0))
     return np.stack([rho1 * np.exp(1j * theta1), np.full(a1, rho2 + 0j)], axis=-1)
 
 
-def _coordinate_circle_orbits(member: PolynomialArrays, radius: float) -> np.ndarray:
-    """Whole coordinate circles contained in the link (chained kinds) of the
-    one-row `member`: each circle's point at three phases, all six in one
-    kernel pass."""
-    cands = np.array([(radius, 0.0), (0.0, radius)], dtype=complex)
+def _coordinate_circle_orbits(member: PolynomialArrays) -> np.ndarray:
+    """Whole coordinate circles of the unit sphere contained in the link
+    (chained kinds) of the one-row unit-scale `member`: each circle's point
+    at three phases, all six in one kernel pass."""
+    cands = np.array([(1.0, 0.0), (0.0, 1.0)], dtype=complex)
     phases = np.exp(1j * np.array([0.0, 0.7, 2.1]))
     z = (cands[:, None, :] * phases[:, None]).reshape(1, 6, 2)
     value = value_and_gradient_batch(member, z)[0].reshape(2, 3)
-    on = (np.abs(value) <= level_tolerance(member, radius)).all(axis=1)
+    on = (np.abs(value) <= level_tolerance(member, 1.0)).all(axis=1)
     return cands[on]
 
 
@@ -103,41 +102,35 @@ def sample_link(
     seed: int = 0,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> LinkSample:
-    """Sample K_t = V_t on the sphere and partition it into polar orbits."""
+    """Sample K_t = V_t on the sphere and partition it into polar orbits, found
+    on the unit sphere of f_t's unit-scale form and mapped back by the radius."""
     if fam.n != 2:
         raise PreconditionError("link sampling is implemented for n = 2 only")
-    if radius <= 0:
-        raise InputError("radius must be positive")
     if resolution < 1:
         raise InputError(f"resolution must be at least 1, got {resolution!r}")
     weights = detect_weights(fam.member(float(t)))
     if not weights.has_polar:
         raise NumericalError("family member is unexpectedly not polar weighted")
     P = weights.polar_weights
-    merge_tol = 1e-4 * radius
-
-    # on a large sphere a float power or the polynomial kernel overflows
-    with overflow_raises(lambda: f"link sampling overflows at t={t!r} (radius {radius!r})"):
-        if fam.spec.kind == "brieskorn":
-            candidates = _brieskorn_representatives(fam, float(t), radius)
-            seeds_used = 0
-        else:
-            rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
-            starts = np.array([random_sphere_point(rng, 2, radius) for rng in rngs])
-            found, hit = newton_on_sphere_batch(fam.members([t] * seeds), 0j, radius, starts)
-            seeds_used = seeds
-            circles = _coordinate_circle_orbits(fam.members([t]), radius)
-            candidates = np.concatenate([circles, found[hit]])
-        # Newton polish, then dedupe by exact orbit membership.
-        polished, hit = newton_on_sphere_batch(
-            fam.members([t] * len(candidates)), 0j, radius, candidates
-        )
+    member = fam.members([t]).on_sphere(radius)[0]
+    if fam.spec.kind == "brieskorn":
+        candidates = _brieskorn_representatives(fam, member)
+        seeds_used = 0
+    else:
+        rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
+        starts = np.array([random_sphere_point(rng, 2, 1.0) for rng in rngs])
+        found, hit = newton_on_sphere_batch(member.rows([0] * seeds), 0j, starts)
+        seeds_used = seeds
+        circles = _coordinate_circle_orbits(member)
+        candidates = np.concatenate([circles, found[hit]])
+    # Newton polish, then dedupe by exact orbit membership.
+    polished, hit = newton_on_sphere_batch(member.rows([0] * len(candidates)), 0j, candidates)
     reps: list[np.ndarray] = []
     for rep in polished[hit]:
-        if not any(_same_orbit(other, rep, P, merge_tol) for other in reps):
+        if not any(_same_orbit(other, rep, P, 1e-4) for other in reps):
             reps.append(rep)
     lams = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
-    orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)))
+    orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)) * radius)
     orbits.flags.writeable = False  # the sample is frozen, its points view included
     return LinkSample(
         t=float(t),

@@ -5,12 +5,13 @@ lockstep on-sphere Newton solving."""
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, PolynomialArrays, polynomial_arrays, value_and_gradient_batch
+from .core import (
+    MixedPolynomial, PolynomialArrays, polynomial_arrays, rescaled, value_and_gradient_batch
+)
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -131,17 +132,6 @@ def monotone_roots(
     return root
 
 
-@contextmanager
-def overflow_raises(message: Callable[[], str]):
-    """Run the block with numpy raising on overflow instead of warning; that
-    or a float power's OverflowError becomes one NumericalError(message())."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except (OverflowError, FloatingPointError) as exc:
-        raise NumericalError(message()) from exc
-
-
 def point_rows(points, n: int) -> np.ndarray:
     """Points as a K x n complex array; an empty sequence gives K = 0."""
     try:
@@ -256,14 +246,13 @@ def require_on_level(
 def newton_on_sphere_batch(
     arrays: PolynomialArrays,
     target,
-    radius: float,
     starts,
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve f(z) = target on the sphere ||z|| = radius from every row of
-    `starts` (K x n), all rows in lockstep, start k under row k of `arrays`
-    and toward `target` (one value) or target[k] (K values).
+    """Solve f(u) = target on the unit sphere from every row of `starts`
+    (K x n), all rows in lockstep, start k under row k of the unit-scale form
+    `arrays` and toward `target` (one value) or target[k] (K values).
 
     Each row runs tangentially projected Newton: `tangent_step` gives the
     step, and the new point is rescaled to the sphere.  A row is done once
@@ -273,8 +262,6 @@ def newton_on_sphere_batch(
     and a K boolean mask.  Every operation is row-wise and in a fixed order,
     so a row's result does not depend on the rest of its batch.
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
     x = point_rows(starts, arrays.n).view(float)
     if len(arrays.C) != len(x):
         raise InputError(f"{len(x)} starts do not fit {len(arrays.C)} polynomial rows")
@@ -284,7 +271,7 @@ def newton_on_sphere_batch(
     found = np.zeros(len(x), dtype=bool)
     nrm = row_norm(x)
     todo = np.nonzero(nrm != 0)[0]
-    xs = x[todo] * (radius / nrm[todo])[:, None]
+    xs = x[todo] * (1.0 / nrm[todo])[:, None]
     for it in range(max_iter + 1):
         if not todo.size:
             break
@@ -296,12 +283,12 @@ def newton_on_sphere_batch(
             break
         live = ~hit
         todo, xs, res = todo[live], xs[live], res[live]
-        step = tangent_step(real_jacobian(d_z[live], d_zbar[live]), xs / radius, res)[0]
+        step = tangent_step(real_jacobian(d_z[live], d_zbar[live]), xs, res)[0]
         xs = xs + step
         nrm = row_norm(xs)
         good = np.isfinite(step).all(axis=1) & (nrm != 0)
         todo, xs, nrm = todo[good], xs[good], nrm[good]
-        xs = xs * (radius / nrm)[:, None]
+        xs = xs * (1.0 / nrm)[:, None]
     return out.view(complex), found
 
 
@@ -313,16 +300,14 @@ def newton_on_sphere(
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> Optional[tuple[complex, ...]]:
-    """Solve f(z) = target constrained to the sphere ||z|| = radius.
-
-    Tangentially projected Newton from `start`: the one-point case of
-    `newton_on_sphere_batch`.  Returns None when the iteration fails to reach
-    |f - target| <= tol * (1 + |target|).
-    """
-    points, found = newton_on_sphere_batch(
-        polynomial_arrays([poly]), target, radius, [start], tol, max_iter
-    )
-    return tuple(points[0].tolist()) if found[0] else None
+    """Solve f(z) = target on the sphere ||z|| = radius from `start`: the
+    one-point `newton_on_sphere_batch` on the unit-scale form f~ of f, toward
+    target / r^e.  None where it fails to reach |f~ - target / r^e| <= tol *
+    (1 + |target / r^e|)."""
+    rows, e = polynomial_arrays([poly]).on_sphere(radius)
+    start, goal = point_rows([start], poly.n) * (1.0 / radius), rescaled(target, radius, -e)
+    points, found = newton_on_sphere_batch(rows, goal, start, tol, max_iter)
+    return tuple((points[0] * radius).tolist()) if found[0] else None
 
 
 def random_sphere_point(rng: np.random.Generator, n: int, radius: float) -> tuple[complex, ...]:

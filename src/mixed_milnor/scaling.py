@@ -73,8 +73,6 @@ def normalize_coefficients(poly: MixedPolynomial) -> NormalizationResult:
     args = np.empty(n)
     for i, mono in enumerate(poly.monomials):
         c = mono.coefficient
-        if c == 0:
-            raise InputError("zero coefficient")  # unreachable in canonical form
         log_abs[i] = math.log(abs(c))
         args[i] = cmath.phase(c)  # principal branch
 

@@ -8,13 +8,12 @@ minimized over lambda in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PolynomialArrays, value_and_gradient_batch
+from .core import PolynomialArrays, rescaled, value_and_gradient_batch
 from .errors import InputError, NumericalError
 from .families import DeformationFamily
 from .numerics import complexify, rng_streams, row_dot, row_norm
@@ -95,7 +94,6 @@ def _line_search(
     g: np.ndarray,
     gn: np.ndarray,
     length: np.ndarray,
-    radius: float,
 ) -> np.ndarray:
     """Backtracking along -g, 30 halvings of the first lengths, for the rows
     `live` of x.  Each kernel call tests a block of consecutive halvings (at
@@ -112,7 +110,7 @@ def _line_search(
         # alpha * 2**-h equals h repeated halvings
         step = np.ldexp(alpha[todo, None], -np.arange(h, h + block))
         cand = x[rows, None] - step[..., None] * g[todo, None]
-        cand *= (radius / row_norm(cand))[..., None]
+        cand *= (1.0 / row_norm(cand))[..., None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
         ok = fc < (f[rows] - 1e-12 * np.abs(f[rows]))[:, None]
         hit = ok.any(axis=1)
@@ -132,7 +130,6 @@ def _pattern_search(
     f: np.ndarray,
     live: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    radius: float,
 ) -> np.ndarray:
     """Random tangent probes (+d, then -d) at 10 halving scales for the rows
     `live` of x, each drawn from its row's own stream.  Each kernel call
@@ -151,9 +148,9 @@ def _pattern_search(
         d = np.stack([rngs[k].standard_normal((block, x.shape[1])) for k in rows])
         d = _project_tangent(d, xr)
         d /= np.maximum(row_norm(d), 1e-300)[..., None]
-        step = np.ldexp(1e-3 * radius, -np.arange(p, p + block))[:, None] * d
+        step = np.ldexp(1e-3, -np.arange(p, p + block))[:, None] * d
         cand = np.stack([xr + step, xr - step], axis=2)
-        cand *= (radius / row_norm(cand))[..., None]
+        cand *= (1.0 / row_norm(cand))[..., None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
         plus = fc[..., 0] < f[rows, None]
         ok = plus | (fc[..., 1] < f[rows, None])
@@ -174,26 +171,25 @@ def _pattern_search(
 def _minimize_shell(
     arrays: PolynomialArrays,
     x0: np.ndarray,
-    radius: float,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize the squared residual on the sphere ||x|| = radius from every
-    row of x0 (row k under polynomial k, pattern probes from rngs[k]).
+    """Minimize the squared residual on the unit sphere from every row of x0
+    (row k under row k of a unit-scale form, pattern probes from rngs[k]).
 
     Projected gradient descent with a central-difference gradient and
-    backtracking from a per-row first step (`_first_steps`: 0.1 radius in the
+    backtracking from a per-row first step (`_first_steps`: 0.1 in the
     first round, then the two-point length); pattern-search fallback when the
     line search stalls (the objective is only piecewise smooth).  All rows
     advance in lockstep, one iteration per round, and leave when they stop;
     each row follows the path it would follow alone.  Returns the final
     points, values and iteration counts.
     """
-    x = x0 * (radius / row_norm(x0))[:, None]
+    x = x0 * (1.0 / row_norm(x0))[:, None]
     f = shell_residual_sq(arrays, x)
     iters = np.zeros(len(x), dtype=int)
     dim = x.shape[1]
     stencil = np.concatenate([np.eye(dim), -np.eye(dim)]) * FD_STEP
-    cap = 0.1 * radius
+    cap = 0.1
     # per row: last point and gradient (s = 0 in round 1), last accepted length
     x_prev, g_prev, last = x.copy(), np.zeros_like(x), np.full(len(x), cap)
     live = np.arange(len(x))
@@ -209,10 +205,10 @@ def _minimize_shell(
         live, xl, g, gn = live[moving], xl[moving], g[moving], gn[moving]
         length = _first_steps(xl - x_prev[live], g - g_prev[live], gn, last[live], cap)
         x_prev[live], g_prev[live] = xl, g
-        improved = _line_search(arrays, x, f, live, g, gn, length, radius)
+        improved = _line_search(arrays, x, f, live, g, gn, length)
         last[live[improved]] = length[improved]
         stalled = live[~improved]
-        improved[~improved] = _pattern_search(arrays, x, f, stalled, rngs, radius)
+        improved[~improved] = _pattern_search(arrays, x, f, stalled, rngs)
         live = live[improved]
     return x, f, iters
 
@@ -227,19 +223,18 @@ def certify_smooth_shell(
 ) -> ShellSearchReport:
     """Global-ish minimum of the singularity residual over the shell ||z|| = radius.
 
-    Runs `restarts` seeded searches at every t of the grid, all
-    len(t_grid) x restarts of them as one lockstep batch.  Restart k at grid
-    index ti draws its start point and its pattern-search probes from the
-    stream labelled "shell:t={ti}:restart:{k}"; `argmin_restart` is the k of
-    the minimum.  `converged` means that every t has at least one restart that
-    stopped before the iteration cap.  A restart that ends on a residual that
-    is not finite (it overflows on a large shell) raises NumericalError.
+    Runs `restarts` seeded searches at every t of the grid, all len(t_grid) x
+    restarts of them as one lockstep batch.  Restart k at grid index ti, row
+    ti * restarts + k, draws its start point and pattern-search probes from
+    the stream "shell:t={ti}:restart:{k}"; `argmin_restart` is the k of the
+    minimum.  `converged` means that every t has at least one restart that
+    stopped before the iteration cap.  The search runs on the unit sphere; the
+    minimum, in units of f's partials, and its point map back by r^(e-1) and r.
+    A restart that ends on a residual that is not finite raises NumericalError.
 
     Numerical evidence only, never a proof: a minimum over all seeded restarts
     above `threshold` (`certified`) echoes the no-singularity lemma.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise InputError(f"radius must be positive and finite, got {radius!r}")
     if restarts < 1:
         raise InputError(f"restarts must be at least 1, got {restarts!r}")
     if not threshold > 0:  # a residual of 0 must never certify
@@ -247,14 +242,12 @@ def certify_smooth_shell(
     grid = tuple(float(t) for t in t_grid)
     if not grid:
         raise InputError("t_grid is empty")
-    arrays = fam.members(np.repeat(grid, restarts))  # row ti * restarts + k: restart k
+    arrays, e = fam.members(np.repeat(grid, restarts)).on_sphere(radius)
     rngs = rng_streams(
         seed, [f"shell:t={ti}:restart:{k}" for ti in range(len(grid)) for k in range(restarts)]
     )
     x0 = np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
-    # a large shell overflows to inf - inf = NaN, reported below with its t and restart
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, f, iters = _minimize_shell(arrays, x0, float(radius), rngs)
+    x, f, iters = _minimize_shell(arrays, x0, rngs)
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         i = int(bad[0])
@@ -262,18 +255,18 @@ def certify_smooth_shell(
             f"shell residual is not finite at t={grid[i // restarts]!r},"
             f" restart {i % restarts} (radius {radius!r})"
         )
-    best = int(np.argmin(f))
-    least = math.sqrt(max(float(f[best]), 0.0))
+    least = rescaled(np.sqrt(np.maximum(f, 0.0)), radius, e - 1)
+    best = int(np.lexsort((f, least))[0])  # f breaks ties: the order of f at radius 1
     return ShellSearchReport(
         t_grid=grid,
         radius=float(radius),
         restarts=restarts,
         threshold=threshold,
-        min_residual_found=least,
-        argmin_point=complexify(x[best]),
+        min_residual_found=float(least[best]),
+        argmin_point=complexify(x[best] * radius),
         argmin_t=grid[best // restarts],
         argmin_restart=best % restarts,
         iterations=int(iters.sum()),
         converged=bool(np.all(np.any(iters.reshape(len(grid), restarts) < MAX_ITER, axis=1))),
-        certified=least > threshold,
+        certified=bool(least[best] > threshold),
     )

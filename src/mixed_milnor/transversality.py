@@ -112,6 +112,7 @@ def _witnesses(
     points_per_t: Sequence[Sequence[Sequence[complex]]],
     r: float = WITNESS_RADIUS,
     on_level: bool = False,
+    radius: float = 1.0,
 ) -> Iterator[dict]:
     """Constructive witnesses at the points points_per_t[i] of V_t, t = t_grid[i],
     in one lockstep pass over `fam.members(t_grid)`; yields each point's
@@ -130,15 +131,17 @@ def _witnesses(
     when every term vanishes.  Rows with the same vanishing coordinates share
     their runs, so each chain index is solved for all of them at once.  The
     on-variety check (skipped when `on_level` says the caller made it) and the
-    check of the curve at radius r are one kernel call each.
+    check of the curve at radius r are one kernel call each, on the unit scale
+    of the sphere of the given radius.
     """
     if r <= 0:
         raise InputError("evaluation radius must be positive")
     chained = fam.spec.kind == "type_i"
     n, a, b = fam.n, fam.spec.a, fam.spec.b
     members, W, T, index = _stack(fam.members(t_grid), t_grid, points_per_t)
+    members, unit = members.on_sphere(radius)[0], 1.0 / radius
     if not on_level:
-        require_on_level(members, W, t=T, index=index)
+        require_on_level(members, W * unit, t=T, index=index)
     mods = np.abs(W)
     nonzero = mods > 0
     in_J = nonzero.copy()
@@ -169,7 +172,7 @@ def _witnesses(
                 R[rows, j] = rj
                 S[rows, j], slope = solve_phi_rows(a[j], b[j], tau, mods[rows, j], rj)
                 slopes[rows, j] = slope if j == hi else slope * (1.0 - slopes[rows, j + 1])
-    require_on_level(members, S * W, t=T, slack=10.0, error=NumericalError, index=index)
+    require_on_level(members, S * W * unit, t=T, slack=10.0, error=NumericalError, index=index)
     margin = 2.0 * row_dot(mods * mods, slopes)
     transverse = margin > DEFAULT_MARGIN_THRESHOLD * row_dot(mods, mods)
     R = R.astype(object)
@@ -203,13 +206,12 @@ class ConjectureSearchReport:
 
 def sample_rows(
     arrays: PolynomialArrays,
-    radius: float,
     count: int,
     seed: int,
     labels: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-polished points on f_i^{-1}(0) intersected with the sphere, for
-    every row i of `arrays`: (points, found), G x count x n and G x count.
+    """Newton-polished points of f_i = 0 on the unit sphere, for every row i
+    of the unit-scale form `arrays`: (points, found), G x count (x n).
 
     Sample k of row i gets up to ATTEMPTS_PER_SAMPLE random starts, attempt
     att drawn from the stream "{labels[i]}:sample:{k}:attempt:{att}", before
@@ -217,8 +219,6 @@ def sample_rows(
     pending (row, sample) pair in one pass and runs them as one lockstep
     Newton batch, so a row's points are those it gets sampled alone.
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
     n = arrays.n
     points = np.zeros((len(labels) * count, n), dtype=complex)
     found = np.zeros(len(points), dtype=bool)
@@ -233,7 +233,7 @@ def sample_rows(
             rng.bit_generator.state = state
             rng.standard_normal(out=row)
         rows = arrays.rows(pending // count)
-        pts, hit = newton_on_sphere_batch(rows, 0j, radius, starts.view(complex))
+        pts, hit = newton_on_sphere_batch(rows, 0j, starts.view(complex))
         points[pending[hit]], found[pending[hit]] = pts[hit], True
         pending = pending[~hit]
     return points.reshape(len(labels), count, n), found.reshape(len(labels), count)
@@ -246,23 +246,24 @@ def sample_on_variety(
     seed: int,
     label: str = "variety",
 ) -> tuple[list[tuple[complex, ...]], int]:
-    """The one-polynomial case of `sample_rows`: (points, failure_count), the
-    points in sample order."""
-    points, found = sample_rows(polynomial_arrays([poly]), radius, count, seed, [label])
-    return [tuple(z) for z in points[found].tolist()], int(count - found.sum())
+    """The one-polynomial case of `sample_rows` on the sphere of the given
+    radius: (points, failure_count), the points in sample order."""
+    rows = polynomial_arrays([poly]).on_sphere(radius)[0]
+    points, found = sample_rows(rows, count, seed, [label])
+    return [tuple(z) for z in (points[found] * radius).tolist()], int(count - found.sum())
 
 
 def _sample_sweep(
     fam: DeformationFamily, grid: tuple, radius: float, samples: int, seed: int, label: str
 ) -> tuple[PolynomialArrays, list[np.ndarray], tuple[int, ...]]:
     """`samples` sphere points of V_t at every t of the grid, grid index ti
-    drawing from the streams "{label}:t={ti}": (arrays, points, failures),
-    the grid's members as one array form and the points and failures per t."""
+    drawing from the streams "{label}:t={ti}": (arrays, points, failures), the
+    grid's members as one unit-scale form, the unit points and failures per t."""
     if not grid:
         raise InputError("t_grid is empty")
-    arrays = fam.members(grid)
+    arrays = fam.members(grid).on_sphere(radius)[0]
     labels = [f"{label}:t={ti}" for ti in range(len(grid))]
-    points, found = sample_rows(arrays, radius, samples, seed, labels)
+    points, found = sample_rows(arrays, samples, seed, labels)
     failures = tuple(int(samples - f.sum()) for f in found)
     return arrays, [p[f] for p, f in zip(points, found)], failures
 
@@ -284,19 +285,18 @@ def conjecture_search_type_ii(
     """
     if fam.spec.kind != "type_ii":
         raise PreconditionError("conjecture search requires a type_ii family")
-    if radius <= 0:
-        raise InputError("radius must be positive")
     grid = tuple(float(t) for t in t_grid)
     arrays, points, failures = _sample_sweep(fam, grid, radius, samples, seed, "conj")
-    rows, z, T, index = _stack(arrays, grid, points)
-    columns = list(zip(_margins(rows, z, T, index).tolist(), map(tuple, z.tolist()), T.tolist()))
+    rows, u, T, index = _stack(arrays, grid, points)
+    margins = _margins(rows, u, T, index).tolist()
+    columns = list(zip(margins, map(tuple, (u * radius).tolist()), T.tolist()))
     least = min(columns, key=lambda c: c[0], default=(float("nan"), (), float("nan")))
     flagged = tuple({"t": t, "point": p, "margin": m} for m, p, t in columns if m < threshold)
     return ConjectureSearchReport(
         t_grid=grid,
         radius=float(radius),
         samples_requested=samples * len(grid),
-        samples_found=len(z),
+        samples_found=len(u),
         sampler_failures=sum(failures),
         sampler_failures_per_t=failures,
         min_margin=least[0],  # the first of equal minima
@@ -356,15 +356,16 @@ def check_transversality(
             f"no constructive witness is offered for {fam.spec.kind} (open problem)"
         )
     grid = tuple(float(t) for t in t_grid)
-    arrays, points, failures = _sample_sweep(fam, grid, radius, samples, seed, "ct")
+    arrays, units, failures = _sample_sweep(fam, grid, radius, samples, seed, "ct")
+    points = [u * radius for u in units]
     certificates = [{"t": t, "point": tuple(p)} for t, z in zip(grid, points) for p in z.tolist()]
     rank_values, witness_values = [], []
     if rank:
-        rank_values = _margins(*_stack(arrays, grid, points)).tolist()
+        rank_values = _margins(*_stack(arrays, grid, units)).tolist()
         for entry, margin in zip(certificates, rank_values):
             entry.update(rank_margin=margin, rank_transverse=margin > DEFAULT_MARGIN_THRESHOLD)
     if witness:
-        witnesses = _witnesses(fam, grid, points, on_level=rank)
+        witnesses = _witnesses(fam, grid, points, on_level=rank, radius=radius)
         for entry, record in zip(certificates, witnesses):
             witness_values.append(record["witness_margin"])
             entry.update(record)

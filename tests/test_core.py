@@ -455,3 +455,59 @@ def test_detect_weights_stops_when_a_pivot_cannot_be_positive(monkeypatch):
     f = poly(4, [(1, (1, 0, 0, 0), (1, 0, 0, 0))])
     assert detect_weights(f) == WeightSystem(None, None, (1, 2, 2, 2), 2)
     assert len(drawn) <= 1
+
+
+def _scaled_polynomial(arrays, k):
+    """Row k of an array form as a MixedPolynomial (its nonzero terms)."""
+    terms = zip(arrays.C[k].tolist(), arrays.N.tolist(), arrays.M.tolist())
+    return MixedPolynomial(arrays.n, tuple(MixedMonomial(c, nu, mu) for c, nu, mu in terms if c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("brieskorn", "type_i", "type_ii")),
+    st.integers(min_value=2, max_value=3),
+    st.data(),
+    st.floats(min_value=-40.0, max_value=40.0),
+)
+def test_on_sphere_rescales_each_row_to_the_unit_sphere(kind, n, data, log_r):
+    """f_k(r u) = r^e_k f~_k(u) against the oracle wherever both sides are
+    finite (relative to the size of the unit-scale terms), no coefficient
+    grows, zeros stay zero, radius 1 keeps the bits and each row is its
+    one-row call; e_k is the row's largest degree (smallest when r < 1)."""
+    a = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    fam = build_family(FamilySpec(kind, tuple(a), tuple(b)))
+    t = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    ts = data.draw(st.lists(t, min_size=1, max_size=3))
+    polys = [fam.member(t) for t in ts]
+    arrays = polynomial_arrays(polys)
+    r = 10.0**log_r
+    unit, e = arrays.on_sphere(r)
+    assert unit.on_sphere(1.0)[0].C.tobytes() == unit.C.tobytes()
+    assert arrays.on_sphere(1.0)[0].C.tobytes() == arrays.C.tobytes()
+    assert (unit.C[arrays.C == 0] == 0).all()
+    assert (np.abs(unit.C) <= np.abs(arrays.C)).all()
+    x = rng_for(int(abs(log_r) * 1e6), "on_sphere").standard_normal(2 * n)
+    u = complexify(x / np.linalg.norm(x))
+    for k, p in enumerate(polys):
+        degrees = [m.total_degree for m in p.monomials]
+        assert e[k] == (max(degrees) if r >= 1.0 else min(degrees))
+        one, e_one = arrays.rows([k]).on_sphere(r)
+        assert one.C.tobytes() == unit.C[k : k + 1].tobytes() and e_one.tolist() == [e[k]]
+        try:
+            scale = r ** int(e[k])
+            lhs = oracle.evaluate(p, tuple(r * w for w in u))
+        except OverflowError:
+            continue
+        size = scale * float(np.abs(unit.C[k]).sum())
+        if cmath.isfinite(lhs) and 1e-290 < size < math.inf:
+            rhs = scale * oracle.evaluate(_scaled_polynomial(unit, k), u)
+            assert abs(lhs - rhs) <= 1e-12 * size
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_on_sphere_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    arrays = polynomial_arrays([brieskorn((2, 3), (1, 1)).member(0.5)])
+    with pytest.raises(InputError, match="radius must be positive"):
+        arrays.on_sphere(radius)

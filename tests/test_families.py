@@ -31,7 +31,7 @@ from mixed_milnor.transversality import _margins
 
 def _t_derivative(fam, t, z):
     """d f_t / dt at one point, as the transport's jet computes it."""
-    return complex(_jet(fam, t, point_rows([z], fam.n).view(float))[2][0])
+    return complex(_jet(fam.endpoint_arrays, t, point_rows([z], fam.n).view(float))[2][0])
 
 
 def test_zero_b_family_is_constant():
@@ -86,7 +86,7 @@ def test_members_rows_depend_on_their_own_t(kind, n, a, b, grid, seed):
     for k, t in enumerate(grid):
         one = fam.members([t])
         assert rows.C[k].tobytes() == one.C[0].tobytes()
-        assert _blend(fam, t).C[0].tobytes() == one.C[0].tobytes()
+        assert _blend(fam.endpoint_arrays, t).C[0].tobytes() == one.C[0].tobytes()
         if t < 1.0 or n == 2:
             alone = value_and_gradient_batch(polynomial_arrays([fam.member(t)]), z[k : k + 1])
             assert value[k].tobytes() == alone[0][0].tobytes()

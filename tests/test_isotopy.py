@@ -38,7 +38,7 @@ TUBE = MilnorTubeSpec(1.0, 0.1)
 def _velocity(fam, t, points, tube):
     """The connection velocity at a batch of points, one 2n row per point."""
     x = point_rows(points, fam.n).view(float)
-    return isotopy._velocity(fam, t, x, row_norm(x), tube)
+    return isotopy._velocity(fam.endpoint_arrays, t, x, row_norm(x), tube.tube_level)
 
 
 def _link_points(fam, count, t=0.0):
@@ -134,9 +134,9 @@ def test_velocity_matches_the_svd_oracle(family, t, seed, level):
     z = np.array([random_sphere_point(rng, 2, 1.0) for _ in range(16)])
     x = z.view(float)
     r = row_norm(x)
-    jet = isotopy._jet(fam, t, x)
+    jet = isotopy._jet(fam.endpoint_arrays, t, x)
     expected = oracle.connection_velocity(x, r, tube, jet)
-    v = isotopy._velocity(fam, t, x, r, tube)
+    v = isotopy._velocity(fam.endpoint_arrays, t, x, r, tube.tube_level)
     xhat = x / r[:, None]
     J_T = jet[1] - (jet[1] @ xhat[:, :, None]) * xhat[:, None]
     well = np.linalg.svd(J_T, compute_uv=False)[:, -1] > 1e-3
@@ -368,8 +368,8 @@ def test_state_turning_non_finite_fails_its_point_only(monkeypatch):
     clean = transport(fam, pts, 1.0, 100, TUBE)
     velocity = isotopy._velocity
 
-    def breaks_point_1(fam, t, x, r, tube, jet=None):
-        v = velocity(fam, t, x, r, tube, jet)
+    def breaks_point_1(ends, t, x, r, eta0, jet=None):
+        v = velocity(ends, t, x, r, eta0, jet)
         if t > 0.507:  # first passed by the last stage of step 51, t = 0.51
             v[1] = np.nan
         return v
@@ -425,14 +425,14 @@ def test_reused_jet_is_the_jet_at_the_step_start(monkeypatch):
     velocity, correction = isotopy._velocity, isotopy.newton_on_sphere_batch
     reused, moved = [], []
 
-    def checked_velocity(fam, t, x, r, tube, jet=None):
+    def checked_velocity(ends, t, x, r, eta0, jet=None):
         if jet is not None:
-            fresh = isotopy._jet(fam, t, x)
+            fresh = isotopy._jet(ends, t, x)
             reused.append(all(a.tobytes() == b.tobytes() for a, b in zip(jet, fresh)))
-        return velocity(fam, t, x, r, tube, jet)
+        return velocity(ends, t, x, r, eta0, jet)
 
-    def counted_correction(poly, target, radius, starts, *args):
-        out, found = correction(poly, target, radius, starts, *args)
+    def counted_correction(poly, target, starts, *args):
+        out, found = correction(poly, target, starts, *args)
         moved.append(int(((out != starts).any(axis=1) & found).sum()))
         return out, found
 
@@ -449,7 +449,7 @@ def test_failed_correction_fails_its_step_and_keeps_the_point(monkeypatch):
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 2)
 
-    def never_found(poly, target, radius, starts, *args):
+    def never_found(poly, target, starts, *args):
         return np.zeros_like(starts), np.zeros(len(starts), dtype=bool)
 
     plain = transport(fam, pts, 1.0, 20, TUBE, newton_correct=False)

@@ -125,10 +125,10 @@ def test_per_row_targets_match_one_target_runs(seed):
     starts = [random_sphere_point(rng, 2, 1.0) for _ in range(8)] + [(0j, 0j)]
     targets = np.zeros(len(starts), dtype=complex)
     targets[1:] = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    points, found = newton_on_sphere_batch(fam.members([0.5] * 9), targets, 1.0, starts)
+    points, found = newton_on_sphere_batch(fam.members([0.5] * 9), targets, starts)
     assert found.any() and not found.all()
     for k, start in enumerate(starts):
-        alone, hit = newton_on_sphere_batch(fam.members([0.5]), complex(targets[k]), 1.0, [start])
+        alone, hit = newton_on_sphere_batch(fam.members([0.5]), complex(targets[k]), [start])
         assert hit[0] == found[k] and alone[0].tobytes() == points[k].tobytes()
 
 
@@ -137,4 +137,4 @@ def test_newton_batch_needs_one_row_per_start():
     fam = brieskorn((2, 3), (1, 1))
     starts = [(0.6, 0.8)] * 3
     with pytest.raises(InputError, match="3 starts do not fit 1 polynomial rows"):
-        newton_on_sphere_batch(fam.members([0.5]), 0j, 1.0, starts)
+        newton_on_sphere_batch(fam.members([0.5]), 0j, starts)

@@ -15,7 +15,7 @@ from conftest import brieskorn, poly, random_mixed
 from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
 from mixed_milnor.core import polynomial_arrays, value_and_gradient, value_and_gradient_batch
 from mixed_milnor import singularity
-from mixed_milnor.errors import InputError, NumericalError, PreconditionError
+from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.numerics import random_sphere_point, rng_for, row_norm
 from mixed_milnor.singularity import (
     _first_steps,
@@ -238,16 +238,16 @@ def test_lockstep_restart_ignores_its_batch(fam, ts, seed):
         return rngs, np.stack([rng.standard_normal(2 * fam.n) for rng in rngs])
 
     rngs, x0 = streams()
-    x, f, iters = _minimize_shell(arrays, x0, 1.0, rngs)
+    x, f, iters = _minimize_shell(arrays, x0, rngs)
     rngs, x0 = streams()
     for k in range(len(ts)):
-        xk, fk, ik = _minimize_shell(arrays.rows([k]), x0[k : k + 1], 1.0, [rngs[k]])
+        xk, fk, ik = _minimize_shell(arrays.rows([k]), x0[k : k + 1], [rngs[k]])
         assert xk[0].tobytes() == x[k].tobytes()
         assert fk[0].tobytes() == f[k].tobytes()
         assert ik[0] == iters[k]
 
 
-def _line_search_ref(arrays, x, f, live, g, gn, length, radius):
+def _line_search_ref(arrays, x, f, live, g, gn, length):
     """The line search with one halving per kernel call from the first
     lengths `length`, which take the accepted lengths; also returns the
     values each call saw."""
@@ -261,7 +261,7 @@ def _line_search_ref(arrays, x, f, live, g, gn, length, radius):
             break
         rows = live[todo]
         cand = x[rows] - alpha[todo, None] * g[todo]
-        cand *= (radius / row_norm(cand))[:, None]
+        cand *= (1.0 / row_norm(cand))[:, None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
         seen.append(fc)
         ok = fc < f[rows] - 1e-12 * np.abs(f[rows])
@@ -275,12 +275,12 @@ def _line_search_ref(arrays, x, f, live, g, gn, length, radius):
     return improved, seen
 
 
-def _pattern_search_ref(arrays, x, f, live, rngs, radius):
+def _pattern_search_ref(arrays, x, f, live, rngs):
     """The pattern search with one probe per kernel call; also returns the
     values each call saw."""
     improved = np.zeros(live.size, dtype=bool)
     todo = np.arange(live.size)
-    scale = 1e-3 * radius
+    scale = 1e-3
     seen = []
     for _ in range(10):
         if not todo.size:
@@ -291,7 +291,7 @@ def _pattern_search_ref(arrays, x, f, live, rngs, radius):
         d /= np.maximum(row_norm(d), 1e-300)[:, None]
         step = scale * d
         cand = np.stack([xr + step, xr - step], axis=1)
-        cand *= (radius / row_norm(cand))[..., None]
+        cand *= (1.0 / row_norm(cand))[..., None]
         fc = shell_residual_sq(arrays.rows(rows), cand)
         seen.append(fc)
         plus = fc[:, 0] < f[rows]
@@ -308,7 +308,6 @@ def _pattern_search_ref(arrays, x, f, live, rngs, radius):
 class _SearchCase(NamedTuple):
     arrays: object
     x: np.ndarray
-    radius: float
     g: np.ndarray
     gn: np.ndarray
     length: np.ndarray  # the line search's first lengths
@@ -321,13 +320,13 @@ def _assert_block_search_matches(batch_points, case, live):
     """Run both searches in blocks and with one step per call from the same
     state; demand the same bits in x, f, the accepted lengths, the improved
     mask and every stream."""
-    arrays, x, radius, g, gn, length, f_line, f_probe, streams = case
+    arrays, x, g, gn, length, f_line, f_probe, streams = case
 
     def run(line, probe):
         xl, fl, ll = x.copy(), f_line.copy(), length[live].copy()
-        line_improved = line(arrays, xl, fl, live, g[live], gn[live], ll, radius)
+        line_improved = line(arrays, xl, fl, live, g[live], gn[live], ll)
         xp, fp, rngs = x.copy(), f_probe.copy(), streams()
-        probe_improved = probe(arrays, xp, fp, live, rngs, radius)
+        probe_improved = probe(arrays, xp, fp, live, rngs)
         return (
             [xl.tobytes(), fl.tobytes(), ll.tobytes(), line_improved.tolist()],
             [xp.tobytes(), fp.tobytes(), probe_improved.tolist()],
@@ -346,40 +345,37 @@ def _assert_block_search_matches(batch_points, case, live):
 @given(_families(), st.data())
 def test_block_search_matches_one_step_per_call(batch_points, fam, data):
     """Several halvings or probes per kernel call give each row the path of
-    one step per call, from first lengths up to 0.1 radius: from the row's
+    one step per call on the unit sphere, from first lengths up to 0.1: from the row's
     true value, from 0 (no step is ever accepted: all 30 halvings and all 10
     probes run) and from just above the best value any step reaches (the row
     takes that step)."""
     ts = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
-    radius = data.draw(st.sampled_from((0.5, 1.0, 3.0)))
     live = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(ts), max_size=len(ts))))
     mode = st.sampled_from(("value", "zero", "best"))
     modes = np.array(data.draw(st.lists(mode, min_size=len(ts), max_size=len(ts))))
     arrays = polynomial_arrays([fam.member(t) for t in ts])
     rng = rng_for(seed, "block:start")
     x = rng.standard_normal((len(ts), 2 * fam.n))
-    x *= (radius / row_norm(x))[:, None]
+    x *= (1.0 / row_norm(x))[:, None]
     g = _project_tangent(rng.standard_normal(x.shape), x)
     gn = row_norm(g)
     shares = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(ts), max_size=len(ts)))
-    length = 0.1 * radius * np.array(shares)
+    length = 0.1 * np.array(shares)
 
     def streams():
         return [rng_for(seed, f"block:{k}") for k in range(len(ts))]
 
     every, zero = np.arange(len(ts)), np.zeros(len(ts))
     # from 0 no step is accepted, so the reference sees every candidate
-    line_seen = _line_search_ref(
-        arrays, x.copy(), zero.copy(), every, g, gn, length.copy(), radius
-    )[1]
-    probe_seen = _pattern_search_ref(arrays, x.copy(), zero.copy(), every, streams(), radius)[1]
+    line_seen = _line_search_ref(arrays, x.copy(), zero.copy(), every, g, gn, length.copy())[1]
+    probe_seen = _pattern_search_ref(arrays, x.copy(), zero.copy(), every, streams())[1]
     value = shell_residual_sq(arrays, x)
     picks = [modes == "zero", modes == "best"]
     # just above the best value, beyond the line search's 1e-12 relative margin
     f_line = np.select(picks, [zero, np.min(line_seen, axis=0) * (1 + 4e-12)], value)
     f_probe = np.select(picks, [zero, np.nextafter(np.min(probe_seen, axis=(0, 2)), np.inf)], value)
-    case = _SearchCase(arrays, x, radius, g, gn, length, f_line, f_probe, streams)
+    case = _SearchCase(arrays, x, g, gn, length, f_line, f_probe, streams)
     _assert_block_search_matches(batch_points, case, live)
 
 
@@ -391,7 +387,7 @@ def test_block_search_edge_rows(batch_points):
     fam = brieskorn((2, 3), (1, 1))
     arrays = polynomial_arrays([fam.member(0.5)] * 3)
     rngs = [rng_for(1, f"edge:{k}") for k in range(3)]
-    x, f, iters = _minimize_shell(arrays, np.stack([r.standard_normal(4) for r in rngs]), 1.0, rngs)
+    x, f, iters = _minimize_shell(arrays, np.stack([r.standard_normal(4) for r in rngs]), rngs)
     assert np.all(iters < singularity.MAX_ITER)
 
     def streams():
@@ -400,18 +396,16 @@ def test_block_search_edge_rows(batch_points):
     g = _project_tangent(rng_for(1, "edge:g").standard_normal(x.shape), x)
     gn = row_norm(g)
     every = np.arange(3)
-    probes = np.array(_pattern_search_ref(arrays, x.copy(), np.zeros(3), every, streams(), 1.0)[1])
+    probes = np.array(_pattern_search_ref(arrays, x.copy(), np.zeros(3), every, streams())[1])
     assert np.argmin(probes.min(axis=2), axis=0)[0] == 9
     f_line = np.array([f[0], 0.0, f[2]])
     f_probe = np.array([np.nextafter(probes[9, 0].min(), np.inf), 0.0, f[2]])
-    improved, seen = _pattern_search_ref(arrays, x.copy(), f_probe.copy(), every, streams(), 1.0)
+    improved, seen = _pattern_search_ref(arrays, x.copy(), f_probe.copy(), every, streams())
     assert improved.tolist() == [True, False, False] and len(seen) == 10
     length = np.full(3, 0.1)
-    improved, seen = _line_search_ref(
-        arrays, x.copy(), f_line.copy(), every, g, gn, length.copy(), 1.0
-    )
+    improved, seen = _line_search_ref(arrays, x.copy(), f_line.copy(), every, g, gn, length.copy())
     assert not improved[1] and len(seen) == 30
-    case = _SearchCase(arrays, x, 1.0, g, gn, length, f_line, f_probe, streams)
+    case = _SearchCase(arrays, x, g, gn, length, f_line, f_probe, streams)
     for live in (every, np.array([1]), np.array([], dtype=int)):
         _assert_block_search_matches(batch_points, case, live)
 
@@ -475,20 +469,21 @@ def test_first_steps_rule(data):
 
 
 def test_shell_search_first_steps(monkeypatch):
-    """Every row starts its first line search at 0.1 radius; no later first
-    step exceeds it, and the two-point rule does shorten some."""
+    """Every row starts its first line search at 0.1, on the unit sphere
+    whatever the radius; no later first step exceeds it, and the two-point
+    rule does shorten some."""
     seen = []
 
-    def recording(arrays, x, f, live, g, gn, length, radius):
+    def recording(arrays, x, f, live, g, gn, length):
         seen.append(length.copy())
-        return _line_search(arrays, x, f, live, g, gn, length, radius)
+        return _line_search(arrays, x, f, live, g, gn, length)
 
     monkeypatch.setattr(singularity, "_line_search", recording)
     rep = certify_smooth_shell(brieskorn((2, 3), (1, 1)), (0.0, 0.5, 1.0), 3.0, restarts=4, seed=2)
     assert rep.converged
-    assert seen[0].tolist() == [0.1 * 3.0] * 12
-    assert all(np.all(lengths <= 0.1 * 3.0) for lengths in seen)
-    assert any(np.any(lengths < 0.1 * 3.0) for lengths in seen[1:])
+    assert seen[0].tolist() == [0.1] * 12
+    assert all(np.all(lengths <= 0.1) for lengths in seen)
+    assert any(np.any(lengths < 0.1) for lengths in seen[1:])
 
 
 # min_residual_found and converged of the search with one first step of
@@ -538,7 +533,7 @@ def test_grid_union_residuals_match_members_alone(fam, data):
     )
     restarts = data.draw(st.integers(min_value=1, max_value=2))
 
-    def stacked(arrays, x0, radius, rngs):
+    def stacked(arrays, x0, rngs):
         raise _Stacked(arrays)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -555,15 +550,13 @@ def test_grid_union_residuals_match_members_alone(fam, data):
 
 
 def test_overflowed_residual_is_not_a_singular_point():
-    """inf - inf is NaN, not 0: an overflowing shell raises instead of
-    reporting a singular point, and names its t and restart."""
+    """inf - inf is NaN, not 0: a residual whose partials overflow must not
+    read as a singular point (the shell search raises on it)."""
     fam = brieskorn((2, 3), (1, 1))
     arrays = polynomial_arrays([fam.member(0.5)])
     with np.errstate(over="ignore", invalid="ignore"):
         residual = shell_residual_sq(arrays, np.array([[1e60, 0.0, 1e60, 0.0]]))
     assert np.isnan(residual).all()
-    with pytest.raises(NumericalError, match=r"t=0\.0, restart 0"):
-        certify_smooth_shell(fam, (0.0, 1.0), 1e60, restarts=2)
 
 
 def test_threshold_sets_the_verdict():

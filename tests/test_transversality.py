@@ -365,10 +365,10 @@ def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
     one = polynomial_arrays([poly])
     starts = rng_for(seed, "newton:lockstep").standard_normal((size, 2 * n)).view(complex)
     starts = np.vstack([starts, np.zeros((1, n))])  # a zero start fails
-    points, found = newton_on_sphere_batch(one.rows(np.zeros(len(starts), int)), 0j, 1.0, starts)
+    points, found = newton_on_sphere_batch(one.rows(np.zeros(len(starts), int)), 0j, starts)
     assert not found[-1]
     for k, start in enumerate(starts):
-        alone, hit = newton_on_sphere_batch(one, 0j, 1.0, [start])
+        alone, hit = newton_on_sphere_batch(one, 0j, [start])
         single = newton_on_sphere(poly, 0j, 1.0, tuple(start))
         assert hit[0] == found[k] == (single is not None)
         if found[k]:
@@ -635,7 +635,7 @@ def _sample_alone(row, seed, label, k):
     run as a Newton batch of the one polynomial row, until one lands."""
     for att in range(ATTEMPTS_PER_SAMPLE):
         start = rng_for(seed, f"{label}:sample:{k}:attempt:{att}").standard_normal(2 * row.n)
-        point, hit = newton_on_sphere_batch(row, 0j, 1.0, start.view(complex)[None])
+        point, hit = newton_on_sphere_batch(row, 0j, start.view(complex)[None])
         if hit[0]:
             return point[0]
     return None
@@ -661,7 +661,7 @@ def test_grid_sampler_rows_ignore_their_batch(kind, n, b, grid, seed, count):
     arrays, points, failures = transversality._sample_sweep(fam, tuple(grid), 1.0, count, seed, "g")
     for ti, t in enumerate(grid):
         row, label = fam.members([t]), f"g:t={ti}"
-        per_t, hit = sample_rows(row, 1.0, count, seed, [label])
+        per_t, hit = sample_rows(row, count, seed, [label])
         assert per_t[0][hit[0]].tobytes() == points[ti].tobytes()
         assert failures[ti] == count - hit[0].sum()
         if t < 1.0 or n == 2:
