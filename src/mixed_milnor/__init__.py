@@ -11,10 +11,9 @@ from .core import (
     detect_weights,
     evaluate,
     is_simplicial,
-    polar_action,
 )
 from .families import DeformationFamily, FamilySpec, MilnorTubeSpec, build_family, eta_map
-from .isotopy import IsotopyTrace, integrate_isotopy, transport
+from .isotopy import IsotopyTrace, transport
 from .links import LinkSample, project_svg, sample_link
 from .scaling import ScalingSolution, normalize_coefficients, verify_scaling
 from .singularity import ShellSearchReport, certify_smooth_shell
@@ -22,5 +21,4 @@ from .transversality import (
     TransversalitySweep,
     check_transversality,
     conjecture_search_type_ii,
-    sample_on_variety,
 )

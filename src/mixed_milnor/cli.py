@@ -45,13 +45,8 @@ MAX_GRID_POINTS = 100_000  # a "start:end:step" grid is refused above this many 
 
 
 def worker_count() -> int:
-    env = os.environ.get("MIXED_MILNOR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"MIXED_MILNOR_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    """The CLI's thread count: every subcommand runs single-threaded."""
+    return 1
 
 
 def parse_t_grid(text: str) -> tuple[float, ...]:
@@ -141,7 +136,7 @@ def _analyze(args, poly, fam):
 
 
 def _normalize(args, poly, fam):
-    scaling = normalize_coefficients(poly).scaling
+    scaling = normalize_coefficients(poly)
     check = verify_scaling(poly, scaling, samples=100, seed=args.seed)
     return asdict(scaling) | {"verify_residual": check}, "ok", check <= args.tolerance
 

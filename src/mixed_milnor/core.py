@@ -288,22 +288,14 @@ def value_and_gradient_batch(
     return value, d[0].transpose(back), d[1].transpose(back)
 
 
-def value_and_gradient(
-    poly: MixedPolynomial, point: Sequence[complex]
-) -> tuple[complex, np.ndarray, np.ndarray]:
-    """(f, d_z f, d_zbar f) at one point: a K = 1 pass of
+def evaluate(poly: MixedPolynomial, point: Sequence[complex]) -> complex:
+    """Evaluate sum c_i z^{nu_i} zbar^{mu_i} at the given point: a K = 1 pass of
     `value_and_gradient_batch` plus the array form, tens of times a scalar
     loop's cost, so a loop over points should stack them into one pass."""
     pt = [complex(w) for w in point]
     if len(pt) != poly.n:
         raise InputError(f"point has length {len(pt)}, expected {poly.n}")
-    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([poly]), np.array([pt]))
-    return complex(value[0]), d_z[0], d_zbar[0]
-
-
-def evaluate(poly: MixedPolynomial, point: Sequence[complex]) -> complex:
-    """Evaluate sum c_i z^{nu_i} zbar^{mu_i} at the given point."""
-    return value_and_gradient(poly, point)[0]
+    return complex(value_and_gradient_batch(polynomial_arrays([poly]), np.array([pt]))[0][0])
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -445,7 +437,3 @@ def polar_orbit(P: Sequence[int], lams, point) -> np.ndarray:
     power[0][:, far], power[1][:, far] = exact.real, exact.imag
     return np.stack(_cmul((z.real, z.imag), power), axis=-1).view(complex)[..., 0]
 
-
-def polar_action(P: Sequence[int], lam: complex, point) -> tuple[complex, ...]:
-    """z_j * lam^{p_j} for one unimodular lam: the one-row `polar_orbit`."""
-    return tuple(polar_orbit(P, [lam], point)[0].tolist())

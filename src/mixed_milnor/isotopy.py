@@ -37,6 +37,8 @@ from .numerics import (
 
 # relative tolerance on the norm of a point given as lying on the sphere
 SPHERE_TOL = 1e-6
+# a preserved f-value off by more than this (on the unit sphere) is Newton-corrected
+VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,8 @@ def _integrate(
     t_end: float,
     steps: int,
     tube: MilnorTubeSpec,
-    newton_correct: bool = True,
-    value_tol: float = 1e-9,
+    level: Optional[float],
+    newton_correct: bool,
 ) -> tuple[IsotopyTrace, ...]:
     """Classical RK4 transport of every point from t = 0 to t_end, in lockstep.
 
@@ -126,10 +128,11 @@ def _integrate(
     their two, the smaller when r < 1) so that f_t stays linear in t; the tube
     level is eta0 r^-e.  Per step: integrate the connection velocity, rescale
     back to the sphere, then (for points starting inside the tube)
-    Newton-correct f_t toward f_0(z0) where it is off by more than value_tol.
+    Newton-correct f_t toward f_0(z0) where it is off by more than VALUE_TOL.
     A point whose state turns non-finite, or whose correction fails, fails at
-    that step.  Each start point must be finite and lie on the sphere of the
-    tube's radius, to SPHERE_TOL relative.
+    that step.  Each start point must be finite, lie on the sphere of the
+    tube's radius, to SPHERE_TOL relative, and (unless level is None) have
+    |f_0| = level.
     """
     z0 = point_rows(points, fam.n)
     x = z0.view(float)
@@ -145,15 +148,18 @@ def _integrate(
         raise PreconditionError(
             f"start point {i} has norm {float(norm[i])!r}, off the sphere of radius {r!r}"
         )
+    ends = fam.endpoint_arrays  # each of its columns is a monomial of f or of g
+    scale, e = ends.with_coefficients(np.ones((1, len(ends.N)))).on_sphere(r)
+    ends = ends.with_coefficients(ends.C * scale.C)
+    x = x * (1.0 / r)
+    if level is not None:  # row 0 of ends is f_0
+        level = float(rescaled(level, r, -e)[0])
+        require_on_level(ends.rows([0] * len(x)), x.view(complex), level)
     if steps < 1:
         raise InputError("need at least one step")
     if not len(z0):
         return ()
-    ends = fam.endpoint_arrays  # each of its columns is a monomial of f or of g
-    scale, e = ends.with_coefficients(np.ones((1, len(ends.N)))).on_sphere(r)
-    ends = ends.with_coefficients(ends.C * scale.C)
     eta0 = float(rescaled(tube.tube_level, r, -e)[0])
-    x = x * (1.0 / r)
     # the jet at each step's start: the previous value check reads it, then k1
     jet = _jet(ends, 0.0, x)
     f0 = jet[0]
@@ -189,13 +195,13 @@ def _integrate(
             jet = _jet(ends, t_next, x)
             rows = np.nonzero(preserve & ~dead)[0]
             res = jet[0][rows] - f0[rows]
-            off = rows[_modulus(res) > value_tol]
+            off = rows[_modulus(res) > VALUE_TOL]
             if newton_correct and off.size:
                 # Newton on f_t = f_0 over the sphere; a row not found fails
                 # at this step and keeps its position
                 member = _blend(ends, t_next).rows(np.zeros(len(off), int))
                 z, found = newton_on_sphere_batch(
-                    member, f0[off], x[off].view(complex), value_tol, 5
+                    member, f0[off], x[off].view(complex), VALUE_TOL, 5
                 )
                 failure_step[off[~found]] = k + 1
                 moved = off[found]
@@ -223,25 +229,6 @@ def _integrate(
     )
 
 
-def integrate_isotopy(
-    fam: DeformationFamily,
-    z0: Sequence[complex],
-    t_end: float,
-    steps: int,
-    tube: MilnorTubeSpec,
-    newton_correct: bool = True,
-    value_tol: float = 1e-9,
-) -> IsotopyTrace:
-    """Classical RK4 transport of one point from t = 0 to t_end: the
-    one-point case of `transport`.
-
-    Per step: integrate the connection velocity, rescale back to the sphere,
-    then (inside the tube) Newton-correct the f-value toward f_0(z0).
-    """
-    (trace,) = _integrate(fam, [z0], t_end, steps, tube, newton_correct, value_tol)
-    return trace
-
-
 @dataclass(frozen=True)
 class TransportSummary:
     traces: tuple[IsotopyTrace, ...]
@@ -257,19 +244,16 @@ def transport(
     steps: int,
     tube: MilnorTubeSpec,
     level: Optional[float] = 0.0,
-    **kwargs,
+    newton_correct: bool = True,
 ) -> TransportSummary:
     """Transport sphere points with |f_0| = level to t_end, all in lockstep.
 
     Level 0 carries a finite point set of the link K_0 = V_0; level eta0
     carries points of one phase fiber of the tube boundary.  With level None
-    the start points are not checked against any level.
+    the start points are not checked against any level.  Without
+    newton_correct the preserved f-value is never corrected.
     """
-    if level is not None:
-        member, e = fam.members([0.0]).on_sphere(tube.radius)
-        z = point_rows(points, fam.n) * (1.0 / tube.radius)
-        require_on_level(member.rows([0] * len(z)), z, float(rescaled(level, tube.radius, -e)[0]))
-    traces = _integrate(fam, points, t_end, steps, tube, **kwargs)
+    traces = _integrate(fam, points, t_end, steps, tube, level, newton_correct)
     # np.max keeps a NaN residual (a point whose state broke) where max() drops it
     return TransportSummary(
         traces,

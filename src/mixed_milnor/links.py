@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import PolynomialArrays, detect_weights, polar_orbit, value_and_gradient_batch
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
     level_tolerance,
@@ -29,7 +29,8 @@ from .numerics import (
     rng_streams,
 )
 
-DEFAULT_RESOLUTION = 720
+# points traced per orbit
+RESOLUTION = 720
 
 
 @dataclass(frozen=True, eq=False)  # array fields make == ambiguous
@@ -37,7 +38,7 @@ class LinkSample:
     t: float
     radius: float
     polar_weights: tuple[int, ...]
-    orbits: np.ndarray  # orbits x resolution x 2 complex, one traced orbit per row
+    orbits: np.ndarray  # orbits x RESOLUTION x 2 complex, one traced orbit per row
     component_count: int
     seeds_used: int
     flagged: bool  # set when no point of the link could be found
@@ -100,14 +101,11 @@ def sample_link(
     radius: float,
     seeds: int = 64,
     seed: int = 0,
-    resolution: int = DEFAULT_RESOLUTION,
 ) -> LinkSample:
     """Sample K_t = V_t on the sphere and partition it into polar orbits, found
     on the unit sphere of f_t's unit-scale form and mapped back by the radius."""
     if fam.n != 2:
         raise PreconditionError("link sampling is implemented for n = 2 only")
-    if resolution < 1:
-        raise InputError(f"resolution must be at least 1, got {resolution!r}")
     weights = detect_weights(fam.member(float(t)))
     if not weights.has_polar:
         raise NumericalError("family member is unexpectedly not polar weighted")
@@ -129,7 +127,7 @@ def sample_link(
     for rep in polished[hit]:
         if not any(_same_orbit(other, rep, P, 1e-4) for other in reps):
             reps.append(rep)
-    lams = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
+    lams = np.exp(1j * (2.0 * math.pi * np.arange(RESOLUTION) / RESOLUTION))
     orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)) * radius)
     orbits.flags.writeable = False  # the sample is frozen, its points view included
     return LinkSample(

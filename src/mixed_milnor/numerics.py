@@ -9,9 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    MixedPolynomial, PolynomialArrays, polynomial_arrays, rescaled, value_and_gradient_batch
-)
+from .core import PolynomialArrays, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -290,24 +288,6 @@ def newton_on_sphere_batch(
         todo, xs, nrm = todo[good], xs[good], nrm[good]
         xs = xs * (1.0 / nrm)[:, None]
     return out.view(complex), found
-
-
-def newton_on_sphere(
-    poly: MixedPolynomial,
-    target: complex,
-    radius: float,
-    start: Sequence[complex],
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> Optional[tuple[complex, ...]]:
-    """Solve f(z) = target on the sphere ||z|| = radius from `start`: the
-    one-point `newton_on_sphere_batch` on the unit-scale form f~ of f, toward
-    target / r^e.  None where it fails to reach |f~ - target / r^e| <= tol *
-    (1 + |target / r^e|)."""
-    rows, e = polynomial_arrays([poly]).on_sphere(radius)
-    start, goal = point_rows([start], poly.n) * (1.0 / radius), rescaled(target, radius, -e)
-    points, found = newton_on_sphere_batch(rows, goal, start, tol, max_iter)
-    return tuple((points[0] * radius).tolist()) if found[0] else None
 
 
 def random_sphere_point(rng: np.random.Generator, n: int, radius: float) -> tuple[complex, ...]:

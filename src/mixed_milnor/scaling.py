@@ -37,12 +37,6 @@ class ScalingSolution:
     condition_number: float
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
-    scaling: ScalingSolution
-    normalized: MixedPolynomial
-
-
 def _coefficient_under_scaling(mono: MixedMonomial, alpha: tuple[complex, ...]) -> complex:
     """Coefficient picked up by z -> (alpha_j z_j): alpha^nu * conj(alpha)^mu."""
     acc = 1.0 + 0j
@@ -54,7 +48,7 @@ def _coefficient_under_scaling(mono: MixedMonomial, alpha: tuple[complex, ...]) 
     return acc
 
 
-def normalize_coefficients(poly: MixedPolynomial) -> NormalizationResult:
+def normalize_coefficients(poly: MixedPolynomial) -> ScalingSolution:
     """Scaling alpha with unit-coefficient f~ satisfying f~(alpha * z) = f(z).
 
     Coefficient arguments are taken on the principal branch (-pi, pi]; the
@@ -92,15 +86,10 @@ def normalize_coefficients(poly: MixedPolynomial) -> NormalizationResult:
     alpha = tuple(cmath.exp(complex(g, e)) for g, e in zip(gamma, epsilon))
 
     residual = 0.0
-    normalized_monos = []
     for mono in poly.monomials:
         scaled = _coefficient_under_scaling(mono, alpha)
         residual = max(residual, abs(scaled / mono.coefficient - 1.0))
-        normalized_monos.append(
-            MixedMonomial(mono.coefficient / scaled, mono.nu, mono.mu)
-        )
-    solution = ScalingSolution(alpha, tuple(gamma), tuple(epsilon), residual, cond)
-    return NormalizationResult(solution, MixedPolynomial(n, tuple(normalized_monos)))
+    return ScalingSolution(alpha, tuple(gamma), tuple(epsilon), residual, cond)
 
 
 def verify_scaling(

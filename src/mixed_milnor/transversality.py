@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedPolynomial, PolynomialArrays, polynomial_arrays
+from .core import PolynomialArrays
 from .errors import InputError, NumericalError, PreconditionError
 from .families import DeformationFamily
 from .numerics import (
@@ -34,6 +34,8 @@ ATTEMPTS_PER_SAMPLE = 5
 # the radius at which a witness evaluates its curve (and the chained witness
 # records its trace) to check that the curve stays in the variety
 WITNESS_RADIUS = 2.0
+# a conjecture-search margin below this is flagged
+FLAG_THRESHOLD = 1e-6
 
 
 def _margins(rows: PolynomialArrays, z: np.ndarray, t, index=None) -> np.ndarray:
@@ -200,7 +202,7 @@ class ConjectureSearchReport:
     argmin_point: tuple[complex, ...]
     argmin_t: float
     flagged_count: int
-    flagged: tuple[dict, ...]  # {"t", "point", "margin"} per margin below the threshold
+    flagged: tuple[dict, ...]  # {"t", "point", "margin"} per margin below FLAG_THRESHOLD
     note: str = "evidence only - open problem"
 
 
@@ -239,20 +241,6 @@ def sample_rows(
     return points.reshape(len(labels), count, n), found.reshape(len(labels), count)
 
 
-def sample_on_variety(
-    poly: MixedPolynomial,
-    radius: float,
-    count: int,
-    seed: int,
-    label: str = "variety",
-) -> tuple[list[tuple[complex, ...]], int]:
-    """The one-polynomial case of `sample_rows` on the sphere of the given
-    radius: (points, failure_count), the points in sample order."""
-    rows = polynomial_arrays([poly]).on_sphere(radius)[0]
-    points, found = sample_rows(rows, count, seed, [label])
-    return [tuple(z) for z in (points[found] * radius).tolist()], int(count - found.sum())
-
-
 def _sample_sweep(
     fam: DeformationFamily, grid: tuple, radius: float, samples: int, seed: int, label: str
 ) -> tuple[PolynomialArrays, list[np.ndarray], tuple[int, ...]]:
@@ -274,7 +262,6 @@ def conjecture_search_type_ii(
     radius: float,
     samples: int,
     seed: int,
-    threshold: float = 1e-6,
 ) -> ConjectureSearchReport:
     """Rank-test sweep over sampled points of the cyclic family's zero set,
     grid index ti sampled from the streams "conj:t={ti}".
@@ -291,7 +278,7 @@ def conjecture_search_type_ii(
     margins = _margins(rows, u, T, index).tolist()
     columns = list(zip(margins, map(tuple, (u * radius).tolist()), T.tolist()))
     least = min(columns, key=lambda c: c[0], default=(float("nan"), (), float("nan")))
-    flagged = tuple({"t": t, "point": p, "margin": m} for m, p, t in columns if m < threshold)
+    flagged = tuple({"t": t, "point": p, "margin": m} for m, p, t in columns if m < FLAG_THRESHOLD)
     return ConjectureSearchReport(
         t_grid=grid,
         radius=float(radius),

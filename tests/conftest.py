@@ -2,13 +2,24 @@
 
 import math
 
+import numpy as np
+
 from mixed_milnor import FamilySpec, build_family
-from mixed_milnor.core import MixedMonomial, MixedPolynomial
+from mixed_milnor.core import (
+    MixedMonomial, MixedPolynomial, polynomial_arrays, value_and_gradient_batch
+)
 
 
 def poly(n, terms):
     """Build a MixedPolynomial from (coefficient, nu, mu) triples."""
     return MixedPolynomial(n, tuple(MixedMonomial(c, nu, mu) for c, nu, mu in terms))
+
+
+def partials(f, point):
+    """(f, d_z f, d_zbar f) at one point: a K = 1 pass of the batched kernel."""
+    z = np.array([point], dtype=complex)
+    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([f]), z)
+    return complex(value[0]), d_z[0], d_zbar[0]
 
 
 def brieskorn(a, b=None):

@@ -20,18 +20,16 @@ from mixed_milnor import (
     eta_map,
     evaluate,
     normalize_coefficients,
-    polar_action,
     sample_link,
-    sample_on_variety,
     transport,
     verify_scaling,
 )
 from mixed_milnor.cli import run
+from mixed_milnor.core import polar_orbit, polynomial_arrays
 from mixed_milnor.families import MilnorTubeSpec
-from mixed_milnor.isotopy import integrate_isotopy
 from mixed_milnor.links import _same_orbit
-from mixed_milnor.numerics import newton_on_sphere, random_sphere_point, rng_for
-from mixed_milnor.transversality import _witnesses, solve_phi_rows
+from mixed_milnor.numerics import newton_on_sphere_batch, random_sphere_point, rng_for
+from mixed_milnor.transversality import _witnesses, sample_rows, solve_phi_rows
 from test_scaling import _random_simplicial
 
 TUBE = MilnorTubeSpec(1.0, 0.1)
@@ -77,7 +75,7 @@ def test_criterion_02_homogeneity_identities(announce):
                 z = random_sphere_point(rng, 2, float(rng.uniform(0.3, 1.5)))
                 lam = cmath.exp(1j * float(rng.uniform(0, 2 * math.pi)))
                 fz = evaluate(f, z)
-                assert abs(evaluate(f, polar_action(P, lam, z)) - lam**d * fz) <= (
+                assert abs(evaluate(f, polar_orbit(P, [lam], z)[0]) - lam**d * fz) <= (
                     1e-10 * (1 + abs(fz))
                 )
         for _ in range(1000):
@@ -88,8 +86,8 @@ def test_criterion_02_homogeneity_identities(announce):
             assert abs(evaluate(fam.endpoint_holomorphic, w) - fz) <= 1e-10 * (
                 1 + abs(fz)
             )
-            lhs = eta_map(fam.spec, polar_action(P, lam, z))
-            rhs = polar_action(P, lam, w)
+            lhs = eta_map(fam.spec, polar_orbit(P, [lam], z)[0])
+            rhs = polar_orbit(P, [lam], w)[0]
             assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-10
 
     announce(2, "polar homogeneity and value-preserving map identities", body)
@@ -139,7 +137,8 @@ def test_criterion_04_radial_witnesses(announce):
         checked = 0
         for t in (0.25, 0.5, 0.75):
             f = fam.member(t)
-            pts, failures = sample_on_variety(f, 1.0, 34, seed=0, label=f"acc4:{t}")
+            points, found = sample_rows(polynomial_arrays([f]), 34, 0, [f"acc4:{t}"])
+            pts, failures = points[0][found[0]], int((~found).sum())
             assert failures == 0
             for w in _witnesses(fam, [t], [pts]):
                 assert w["witness_margin"] > 0
@@ -165,7 +164,8 @@ def test_criterion_05_chained_recursion(announce):
         fam = build_family(FamilySpec("type_i", (2, 3, 2), (1, 0, 1)))
         t = 0.5
         f = fam.member(t)
-        pts, failures = sample_on_variety(f, 1.0, 100, seed=0, label="acc5")
+        points, found = sample_rows(polynomial_arrays([f]), 100, 0, ["acc5"])
+        pts, failures = points[0][found[0]], int((~found).sum())
         assert failures == 0 and len(pts) == 100
         a = fam.spec.a
         mods = np.abs(np.array(pts))
@@ -216,8 +216,8 @@ def test_criterion_06_isotopy_transport(announce, trefoil_transport):
         )
         for z0, tr in zip(pts, back.traces):
             assert max(abs(a - b) for a, b in zip(tr.endpoint, z0)) <= 1e-5
-        coarse = integrate_isotopy(fam, pts[0], 1.0, 50, TUBE, newton_correct=False)
-        fine = integrate_isotopy(fam, pts[0], 1.0, 100, TUBE, newton_correct=False)
+        coarse = transport(fam, [pts[0]], 1.0, 50, TUBE, newton_correct=False).traces[0]
+        fine = transport(fam, [pts[0]], 1.0, 100, TUBE, newton_correct=False).traces[0]
         assert coarse.value_residual / fine.value_residual >= 8.0
 
     announce(6, "zero-level transport, round trip and order-4 convergence", body)
@@ -226,15 +226,13 @@ def test_criterion_06_isotopy_transport(announce, trefoil_transport):
 def test_criterion_07_tube_fiber_transport(announce):
     def body():
         fam = brieskorn((2, 2), (1, 1))
-        f0 = fam.member(0.0)
+        f0 = polynomial_arrays([fam.member(0.0)])
         rng = rng_for(3, "acc:fiber")
         pts = []
-        while len(pts) < 100:
-            z = newton_on_sphere(
-                f0, TUBE.tube_level, 1.0, random_sphere_point(rng, 2, 1.0)
-            )
-            if z is not None:
-                pts.append(z)
+        while len(pts) < 100:  # one batch of 100 starts, drawn in order, per round
+            starts = [random_sphere_point(rng, 2, 1.0) for _ in range(100)]
+            z, found = newton_on_sphere_batch(f0.rows([0] * 100), TUBE.tube_level, starts)
+            pts.extend(map(tuple, z[found][: 100 - len(pts)].tolist()))
         moved = transport(fam, pts, 1.0, 200, TUBE, level=TUBE.tube_level)
         assert not moved.partial
         holo = fam.member(1.0)
@@ -279,8 +277,8 @@ def test_criterion_09_scaling_round_trip(announce):
         rng = rng_for(4, "acc:scaling")
         for _ in range(50):
             f = _random_simplicial(rng)
-            res = normalize_coefficients(f)
-            assert verify_scaling(f, res.scaling) <= 1e-10
+            scaling = normalize_coefficients(f)
+            assert verify_scaling(f, scaling) <= 1e-10
 
     announce(9, "coefficient normalization round trip", body)
 

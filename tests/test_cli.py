@@ -14,7 +14,7 @@ import pytest
 from conftest import count_calls
 import mixed_milnor
 from mixed_milnor import FamilySpec, build_family, certify_smooth_shell, check_transversality, cli
-from mixed_milnor.cli import SUBCOMMANDS, parse_t_grid, run, worker_count
+from mixed_milnor.cli import SUBCOMMANDS, parse_t_grid, run
 from mixed_milnor.errors import InputError
 from mixed_milnor.report import dumps
 
@@ -85,14 +85,6 @@ def test_huge_t_grid_exits_2(capsys, family_spec, cyclic_spec, subcommand, grid)
     captured = capsys.readouterr()
     assert "input error" in captured.err and "points, over 100000" in captured.err
     assert captured.out == ""
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("MIXED_MILNOR_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("MIXED_MILNOR_THREADS", "zebra")
-    with pytest.raises(InputError):
-        worker_count()
 
 
 def test_analyze_family(tmp_path, family_spec):

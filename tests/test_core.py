@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, poly, random_mixed
+from conftest import brieskorn, partials, poly, random_mixed
 from mixed_milnor import (
     FamilySpec,
     build_family,
     detect_weights,
     evaluate,
     is_simplicial,
-    polar_action,
 )
 from mixed_milnor import core
 from mixed_milnor.core import (
@@ -26,7 +25,6 @@ from mixed_milnor.core import (
     integer_determinant,
     polar_orbit,
     polynomial_arrays,
-    value_and_gradient,
     value_and_gradient_batch,
 )
 from mixed_milnor.errors import InputError
@@ -56,21 +54,21 @@ def test_evaluate_rejects_wrong_arity():
 
 def test_wirtinger_power_rule():
     f = poly(1, [(1, (3,), (1,))])
-    _, d_z, d_zbar = value_and_gradient(f, (1,))
+    _, d_z, d_zbar = partials(f, (1,))
     assert d_z[0] == pytest.approx(3)
     assert d_zbar[0] == pytest.approx(1)
 
 
 def test_wirtinger_holomorphic_case():
     f = poly(2, [(1, (2, 0), (0, 0)), (1, (0, 3), (0, 0))])
-    _, d_z, d_zbar = value_and_gradient(f, (1, 1))
+    _, d_z, d_zbar = partials(f, (1, 1))
     assert d_z.tolist() == pytest.approx((2, 3))
     assert d_zbar.tolist() == pytest.approx((0, 0))
 
 
 def test_wirtinger_mixed_at_two():
     f = poly(1, [(1, (3,), (1,))])
-    _, d_z, d_zbar = value_and_gradient(f, (2,))
+    _, d_z, d_zbar = partials(f, (2,))
     assert d_z[0] == pytest.approx(24)
     assert d_zbar[0] == pytest.approx(8)
 
@@ -81,7 +79,7 @@ def test_wirtinger_matches_finite_differences():
     h = 1e-5
     for _ in range(50):
         z = random_sphere_point(rng, 2, float(rng.uniform(0.3, 1.5)))
-        _, d_z, d_zbar = value_and_gradient(f, z)
+        _, d_z, d_zbar = partials(f, z)
         x = np.asarray(z, complex).view(float)
         scale = 1.0 + max(np.abs(d_z).max(), np.abs(d_zbar).max())
         for j in range(2):
@@ -249,18 +247,18 @@ def test_array_form_serves_simpliciality_and_weights(f):
 
 
 def test_polar_action_identity():
-    assert polar_action((3, 2), 1.0, (1 + 2j, 3j)) == (1 + 2j, 3j)
+    assert polar_orbit((3, 2), [1.0], (1 + 2j, 3j))[0].tolist() == [1 + 2j, 3j]
 
 
 def test_polar_action_half_turn():
-    moved = polar_action((3, 2), cmath.exp(1j * math.pi), (1, 1))
+    moved = polar_orbit((3, 2), [cmath.exp(1j * math.pi)], (1, 1))[0]
     assert moved[0] == pytest.approx(-1)
     assert moved[1] == pytest.approx(1)
 
 
 def test_polar_action_rejects_nonunimodular():
     with pytest.raises(InputError):
-        polar_action((1, 1), 2.0, (1, 1))
+        polar_orbit((1, 1), [2.0], (1, 1))
 
 
 _PHASE = st.one_of(
@@ -288,13 +286,13 @@ def _bits(values) -> list:
     )
 )
 def test_polar_orbit_matches_the_oracle_bitwise(case):
-    """Every row of `polar_orbit`, and `polar_action`, has the bits of
+    """Every row of `polar_orbit`, one lam or many, has the bits of
     Python's z * lam ** p, signed zeros, subnormals, negative weights and
     weights above 100 (where CPython leaves square-and-multiply) included."""
     P, lams, z = case
     expected = [oracle.polar_action(P, lam, z) for lam in lams]
     assert _bits(polar_orbit(P, lams, z)) == _bits(expected)
-    assert _bits([polar_action(P, lam, z) for lam in lams]) == _bits(expected)
+    assert _bits([polar_orbit(P, [lam], z)[0] for lam in lams]) == _bits(expected)
     assert _bits(polar_orbit(P, lams, [z, z])) == _bits([expected, expected])
 
 
@@ -316,7 +314,7 @@ def test_polar_homogeneity_identity():
     for _ in range(100):
         z = random_sphere_point(rng, 2, float(rng.uniform(0.3, 1.5)))
         lam = cmath.exp(1j * float(rng.uniform(0, 2 * math.pi)))
-        lhs = evaluate(f, polar_action(w.polar_weights, lam, z))
+        lhs = evaluate(f, polar_orbit(w.polar_weights, [lam], z)[0])
         rhs = lam**w.polar_degree * evaluate(f, z)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(evaluate(f, z)))
 
@@ -401,7 +399,7 @@ def test_fused_kernel_matches_scalar(polys, count, data):
 
 def _assert_one_point_matches_oracle(p, point):
     tol = 1e-12 * _term_scale(p, point) + 1e-300
-    value, d_z, d_zbar = value_and_gradient(p, point)
+    value, d_z, d_zbar = partials(p, point)
     expected = oracle.wirtinger_gradient(p, point)
     assert abs(value - oracle.evaluate(p, point)) <= tol
     assert evaluate(p, point) == value
@@ -412,7 +410,7 @@ def _assert_one_point_matches_oracle(p, point):
 @settings(max_examples=100, deadline=None)
 @given(_family_members(), st.data())
 def test_one_point_wrappers_match_oracle_on_family_members(polys, data):
-    """`evaluate` and `value_and_gradient`, one-point kernel passes, against
+    """`evaluate` and a K = 1 kernel pass, at one point, against
     the scalar loops of the oracle."""
     n = polys[0].n
     for p in polys:
@@ -435,9 +433,8 @@ def test_one_point_wrappers_match_oracle_on_random_polynomials(n, monomials, see
 def test_one_point_wrappers_return_python_numbers():
     f = poly(2, [(1 + 2j, (2, 0), (0, 1)), (-0.5, (0, 1), (1, 0))])
     assert type(evaluate(f, (0.3, 1j))) is complex
-    assert type(value_and_gradient(f, (0.3, 1j))[0]) is complex
     assert evaluate(MixedPolynomial(2, ()), (1, 1)) == 0
-    assert value_and_gradient(MixedPolynomial(2, ()), (1, 1))[1].tolist() == [0j, 0j]
+    assert partials(MixedPolynomial(2, ()), (1, 1))[1].tolist() == [0j, 0j]
 
 
 def test_detect_weights_stops_when_a_pivot_cannot_be_positive(monkeypatch):

@@ -13,16 +13,17 @@ from mixed_milnor import (
     FamilySpec,
     build_family,
     evaluate,
-    integrate_isotopy,
     sample_link,
     transport,
 )
 from mixed_milnor import isotopy
 from mixed_milnor.errors import InputError, NumericalError, PreconditionError
 from mixed_milnor.families import MilnorTubeSpec
+from mixed_milnor.core import polynomial_arrays
 from mixed_milnor.isotopy import _cutoff
 from mixed_milnor.numerics import (
     gram,
+    newton_on_sphere_batch,
     point_rows,
     random_sphere_point,
     real_jacobian,
@@ -167,7 +168,7 @@ def test_closed_form_smallest_singular_value_matches_the_svd(seed, spread, scale
 def test_integrate_zero_end():
     fam = brieskorn((2, 3), (1, 0))
     z0 = _link_points(fam, 1)[0]
-    trace = integrate_isotopy(fam, z0, 0.0, 10, TUBE)
+    (trace,) = transport(fam, [z0], 0.0, 10, TUBE).traces
     assert trace.samples == ((0.0, tuple(z0)),)
     assert trace.value_residual == 0
     assert not trace.failed
@@ -176,7 +177,7 @@ def test_integrate_zero_end():
 def test_integrate_constant_family_is_identity():
     fam = brieskorn((2, 3))
     z0 = _link_points(fam, 1)[0]
-    trace = integrate_isotopy(fam, z0, 1.0, 20, TUBE)
+    (trace,) = transport(fam, [z0], 1.0, 20, TUBE).traces
     assert max(abs(a - b) for a, b in zip(trace.endpoint, z0)) <= 1e-9
 
 
@@ -223,8 +224,8 @@ def test_endpoints_do_not_collide():
 def test_fourth_order_convergence():
     fam = brieskorn((2, 3), (1, 0))
     z0 = _link_points(fam, 1)[0]
-    coarse = integrate_isotopy(fam, z0, 1.0, 50, TUBE, newton_correct=False)
-    fine = integrate_isotopy(fam, z0, 1.0, 100, TUBE, newton_correct=False)
+    (coarse,) = transport(fam, [z0], 1.0, 50, TUBE, newton_correct=False).traces
+    (fine,) = transport(fam, [z0], 1.0, 100, TUBE, newton_correct=False).traces
     assert coarse.value_residual / fine.value_residual >= 8.0
 
 
@@ -244,17 +245,13 @@ def test_transport_empty_link():
 
 def test_tube_fiber_identity_cases():
     fam = brieskorn((2, 2), (1, 1))
-    from mixed_milnor.numerics import newton_on_sphere, random_sphere_point
-
     rng = rng_for(53, "iso:fiber")
-    poly0 = fam.member(0.0)
+    poly0 = polynomial_arrays([fam.member(0.0)])
     pts = []
     while len(pts) < 3:
-        z = newton_on_sphere(
-            poly0, TUBE.tube_level, 1.0, random_sphere_point(rng, 2, 1.0)
-        )
-        if z is not None:
-            pts.append(z)
+        starts = [random_sphere_point(rng, 2, 1.0) for _ in range(3)]
+        z, found = newton_on_sphere_batch(poly0.rows([0] * 3), TUBE.tube_level, starts)
+        pts.extend(map(tuple, z[found][: 3 - len(pts)].tolist()))
     still = transport(fam, pts, 0.0, 10, TUBE, level=TUBE.tube_level)
     for z, tr in zip(pts, still.traces):
         assert tr.endpoint == tuple(z)
@@ -275,11 +272,11 @@ def test_integrate_validation():
     fam = brieskorn((2, 3), (1, 0))
     z0 = _link_points(fam, 1)[0]
     with pytest.raises(InputError):
-        integrate_isotopy(fam, z0, 1.5, 10, TUBE)
+        transport(fam, [z0], 1.5, 10, TUBE)
     with pytest.raises(InputError):
-        integrate_isotopy(fam, z0, 1.0, 0, TUBE)
+        transport(fam, [z0], 1.0, 0, TUBE)
     with pytest.raises(PreconditionError):
-        integrate_isotopy(fam, tuple(0.5 * c for c in z0), 1.0, 10, TUBE)
+        transport(fam, [tuple(0.5 * c for c in z0)], 1.0, 10, TUBE, level=None)
 
 
 def _unit(angle):
@@ -324,11 +321,14 @@ def test_lockstep_trace_ignores_its_batch(angles, steps, h):
     assert max(abs(a - b) for a, b in zip(together.traces[1].endpoint, outside)) <= 1e-15
 
 
-def test_integrate_isotopy_is_the_one_point_transport():
+def test_one_point_transport_is_its_batch_row():
+    """Over the whole family, value corrections included, a point transported
+    alone gets the trace it gets in a batch."""
     fam = brieskorn((2, 3), (1, 0))
     pts = _link_points(fam, 3)
     summary = transport(fam, pts, 1.0, 100, TUBE)
-    assert _bits(integrate_isotopy(fam, pts[2], 1.0, 100, TUBE)) == _bits(summary.traces[2])
+    (alone,) = transport(fam, [pts[2]], 1.0, 100, TUBE).traces
+    assert _bits(alone) == _bits(summary.traces[2])
 
 
 def test_off_sphere_point_in_a_batch_is_rejected():
@@ -354,10 +354,11 @@ def test_non_finite_start_point_is_rejected(bad):
     fam = brieskorn((2, 3), (1, 0))
     z0 = _link_points(fam, 1)[0]
     broken = (complex(bad, 0.0), z0[1])
+    for level in (None, 0.0):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            transport(fam, [z0, broken], 1.0, 10, TUBE, level=level)
     with pytest.raises(PreconditionError, match="non-finite"):
-        integrate_isotopy(fam, broken, 1.0, 10, TUBE)
-    with pytest.raises(PreconditionError, match="non-finite"):
-        transport(fam, [z0, broken], 1.0, 10, TUBE, level=None)
+        transport(fam, [broken], 1.0, 10, TUBE)
 
 
 def test_state_turning_non_finite_fails_its_point_only(monkeypatch):
@@ -438,7 +439,8 @@ def test_reused_jet_is_the_jet_at_the_step_start(monkeypatch):
 
     monkeypatch.setattr(isotopy, "_velocity", checked_velocity)
     monkeypatch.setattr(isotopy, "newton_on_sphere_batch", counted_correction)
-    transport(fam, _link_points(fam, 3), 1.0, 20, TUBE, value_tol=1e-12)
+    monkeypatch.setattr(isotopy, "VALUE_TOL", 1e-12)
+    transport(fam, _link_points(fam, 3), 1.0, 20, TUBE)
     assert len(reused) == 20 and all(reused)
     assert sum(moved) > 0
 
@@ -454,7 +456,8 @@ def test_failed_correction_fails_its_step_and_keeps_the_point(monkeypatch):
 
     plain = transport(fam, pts, 1.0, 20, TUBE, newton_correct=False)
     monkeypatch.setattr(isotopy, "newton_on_sphere_batch", never_found)
-    summary = transport(fam, pts, 1.0, 20, TUBE, value_tol=1e-15)
+    monkeypatch.setattr(isotopy, "VALUE_TOL", 1e-15)
+    summary = transport(fam, pts, 1.0, 20, TUBE)
     for trace, reference in zip(summary.traces, plain.traces):
         assert _bits(trace)[:3] == _bits(reference)[:3]
         assert trace.failed and trace.failure_step == 20

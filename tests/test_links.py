@@ -15,10 +15,10 @@ from mixed_milnor import (
     FamilySpec,
     build_family,
     detect_weights,
-    polar_action,
     project_svg,
     sample_link,
 )
+from mixed_milnor.core import polar_orbit
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.links import (
     LinkSample,
@@ -86,7 +86,7 @@ def test_orbit_closure():
     sample = sample_link(fam, 0.5, 1.0)
     for orbit in sample.orbits:
         rep = orbit[0]
-        around = polar_action(sample.polar_weights, cmath.exp(2j * math.pi), rep)
+        around = polar_orbit(sample.polar_weights, [cmath.exp(2j * math.pi)], rep)[0]
         assert max(abs(a - b) for a, b in zip(around, rep)) <= 1e-8
 
 
@@ -121,8 +121,6 @@ def test_sample_link_validation():
     fam = brieskorn((2, 2))
     with pytest.raises(InputError):
         sample_link(fam, 0.0, -1.0)
-    with pytest.raises(InputError, match="resolution"):
-        sample_link(fam, 0.0, 1.0, resolution=0)
 
 
 def test_svg_export(tmp_path):
@@ -148,7 +146,7 @@ def test_svg_skips_the_projection_pole(tmp_path):
     out = tmp_path / "cyclic.svg"
     project_svg(sample, str(out))
     lines = [line for line in out.read_text().splitlines() if line.startswith("<polyline")]
-    R = links.DEFAULT_RESOLUTION
+    R = links.RESOLUTION
     # one closing point per polyline
     assert [line.split('"')[1].count(",") for line in lines] == [R + 1, R, R + 1]
 
@@ -190,7 +188,7 @@ def test_traced_points_are_the_oracle_action_bitwise(monkeypatch, kind, a, b, t)
     calls = count_calls(monkeypatch, links, "polar_orbit")
     sample = sample_link(build_family(FamilySpec(kind, a, b)), t, 1.0, seeds=16, seed=3)
     P, _, reps = calls[-1]
-    R = links.DEFAULT_RESOLUTION
+    R = links.RESOLUTION
     assert sample.orbits.shape == (len(reps), R, 2) and len(reps) >= 1
     lams = [cmath.exp(2j * math.pi * k / R) for k in range(R)]
     for rep, orbit in zip(reps, sample.orbits):

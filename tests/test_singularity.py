@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, poly, random_mixed
+from conftest import brieskorn, partials, poly, random_mixed
 from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
-from mixed_milnor.core import polynomial_arrays, value_and_gradient, value_and_gradient_batch
+from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
 from mixed_milnor import singularity
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.numerics import random_sphere_point, rng_for, row_norm
@@ -31,7 +31,7 @@ from mixed_milnor.singularity import (
 def _residual(f, z):
     """The residual and |f| at one point: one kernel pass, then the shell
     search's squared residual from its partials."""
-    value, d_z, d_zbar = value_and_gradient(f, z)
+    value, d_z, d_zbar = partials(f, z)
     return math.sqrt(_residual_terms(d_z, d_zbar)[0]), abs(value)
 
 

@@ -3,6 +3,7 @@ cyclic-family evidence search."""
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,20 +11,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, count_calls, poly
+from conftest import brieskorn, count_calls, partials, poly
 from mixed_milnor import (
     FamilySpec,
     build_family,
     certify_smooth_shell,
     check_transversality,
     conjecture_search_type_ii,
-    sample_on_variety,
     transversality,
 )
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
 from mixed_milnor import core, numerics
-from mixed_milnor.core import polynomial_arrays, value_and_gradient
+from mixed_milnor.core import polynomial_arrays
 from mixed_milnor.transversality import (
     ATTEMPTS_PER_SAMPLE,
     DEFAULT_MARGIN_THRESHOLD,
@@ -35,7 +35,6 @@ from mixed_milnor.transversality import (
 )
 from mixed_milnor.numerics import (
     level_tolerance,
-    newton_on_sphere,
     newton_on_sphere_batch,
     point_rows,
     real_jacobian,
@@ -50,8 +49,15 @@ def _real(z):
 
 def _real_jacobian(f, z):
     """The rows (grad Re f, grad Im f) at one point, from one kernel pass."""
-    _, d_z, d_zbar = value_and_gradient(f, z)
+    _, d_z, d_zbar = partials(f, z)
     return real_jacobian(d_z[None], d_zbar[None])[0]
+
+
+def _sample(f, count, seed, label):
+    """`sample_rows` of the one polynomial f: its points as tuples, in sample
+    order, and its failure count."""
+    points, found = sample_rows(polynomial_arrays([f]), count, seed, [label])
+    return [tuple(z) for z in points[0][found[0]].tolist()], int((~found).sum())
 
 
 def _rank_margins(fam, t, points):
@@ -138,7 +144,7 @@ def test_rank_test_preconditions():
 
 def test_rank_test_on_sampled_mixed_points():
     fam = brieskorn((2, 3), (1, 1))
-    pts, failures = sample_on_variety(fam.member(0.5), 1.0, 10, seed=0, label="t")
+    pts, failures = _sample(fam.member(0.5), 10, 0, "t")
     assert failures == 0
     assert (_rank_margins(fam, 0.5, pts) > DEFAULT_MARGIN_THRESHOLD).all()
 
@@ -223,7 +229,7 @@ def test_radial_witness_mixed_point_and_containment():
 def test_radial_witness_implies_rank_transversality():
     fam = brieskorn((2, 3), (1, 1))
     for t in (0.25, 0.75):
-        pts, _ = sample_on_variety(fam.member(t), 1.0, 10, seed=1, label=f"w:{t}")
+        pts, _ = _sample(fam.member(t), 10, 1, f"w:{t}")
         witnesses = _witnesses(fam, [t], [pts])
         for rec, margin in zip(witnesses, _rank_margins(fam, t, pts)):
             if rec["witness_margin"] > 1e-6:
@@ -306,7 +312,7 @@ def test_chained_witness_single_component_last_index_form():
 
 def test_chained_witness_epsilon_flags():
     fam = build_family(FamilySpec("type_i", (2, 2, 2), (1, 1, 1)))
-    pts, _ = sample_on_variety(fam.member(0.5), 1.0, 3, seed=3, label="eps")
+    pts, _ = _sample(fam.member(0.5), 3, 3, "eps")
     for rec in _witnesses(fam, [0.5], [pts]):
         assert rec["trace"]["epsilon_flags"] == (1, 1, 0)
 
@@ -369,11 +375,10 @@ def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
     assert not found[-1]
     for k, start in enumerate(starts):
         alone, hit = newton_on_sphere_batch(one, 0j, [start])
-        single = newton_on_sphere(poly, 0j, 1.0, tuple(start))
-        assert hit[0] == found[k] == (single is not None)
+        assert hit[0] == found[k]
         if found[k]:
             assert alone[0].tobytes() == points[k].tobytes()
-            assert np.array(single).tobytes() == points[k].tobytes()
+            single = tuple(alone[0].tolist())
             assert abs(oracle.evaluate(poly, single)) <= 1e-12
             assert abs(math.sqrt(sum(abs(z) ** 2 for z in single)) - 1.0) <= 1e-14
 
@@ -390,7 +395,7 @@ def test_lockstep_newton_rows_match_single_runs(kind, n, t, seed, size):
 def test_rank_margins_match_per_point_svd(kind, a, b, n, t, seed):
     fam = build_family(FamilySpec(kind, tuple(a[:n]), tuple(b[:n])))
     poly = fam.member(t)
-    pts, _ = sample_on_variety(poly, 1.0, 6, seed, label="rank-oracle")
+    pts, _ = _sample(poly, 6, seed, "rank-oracle")
     margins = _rank_margins(fam, t, pts)
     assert margins.shape == (len(pts),)
     for z, margin in zip(pts, margins):
@@ -434,9 +439,7 @@ def _draw_witness_point(draw, fam, t):
     theta = draw(st.floats(0, 2 * math.pi))
     shape = draw(st.sampled_from(["sampled", "zeros"]))
     if shape == "sampled" or (kind == "brieskorn" and n == 2):
-        pts, _ = sample_on_variety(
-            fam.member(t), 1.0, 1, draw(st.integers(0, 2**16)), label="fd-oracle"
-        )
+        pts, _ = _sample(fam.member(t), 1, draw(st.integers(0, 2**16)), "fd-oracle")
         assume(pts)
         return pts[0]
     if kind == "brieskorn":
@@ -665,7 +668,7 @@ def test_grid_sampler_rows_ignore_their_batch(kind, n, b, grid, seed, count):
         assert per_t[0][hit[0]].tobytes() == points[ti].tobytes()
         assert failures[ti] == count - hit[0].sum()
         if t < 1.0 or n == 2:
-            pts, missed = sample_on_variety(fam.member(t), 1.0, count, seed, label)
+            pts, missed = _sample(fam.member(t), count, seed, label)
             assert missed == failures[ti]
             assert np.array(pts, dtype=complex).reshape(-1, n).tobytes() == points[ti].tobytes()
         alone = [_sample_alone(row, seed, label, k) for k in range(count)]
@@ -725,11 +728,12 @@ def test_conjecture_search_summarizes_per_t_sampling(a, b, grid, seed, threshold
     """The search over one grid batch reports what sampling and rank-testing
     each t on its own gives."""
     fam = build_family(FamilySpec("type_ii", a, b))
-    rep = conjecture_search_type_ii(fam, grid, 1.0, 5, seed, threshold=threshold)
+    with mock.patch.object(transversality, "FLAG_THRESHOLD", threshold):
+        rep = conjecture_search_type_ii(fam, grid, 1.0, 5, seed)
     flagged, failures, found = [], [], 0
     best = (math.inf, (), math.nan)
     for ti, t in enumerate(grid):
-        pts, missed = sample_on_variety(fam.member(t), 1.0, 5, seed, label=f"conj:t={ti}")
+        pts, missed = _sample(fam.member(t), 5, seed, f"conj:t={ti}")
         failures.append(missed)
         found += len(pts)
         for z, margin in zip(pts, _rank_margins(fam, t, pts).tolist()):
