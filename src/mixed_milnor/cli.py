@@ -179,7 +179,7 @@ def _load_points(path: str) -> list[tuple[complex, ...]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, or a huge integer
         raise InputError(f"cannot read points file {path!r}: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(pt, list) for pt in data):
         raise InputError(f"points file {path!r} must hold a list of points")

@@ -8,7 +8,7 @@ Two accepted shapes:
 from __future__ import annotations
 
 import json
-import math
+import sys
 from typing import Optional
 
 from .core import MixedMonomial, MixedPolynomial
@@ -25,7 +25,8 @@ def _integers(value, what: str) -> tuple[int, ...]:
 
 def _coefficient(value) -> complex:
     parts = value if isinstance(value, list) else [value, 0]
-    if len(parts) != 2 or any(type(v) not in (int, float) or not math.isfinite(v) for v in parts):
+    finite = [type(v) in (int, float) and abs(v) <= sys.float_info.max for v in parts]
+    if len(parts) != 2 or not all(finite):  # NaN, infinities and ints past the float range
         raise InputError(f"coefficient must be a finite number or [re, im], got {value!r}")
     return complex(parts[0], parts[1])
 
@@ -63,7 +64,7 @@ def load_spec(path: str) -> tuple[MixedPolynomial, Optional[DeformationFamily], 
         raise InputError(f"cannot read spec file {path!r}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
         raise InputError(f"spec file {path!r} is not valid JSON: {exc}") from exc
     poly, fam = parse_spec(data)
     return poly, fam, raw

@@ -225,12 +225,31 @@ def test_certify_smooth_bad_input_exits_2(family_spec, capsys, options):
         {"family": "brieskorn", "a": [2.7, 3]},
         {"family": "brieskorn", "a": [2, 3], "b": [1, True]},
         {"family": "brieskorn"},
+        {"n": 1, "monomials": [{"c": 10**400, "nu": [1], "mu": [0]}]},  # past the float range
+        {"n": 1, "monomials": [{"c": [0, -(10**400)], "nu": [1], "mu": [0]}]},
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, spec):
     assert run(["analyze", _write(tmp_path / "spec.json", spec)]) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"n": 1, "monomials": [{"c": ' + b"9" * 5000 + b', "nu": [1], "mu": [0]}]}',
+        b'\xff{"family": "brieskorn", "a": [2, 3]}',
+    ],
+    ids=["integer-past-digit-limit", "not-utf-8"],
+)
+def test_unreadable_spec_exits_2(tmp_path, capsys, raw):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(raw)
+    assert run(["analyze", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert "is not valid JSON" in captured.err
     assert captured.out == ""
 
 
@@ -550,6 +569,8 @@ def test_build_isotopy_empty_points_exits_2(tmp_path, family_spec):
         "[[[0.6, -Infinity], [0, 0.8]]]",
         "[[[1e999, 0], [0, 1]]]",
         pytest.param("[[[" + "1" * 400 + ", 0], [0, 1]]]", id="integer-beyond-float"),
+        pytest.param("[[[" + "1" * 5000 + ", 0], [0, 1]]]", id="integer-past-digit-limit"),
+        pytest.param(b"\xff[[[0.6, 0], [0, 0.8]]]", id="not-utf-8"),
         "[[[1, 0], [0, 0]], [[1, 0]]]",  # ragged points
         "[[[1, 0], [0, 0], [0, 0]]]",  # three coordinates for a family in two
         "[[1, 0], [0, 1]]",  # coordinates that are not pairs
@@ -560,7 +581,7 @@ def test_build_isotopy_empty_points_exits_2(tmp_path, family_spec):
 )
 def test_bad_points_file_exits_2(capsys, tmp_path, family_spec, text):
     points_file = tmp_path / "points.json"
-    points_file.write_text(text)
+    points_file.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = ["build-isotopy", "--family", family_spec, "--points", str(points_file)]
     assert run(argv + ["--steps", "5"]) == 2
     captured = capsys.readouterr()
