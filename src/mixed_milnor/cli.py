@@ -170,8 +170,10 @@ def _coordinate(value, path: str) -> complex:
             re = im = math.inf
         if math.isfinite(re) and math.isfinite(im):
             return complex(re, im)
+    got = repr(value)  # at most 60 characters of it: a huge integer has thousands
     raise InputError(
-        f"points file {path!r}: coordinate {value!r} is not a pair [re, im] of finite numbers"
+        f"points file {path!r}: coordinate {got[:60]}{'...' * (len(got) > 60)}"
+        " is not a pair [re, im] of finite numbers"
     )
 
 

@@ -99,29 +99,58 @@ class WeightSystem:
 
 @dataclass(frozen=True)
 class _KernelLayout:
-    """Index and exponent arrays the batched kernel derives from N and M."""
+    """Index arrays the batched kernel derives from N and M, over the entries
+    e = (i, j) with N[i, j] + M[i, j] > 0, plus (i, 0) for a constant monomial and
+    (0, j) for an unused variable, ordered by rank (j's entries above i), then j."""
 
-    top: int  # highest exponent
-    # rows (e * n + j) of the power table holding z_j^e for the exponents
-    # e = N[i, j], M[i, j] (in that order along the first axis) ...
-    power_rows: np.ndarray  # 2 x m x n
-    # ... and for e = N[i, j] - 1, M[i, j] - 1 (floored at 0)
-    lowered_rows: np.ndarray  # 2 x m x n
-    weights: np.ndarray  # 2 x m x n: N, M as floats, the factors of the partials
-    others: tuple[np.ndarray, ...]  # others[p][j]: the p-th index k != j
+    top: int  # highest exponent, at least 1
+    bar: int  # highest zbar exponent + 1: the rows of zbar_j^p the power table holds
+    power_rows: np.ndarray  # 2 x 2 x E + 1: rows (real, imaginary) of z_j^N, zbar_j^M, then 1
+    lowered_rows: np.ndarray  # 2 x 2 x E: rows of z_j^(N - 1), zbar_j^(M - 1), floored at 0
+    weights: np.ndarray  # 2 x E: N, M as floats, the factors of the partials
+    monomial: object  # each entry's i
+    others: tuple  # others[p][e]: the p-th other entry of e's monomial, else E (a factor 1)
+    last: object  # each monomial's entry of largest j, in index order
+    even: int  # the ranks every variable holds: entries below even * n
+    ranks: tuple  # each further rank's (variables, entries)
+
+
+def _plan(index: np.ndarray):
+    """`index`, or the slice it equals when it steps evenly upward."""
+    at = index.tolist()
+    step = at[1] - at[0] if len(at) > 1 else 1
+    regular = at and step > 0 and at == list(range(at[0], at[-1] + 1, step))
+    return slice(at[0], at[-1] + 1, step) if regular else index
 
 
 def _kernel_layout(N: np.ndarray, M: np.ndarray) -> _KernelLayout:
-    n = N.shape[1]
-    powers = np.stack([N, M])
-    cols = np.arange(n)
-    others = [[k for k in range(n) if k != j] for j in range(n)]
+    m, n = N.shape
+    held = N + M > 0
+    held[~held.any(axis=1), 0] = True
+    held[:1, ~held.any(axis=0)] = True
+    i, j = np.nonzero(held)
+    rank = (np.cumsum(held, axis=0) - 1)[i, j]
+    i, j, rank = (v[np.argsort(rank * n + j)] for v in (i, j, rank))
+    q, count, E = (np.cumsum(held, axis=1) - 1)[i, j], held.sum(axis=1), len(i)
+    own = np.full((m, n + 1), E)  # own[i, q]: monomial i's q-th entry by j, then E
+    own[i, q] = np.arange(E)
+    p = np.arange(count.max(initial=1) - 1)[:, None]
+    others = np.where(p < q, own[i, p], own[i, p + 1])  # skip e's own place q
+    powers, even = np.stack([N[i, j], M[i, j]]), int(held.sum(axis=0).min())
+    top = max(int(powers.max(initial=0)), 1)
+    shift = np.array([[[0], [0]], [[0], [(top + 1) * n]]])  # -Im z_j^p: row (top + 1 + p) n + j
     return _KernelLayout(
-        top=int(powers.max(initial=0)),
-        power_rows=powers * n + cols,
-        lowered_rows=np.maximum(powers - 1, 0) * n + cols,
+        top=top,
+        bar=int(M.max(initial=0)) + 1,
+        power_rows=np.append(powers, [[0], [0]], axis=1) * n + np.append(j, 0) + shift,
+        lowered_rows=np.maximum(powers - 1, 0) * n + j + shift,
         weights=powers.astype(float),
-        others=tuple(np.array([row[p] for row in others]) for p in range(n - 1)),
+        monomial=_plan(i),
+        others=tuple(_plan(row) for row in others),
+        last=_plan(own[np.arange(m), count - 1]),
+        even=even,
+        ranks=tuple((_plan(j[rank == r]), _plan(np.flatnonzero(rank == r)))
+                    for r in range(even, int(rank.max(initial=-1)) + 1)),
     )
 
 
@@ -245,45 +274,42 @@ def value_and_gradient_batch(
         )
     if m == 0:
         return np.zeros(z.shape[:-1], dtype=complex), np.zeros_like(z), np.zeros_like(z)
-    layout = arrays.layout
+    layout, top, E = arrays.layout, arrays.layout.top, arrays.layout.weights.shape[1]
     batch = z.shape[:-1]
-    extra = (1,) * (z.ndim - 1)
-    # table[p, j] = z_j ** p by repeated multiplication, one row per (p, j)
+    # table[p, j] = z_j ** p by repeated multiplication, then Im zbar_j ** p for p < bar
     zt = z.transpose((z.ndim - 1,) + tuple(range(z.ndim - 1)))
-    pr = np.empty((max(layout.top, 1) + 1, n) + batch)
-    pi = np.empty_like(pr)
+    pr, pi = np.empty((top + 1, n) + batch), np.empty((top + 1 + layout.bar, n) + batch)
     pr[0], pi[0] = 1.0, 0.0
     pr[1], pi[1] = zt.real, zt.imag
-    for p in range(2, layout.top + 1):
+    for p in range(2, top + 1):
         _cmul((pr[p - 1], pi[p - 1]), (pr[1], pi[1]), out=(pr[p], pi[p]))
+    np.negative(pi[: layout.bar], out=pi[top + 1 :])
     pr, pi = pr.reshape((len(pr) * n,) + batch), pi.reshape((len(pi) * n,) + batch)
-    conj = np.array([1.0, -1.0]).reshape((2, 1, 1) + extra)
-
-    def power(rows: np.ndarray) -> tuple:
-        """z_j ** E[0, i, j] and zbar_j ** E[1, i, j] as 2 x m x n x K x ... arrays,
-        where rows = E * n + j."""
-        return pr[rows], pi[rows] * conj
-
-    zr, zi = power(layout.power_rows)
-    # factor[i, j] = z_j^N[i, j] zbar_j^M[i, j]
+    zr, zi = pr[layout.power_rows[0]], pi[layout.power_rows[1]]
+    # factor[e] = z_j^N[i, j] zbar_j^M[i, j] for entry e = (i, j), and factor[E] = 1
     fr, fi = _cmul((zr[0], zi[0]), (zr[1], zi[1]))
-    # rest[i, j] = c_i * prod_{k != j} factor[i, k], multiplied in increasing k
-    coef = arrays.C.T.reshape((m, 1) + z.shape[:1] + (1,) * (z.ndim - 2))
-    rest = coef.real, coef.imag
-    if n == 1:
-        rest = np.broadcast_to(rest[0], fr.shape), np.broadcast_to(rest[1], fr.shape)
+    # rest[e] = c_i * the factors of monomial i's other entries, in increasing j
+    shape = (E,) + z.shape[:1] + (1,) * (z.ndim - 2)
+    rest = tuple(c.T[layout.monomial].reshape(shape) for c in (arrays.C.real, arrays.C.imag))
     for k in layout.others:
-        rest = _cmul(rest, (fr[:, k], fi[:, k]))
-    vr, vi = _cmul((rest[0][:, -1], rest[1][:, -1]), (fr[:, -1], fi[:, -1]))
+        rest = _cmul(rest, (fr[k], fi[k]))
+    vr, vi = _cmul((rest[0][layout.last], rest[1][layout.last]), (fr[layout.last], fi[layout.last]))
     value = np.empty(z.shape[:-1], dtype=complex)
     value.real, value.imag = sum_leading(vr), sum_leading(vi)
     # d_z: rest * z^(N-1) * zbar^M * N;  d_zbar: rest * zbar^(M-1) * z^N * M
-    dr, di = _cmul(_cmul(rest, power(layout.lowered_rows)), (zr[::-1], zi[::-1]))
-    weights = layout.weights.reshape(layout.weights.shape + extra)
+    lowered = layout.lowered_rows
+    dr, di = _cmul(_cmul(rest, (pr[lowered[0]], pi[lowered[1]])), (zr[::-1, :E], zi[::-1, :E]))
+    weights = layout.weights.reshape(layout.weights.shape + (1,) * len(batch))
     dr *= weights
     di *= weights
+    # each partial sums its variable's entries rank by rank, so in increasing i
+    even = (2, layout.even, n) + batch
+    sr, si = (sum_leading(a[:, : layout.even * n].reshape(even).swapaxes(0, 1)) for a in (dr, di))
+    for variables, entries in layout.ranks:
+        sr[:, variables] += dr[:, entries]
+        si[:, variables] += di[:, entries]
     d = np.empty((2, n) + z.shape[:-1], dtype=complex)
-    d.real, d.imag = sum_leading(dr.swapaxes(0, 1)), sum_leading(di.swapaxes(0, 1))
+    d.real, d.imag = sr, si
     back = tuple(range(1, z.ndim)) + (0,)
     return value, d[0].transpose(back), d[1].transpose(back)
 

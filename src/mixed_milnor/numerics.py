@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import PolynomialArrays, value_and_gradient_batch
+from .core import PolynomialArrays, sum_leading, value_and_gradient_batch
 from .errors import InputError, NumericalError, PreconditionError
 
 
@@ -89,8 +89,9 @@ def monotone_roots(
 
     Each row's bracket is grown geometrically from lo (and hi when given),
     then refined by safeguarded Newton steps on dfn, bisecting where a step
-    would leave the bracket; without dfn every step bisects.  A row leaves
-    once its bracket is narrower than 1e-14 relative, its root its own."""
+    would leave the bracket; without dfn every step bisects.  A row leaves with
+    its bracket's midpoint once that is narrower than 1e-14 relative, or with
+    a Newton candidate within 0.5e-14 relative of s; its root is its own."""
     target = np.asarray(target, dtype=float)
     rows = np.arange(len(target))
     lo = np.full(len(target), lo, dtype=float)
@@ -116,15 +117,16 @@ def monotone_roots(
     for _ in range(200):
         fs = fn(s, k)
         lo, hi = np.where(fs < goal, s, lo), np.where(fs < goal, hi, s)
-        done = hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))
-        root[k[done]] = 0.5 * (lo + hi)[done]
-        k, s, fs, lo, hi, goal = (v[~done] for v in (k, s, fs, lo, hi, goal))
-        if not k.size:
-            break
-        cand = np.nan
+        cand = np.full_like(s, np.nan)
         if dfn is not None:
             d = dfn(s, k)
             cand = s + (goal - fs) / np.where(d > 0, d, np.nan)
+        narrow = hi - lo <= 1e-14 * np.maximum(1.0, np.abs(hi))
+        done = narrow | (np.abs(cand - s) <= 0.5e-14 * np.maximum(1.0, np.abs(s)))
+        root[k[done]] = np.where(narrow, 0.5 * (lo + hi), cand)[done]
+        k, s, cand, lo, hi, goal = (v[~done] for v in (k, s, cand, lo, hi, goal))
+        if not k.size:
+            break
         s = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
     root[k] = 0.5 * (lo + hi)
     return root
@@ -144,11 +146,9 @@ def point_rows(points, n: int) -> np.ndarray:
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product over the last axis, in a fixed order."""
-    total = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        total = total + a[..., j] * b[..., j]
-    return total
+    """Row-wise dot product over the last axis: one product a * b, its columns
+    summed in index order."""
+    return sum_leading((a * b).T).T
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:
@@ -173,9 +173,9 @@ def real_jacobian(d_z: np.ndarray, d_zbar: np.ndarray) -> np.ndarray:
 
 
 def gram(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of J (K x 2 x m), the entries g00, g01, g11 of J J^T, each one
-    fixed-order `row_dot`."""
-    return row_dot(J[:, 0], J[:, 0]), row_dot(J[:, 0], J[:, 1]), row_dot(J[:, 1], J[:, 1])
+    """Per row of J (K x 2 x m), the entries g00, g01, g11 of J J^T from one
+    fixed-order `row_dot` of the K x 2 x 2 x m outer product."""
+    return (g := row_dot(J[:, :, None], J[:, None]))[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
 
 
 def tangent_step(J: np.ndarray, xhat: np.ndarray, res: np.ndarray):

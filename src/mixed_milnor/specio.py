@@ -27,7 +27,9 @@ def _coefficient(value) -> complex:
     parts = value if isinstance(value, list) else [value, 0]
     finite = [type(v) in (int, float) and abs(v) <= sys.float_info.max for v in parts]
     if len(parts) != 2 or not all(finite):  # NaN, infinities and ints past the float range
-        raise InputError(f"coefficient must be a finite number or [re, im], got {value!r}")
+        got = repr(value)  # at most 60 characters of it: a huge integer has thousands
+        raise InputError(f"coefficient must be a finite number or [re, im], got {got[:60]}"
+                         f"{'...' * (len(got) > 60)}")
     return complex(parts[0], parts[1])
 
 

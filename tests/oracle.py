@@ -1,9 +1,10 @@
 """Reference implementations, independent of the engines in `mixed_milnor`:
 evaluation and Wirtinger partials by plain loops over the monomials, the
-monotone root by a scalar bracket loop, the singularity residual from those
-partials, the connection velocity by a batched SVD of the constraint rows,
-and the polar action by Python's complex power and product, one coordinate
-at a time.  Tests compare the engines against these."""
+batched kernel over the dense grid of monomials and variables, the monotone
+root by a scalar bracket loop, the singularity residual from those partials,
+the connection velocity by a batched SVD of the constraint rows, and the
+polar action by Python's complex power and product, one coordinate at a
+time.  Tests compare the engines against these."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mixed_milnor.core import MixedPolynomial, sum_leading
+from mixed_milnor.core import MixedPolynomial, PolynomialArrays, _cmul, sum_leading
 from mixed_milnor.errors import InputError, NumericalError
 from mixed_milnor.isotopy import _cutoff
 
@@ -77,6 +78,98 @@ def wirtinger_gradient(poly: MixedPolynomial, point: Sequence[complex]) -> Wirti
             if mono.mu[j]:
                 d_zbar[j] += rest * mono.mu[j] * conj[j] ** (mono.mu[j] - 1) * zpow[j]
     return WirtingerGradient(tuple(d_z), tuple(d_zbar))
+
+
+@dataclass(frozen=True)
+class _DenseLayout:
+    """Index and exponent arrays the dense kernel derives from N and M."""
+
+    top: int  # highest exponent
+    # rows (e * n + j) of the power table holding z_j^e for the exponents
+    # e = N[i, j], M[i, j] (in that order along the first axis) ...
+    power_rows: np.ndarray  # 2 x m x n
+    # ... and for e = N[i, j] - 1, M[i, j] - 1 (floored at 0)
+    lowered_rows: np.ndarray  # 2 x m x n
+    weights: np.ndarray  # 2 x m x n: N, M as floats, the factors of the partials
+    others: tuple[np.ndarray, ...]  # others[p][j]: the p-th index k != j
+
+
+def _dense_layout(N: np.ndarray, M: np.ndarray) -> _DenseLayout:
+    n = N.shape[1]
+    powers = np.stack([N, M])
+    cols = np.arange(n)
+    others = [[k for k in range(n) if k != j] for j in range(n)]
+    return _DenseLayout(
+        top=int(powers.max(initial=0)),
+        power_rows=powers * n + cols,
+        lowered_rows=np.maximum(powers - 1, 0) * n + cols,
+        weights=powers.astype(float),
+        others=tuple(np.array([row[p] for row in others]) for p in range(n - 1)),
+    )
+
+
+def dense_value_and_gradient_batch(
+    arrays: PolynomialArrays, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batched kernel over the full m x n grid of monomials and variables,
+    each absent variable a factor 1 and a zero partial term:
+    (f, d_z f, d_zbar f) at a K x ... x n complex array of points, where
+    the points z[k] belong to polynomial k.  The partials have the shape of z,
+    the values that shape without its last axis.
+
+    z_j^(e-1) is raised directly, never formed as z_j^e / z_j, so the partials
+    stay exact at zero coordinates.
+    """
+    z = np.asarray(z, dtype=complex)
+    m, n = arrays.N.shape
+    if z.ndim < 2 or z.shape[0] != arrays.C.shape[0] or z.shape[-1] != n:
+        raise InputError(
+            f"points of shape {z.shape} do not fit {arrays.C.shape[0]} polynomials"
+            f" in {n} variables"
+        )
+    if m == 0:
+        return np.zeros(z.shape[:-1], dtype=complex), np.zeros_like(z), np.zeros_like(z)
+    layout = _dense_layout(arrays.N, arrays.M)
+    batch = z.shape[:-1]
+    extra = (1,) * (z.ndim - 1)
+    # table[p, j] = z_j ** p by repeated multiplication, one row per (p, j)
+    zt = z.transpose((z.ndim - 1,) + tuple(range(z.ndim - 1)))
+    pr = np.empty((max(layout.top, 1) + 1, n) + batch)
+    pi = np.empty_like(pr)
+    pr[0], pi[0] = 1.0, 0.0
+    pr[1], pi[1] = zt.real, zt.imag
+    for p in range(2, layout.top + 1):
+        _cmul((pr[p - 1], pi[p - 1]), (pr[1], pi[1]), out=(pr[p], pi[p]))
+    pr, pi = pr.reshape((len(pr) * n,) + batch), pi.reshape((len(pi) * n,) + batch)
+    conj = np.array([1.0, -1.0]).reshape((2, 1, 1) + extra)
+
+    def power(rows: np.ndarray) -> tuple:
+        """z_j ** E[0, i, j] and zbar_j ** E[1, i, j] as 2 x m x n x K x ... arrays,
+        where rows = E * n + j."""
+        return pr[rows], pi[rows] * conj
+
+    zr, zi = power(layout.power_rows)
+    # factor[i, j] = z_j^N[i, j] zbar_j^M[i, j]
+    fr, fi = _cmul((zr[0], zi[0]), (zr[1], zi[1]))
+    # rest[i, j] = c_i * prod_{k != j} factor[i, k], multiplied in increasing k
+    coef = arrays.C.T.reshape((m, 1) + z.shape[:1] + (1,) * (z.ndim - 2))
+    rest = coef.real, coef.imag
+    if n == 1:
+        rest = np.broadcast_to(rest[0], fr.shape), np.broadcast_to(rest[1], fr.shape)
+    for k in layout.others:
+        rest = _cmul(rest, (fr[:, k], fi[:, k]))
+    vr, vi = _cmul((rest[0][:, -1], rest[1][:, -1]), (fr[:, -1], fi[:, -1]))
+    value = np.empty(z.shape[:-1], dtype=complex)
+    value.real, value.imag = sum_leading(vr), sum_leading(vi)
+    # d_z: rest * z^(N-1) * zbar^M * N;  d_zbar: rest * zbar^(M-1) * z^N * M
+    dr, di = _cmul(_cmul(rest, power(layout.lowered_rows)), (zr[::-1], zi[::-1]))
+    weights = layout.weights.reshape(layout.weights.shape + extra)
+    dr *= weights
+    di *= weights
+    d = np.empty((2, n) + z.shape[:-1], dtype=complex)
+    d.real, d.imag = sum_leading(dr.swapaxes(0, 1)), sum_leading(di.swapaxes(0, 1))
+    back = tuple(range(1, z.ndim)) + (0,)
+    return value, d[0].transpose(back), d[1].transpose(back)
 
 
 def monotone_root(

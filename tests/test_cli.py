@@ -236,6 +236,18 @@ def test_malformed_spec_exits_2(tmp_path, capsys, spec):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("coefficient", [10**4000, [0, -(10**4000)]], ids=["real", "pair"])
+def test_huge_coefficient_message_is_short(tmp_path, capsys, coefficient):
+    """A 4,000-digit coefficient exits 2 with a short message: the echo of the
+    value stops after 60 characters."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 1, "monomials": [{"c": coefficient, "nu": [1], "mu": [0]}]}))
+    assert run(["analyze", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: coefficient must be a finite number")
+    assert len(captured.err) < 200 and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -587,6 +599,17 @@ def test_bad_points_file_exits_2(capsys, tmp_path, family_spec, text):
     captured = capsys.readouterr()
     assert "input error" in captured.err
     assert captured.out == ""
+
+
+def test_huge_coordinate_message_is_short(capsys, tmp_path, family_spec, monkeypatch):
+    """A 4,000-digit coordinate exits 2 with a short message: the echo of the
+    value stops after 60 characters (the file's path is echoed whole)."""
+    monkeypatch.chdir(tmp_path)
+    Path("points.json").write_text("[[[" + "7" * 4000 + ", 0], [0, 1]]]")
+    assert run(["build-isotopy", "--family", family_spec, "--points", "points.json"]) == 2
+    captured = capsys.readouterr()
+    assert "is not a pair [re, im] of finite numbers" in captured.err
+    assert len(captured.err) < 200 and captured.out == ""
 
 
 @pytest.mark.parametrize(

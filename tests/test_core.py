@@ -397,6 +397,59 @@ def test_fused_kernel_matches_scalar(polys, count, data):
             assert np.all(np.abs(d_zbar[k, i] - np.array(grad.d_zbar)) <= tol)
 
 
+@st.composite
+def _sparse_arrays(draw):
+    """K rows over one random monomial list in n = 1..4 variables: supports
+    with absent variables and constant monomials, and zero coefficients."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    power = st.sampled_from((0, 0, 0, 1, 2, 3))
+    N = np.array(draw(st.lists(st.lists(power, min_size=n, max_size=n), min_size=m, max_size=m)))
+    M = np.array(draw(st.lists(st.lists(power, min_size=n, max_size=n), min_size=m, max_size=m)))
+    k = draw(st.integers(1, 3))
+    part = st.just(0.0) | st.floats(-2.0, 2.0)
+    C = np.array(draw(st.lists(part, min_size=2 * k * m, max_size=2 * k * m))).view(complex)
+    return core.PolynomialArrays(N, M, C.reshape(k, m))
+
+
+def _points(data, rows: int, n: int) -> np.ndarray:
+    """rows x (0..2 extra batch axes) x n points, with zero coordinates."""
+    shape = (rows,) + tuple(data.draw(st.lists(st.integers(1, 3), max_size=2))) + (n,)
+    size = 2 * int(np.prod(shape))
+    x = data.draw(st.lists(_coordinate | st.just(-0.0), min_size=size, max_size=size))
+    return np.array(x).view(complex).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_arrays(), st.data())
+def test_support_kernel_equals_the_dense_kernel(arrays, data):
+    """The kernel over each monomial's own variables gives the dense m x n
+    grid's value and partials wherever those are finite: the same products in
+    the same order, without the absent variables' factors 1 and zero terms
+    (`==` makes the sign of a zero the one difference allowed)."""
+    z = _points(data, len(arrays.C), arrays.n)
+    got = value_and_gradient_batch(arrays, z)
+    want = oracle.dense_value_and_gradient_batch(arrays, z)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        finite = np.isfinite(w)
+        assert np.array_equal(g[finite], w[finite])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_arrays(), st.data())
+def test_each_kernel_row_computes_its_own_bits(arrays, data):
+    """Row k of a batch gets the bits it gets alone and in any order of rows."""
+    z = _points(data, len(arrays.C), arrays.n)
+    batch = value_and_gradient_batch(arrays, z)
+    order = data.draw(st.permutations(range(len(z))))
+    shuffled = value_and_gradient_batch(arrays.rows(order), z[order])
+    for k in range(len(z)):
+        alone = value_and_gradient_batch(arrays.rows([k]), z[k : k + 1])
+        for a, b, c in zip(batch, alone, shuffled):
+            assert a[k].tobytes() == b[0].tobytes() == c[order.index(k)].tobytes()
+
+
 def _assert_one_point_matches_oracle(p, point):
     tol = 1e-12 * _term_scale(p, point) + 1e-300
     value, d_z, d_zbar = partials(p, point)

@@ -1,5 +1,6 @@
 """Seeded streams against numpy's SeedSequence, the lockstep monotone root
-against the scalar oracle, and per-row Newton targets against one-target runs."""
+against the scalar oracle, per-row Newton targets against one-target runs,
+and the fixed-order dot products against Python float loops."""
 
 import hashlib
 
@@ -12,11 +13,13 @@ import oracle
 from mixed_milnor.errors import InputError, NumericalError
 from conftest import brieskorn
 from mixed_milnor.numerics import (
+    gram,
     monotone_roots,
     newton_on_sphere_batch,
     random_sphere_point,
     rng_for,
     rng_streams,
+    row_dot,
     stream_states,
 )
 
@@ -106,6 +109,54 @@ def test_monotone_roots_rows_keep_their_own_brackets():
         assert monotone_roots(lambda s, i: s**3, target[k : k + 1], lo=0.5, hi=2.0)[0] == roots[k]
         expected = oracle.monotone_root(lambda s: s**3, goal, 0.5, 2.0)
         assert abs(expected - roots[k]) <= 1e-13 * max(1.0, expected)
+
+
+def test_monotone_roots_stop_at_a_converged_newton_step():
+    """A row ends once its Newton candidate lies within 0.5e-14 relative of
+    its last point s, and the candidate is its root: ten calls of fn for
+    s^3 = target on three rows, where bisecting the bracket down takes 55."""
+    target = np.array([2.0, 0.3, 7.0])
+    last = {}
+
+    def fn(s, k):
+        last.update(zip(k.tolist(), s.tolist()))
+        return s**3
+
+    roots = monotone_roots(fn, target, dfn=lambda s, k: 3.0 * s**2)
+    assert np.all(np.abs(roots - np.cbrt(target)) <= 1e-15 * roots)
+    for k, goal in enumerate(target):
+        s = np.array([last[k]])
+        step = (goal - s**3) / (3.0 * s**2)
+        assert abs(step[0]) <= 0.5e-14 * max(1.0, s[0]) and roots[k] == (s + step)[0]
+    calls = []
+    monotone_roots(lambda s, k: calls.append(k) or s**3, target, dfn=lambda s, k: 3.0 * s**2)
+    assert len(calls) == 10
+
+
+_entry = st.floats(-1e150, 1e150) | st.sampled_from((0.0, -0.0, 1.0, 1e-300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+def test_row_dot_and_gram_sum_their_products_in_index_order(rows, m, data):
+    """`row_dot` and `gram` give the bits of a Python float loop: the same
+    IEEE products, summed in index order."""
+    J = np.array(data.draw(st.lists(_entry, min_size=rows * 2 * m, max_size=rows * 2 * m)))
+    J = J.reshape(rows, 2, m)
+
+    def loop(a, b):
+        total = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            total = total + x * y
+        return total
+
+    g = gram(J)
+    dots = row_dot(J, J[:, :1])
+    for k in range(rows):
+        a, b = J[k].tolist()
+        expected = [loop(a, a), loop(a, b), loop(b, b), loop(a, a), loop(b, a)]
+        got = [g[0][k], g[1][k], g[2][k], dots[k, 0], dots[k, 1]]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_monotone_root_fails_to_bracket():
