@@ -256,11 +256,13 @@ def sum_leading(a: np.ndarray) -> np.ndarray:
 
 
 def value_and_gradient_batch(
-    arrays: PolynomialArrays, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, d_z f, d_zbar f) at a K x ... x n complex array of points, where
-    the points z[k] belong to polynomial k.  The partials have the shape of z,
-    the values that shape without its last axis.
+    arrays: PolynomialArrays, z: np.ndarray, value: bool = True
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """(f, re, im) at a K x ... x n complex array of points, where the points
+    z[k] belong to polynomial k.  f has the shape of z without its last axis;
+    re and im are 2 x n x K x ... float planes: re[0, j] and im[0, j] hold the
+    real and imaginary parts of d_zj f, re[1, j] and im[1, j] those of d_zbarj f.
+    value=False skips f and gives None for it: the shell reads partials alone.
 
     z_j^(e-1) is raised directly, never formed as z_j^e / z_j, so the partials
     stay exact at zero coordinates.
@@ -272,10 +274,10 @@ def value_and_gradient_batch(
             f"points of shape {z.shape} do not fit {arrays.C.shape[0]} polynomials"
             f" in {n} variables"
         )
-    if m == 0:
-        return np.zeros(z.shape[:-1], dtype=complex), np.zeros_like(z), np.zeros_like(z)
-    layout, top, E = arrays.layout, arrays.layout.top, arrays.layout.weights.shape[1]
     batch = z.shape[:-1]
+    if m == 0:
+        return np.zeros(batch, dtype=complex) if value else None, *np.zeros((2, 2, n) + batch)
+    layout, top, E = arrays.layout, arrays.layout.top, arrays.layout.weights.shape[1]
     # table[p, j] = z_j ** p by repeated multiplication, then Im zbar_j ** p for p < bar
     zt = z.transpose((z.ndim - 1,) + tuple(range(z.ndim - 1)))
     pr, pi = np.empty((top + 1, n) + batch), np.empty((top + 1 + layout.bar, n) + batch)
@@ -287,15 +289,18 @@ def value_and_gradient_batch(
     pr, pi = pr.reshape((len(pr) * n,) + batch), pi.reshape((len(pi) * n,) + batch)
     zr, zi = pr[layout.power_rows[0]], pi[layout.power_rows[1]]
     # factor[e] = z_j^N[i, j] zbar_j^M[i, j] for entry e = (i, j), and factor[E] = 1
-    fr, fi = _cmul((zr[0], zi[0]), (zr[1], zi[1]))
+    if value or layout.others:
+        fr, fi = _cmul((zr[0], zi[0]), (zr[1], zi[1]))
     # rest[e] = c_i * the factors of monomial i's other entries, in increasing j
     shape = (E,) + z.shape[:1] + (1,) * (z.ndim - 2)
     rest = tuple(c.T[layout.monomial].reshape(shape) for c in (arrays.C.real, arrays.C.imag))
     for k in layout.others:
         rest = _cmul(rest, (fr[k], fi[k]))
-    vr, vi = _cmul((rest[0][layout.last], rest[1][layout.last]), (fr[layout.last], fi[layout.last]))
-    value = np.empty(z.shape[:-1], dtype=complex)
-    value.real, value.imag = sum_leading(vr), sum_leading(vi)
+    f, last = None, layout.last
+    if value:
+        vr, vi = _cmul((rest[0][last], rest[1][last]), (fr[last], fi[last]))
+        f = np.empty(batch, dtype=complex)
+        f.real, f.imag = sum_leading(vr), sum_leading(vi)
     # d_z: rest * z^(N-1) * zbar^M * N;  d_zbar: rest * zbar^(M-1) * z^N * M
     lowered = layout.lowered_rows
     dr, di = _cmul(_cmul(rest, (pr[lowered[0]], pi[lowered[1]])), (zr[::-1, :E], zi[::-1, :E]))
@@ -308,10 +313,7 @@ def value_and_gradient_batch(
     for variables, entries in layout.ranks:
         sr[:, variables] += dr[:, entries]
         si[:, variables] += di[:, entries]
-    d = np.empty((2, n) + z.shape[:-1], dtype=complex)
-    d.real, d.imag = sr, si
-    back = tuple(range(1, z.ndim)) + (0,)
-    return value, d[0].transpose(back), d[1].transpose(back)
+    return f, sr, si
 
 
 def evaluate(poly: MixedPolynomial, point: Sequence[complex]) -> complex:

@@ -84,8 +84,8 @@ def _jet(ends: PolynomialArrays, t: float, x: np.ndarray):
     z = x.view(complex)
     both = np.empty((2,) + z.shape, dtype=complex)
     both[...] = z
-    value, d_z, d_zbar = value_and_gradient_batch(_blend(ends, t), both)
-    return value[0], real_jacobian(d_z[0], d_zbar[0]), value[1]
+    value, re, im = value_and_gradient_batch(_blend(ends, t), both)
+    return value[0], real_jacobian(re[:, :, 0], im[:, :, 0]), value[1]
 
 
 def _velocity(

@@ -160,15 +160,17 @@ def complexify(x: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(a, b) for a, b in zip(x[0::2], x[1::2]))
 
 
-def real_jacobian(d_z: np.ndarray, d_zbar: np.ndarray) -> np.ndarray:
-    """K x 2 x 2n real Jacobians from K x n Wirtinger partials: row 0 is the
-    gradient of Re f, row 1 that of Im f, in (x_1, y_1, ..., x_n, y_n)."""
-    plus, minus = d_z + d_zbar, d_z - d_zbar
-    J = np.empty((len(d_z), 2, 2 * d_z.shape[1]))
-    J[:, 0, 0::2] = plus.real
-    J[:, 0, 1::2] = -minus.imag
-    J[:, 1, 0::2] = plus.imag
-    J[:, 1, 1::2] = minus.real
+def real_jacobian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """K x 2 x 2n real Jacobians from the 2 x n x K partial planes: row 0 is
+    the gradient of Re f, row 1 that of Im f, in (x_1, y_1, ..., x_n, y_n)."""
+    (n, K), a, b, c, d = re.shape[1:], re[0], re[1], im[0], im[1]
+    J = np.empty((K, 2, 2 * n))
+    x, y = J.T[0::2], J.T[1::2]  # n x 2 x K: the x and the y columns of both rows
+    np.add(a, b, x[:, 0])
+    dy = np.subtract(c, d, y[:, 0])
+    np.negative(dy, dy)  # -(c - d), not d - c, which differs in the sign of a zero
+    np.add(c, d, x[:, 1])
+    np.subtract(a, b, y[:, 1])
     return J
 
 
@@ -221,14 +223,12 @@ def level_tolerance(arrays: PolynomialArrays, norm):
 def require_on_level(
     arrays, z: np.ndarray, level=0.0, t=0.0, slack=1.0, error=PreconditionError, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Wirtinger partials of f (the rows of `arrays`, row k at point k)
-    at the rows of z (K x n complex), from one kernel pass that also
+    """The partial planes (re, im) of f (the rows of `arrays`, row k at point
+    k) at the rows of z (K x n complex), from one kernel pass that also
     checks ||f| - level| <= slack * level_tolerance at every row; the first
     row off the level set raises `error` (default PreconditionError) naming
     its index (or index[row]) and its t (a float or one per row)."""
-    if not len(z):
-        return z, z
-    value, d_z, d_zbar = value_and_gradient_batch(arrays, z)
+    value, re, im = value_and_gradient_batch(arrays, z)
     tol = slack * level_tolerance(arrays, row_norm(z.view(float)))
     off = np.abs(np.abs(value) - level) > tol
     if off.any():
@@ -238,7 +238,7 @@ def require_on_level(
             f" at t={float(np.broadcast_to(t, off.shape)[i])!r}:"
             f" |f| = {abs(value[i]):.3e} (tolerance {tol[i]:.3e})"
         )
-    return d_z, d_zbar
+    return re, im
 
 
 def newton_on_sphere_batch(
@@ -273,7 +273,7 @@ def newton_on_sphere_batch(
     for it in range(max_iter + 1):
         if not todo.size:
             break
-        value, d_z, d_zbar = value_and_gradient_batch(arrays.rows(todo), xs.view(complex))
+        value, re, im = value_and_gradient_batch(arrays.rows(todo), xs.view(complex))
         res = value - target[todo]
         hit = np.abs(res) <= goal[todo]
         out[todo[hit]], found[todo[hit]] = xs[hit], True
@@ -281,7 +281,7 @@ def newton_on_sphere_batch(
             break
         live = ~hit
         todo, xs, res = todo[live], xs[live], res[live]
-        step = tangent_step(real_jacobian(d_z[live], d_zbar[live]), xs, res)[0]
+        step = tangent_step(real_jacobian(re, im)[live], xs, res)[0]
         xs = xs + step
         nrm = row_norm(xs)
         good = np.isfinite(step).all(axis=1) & (nrm != 0)

@@ -42,22 +42,22 @@ class ShellSearchReport:
     note: str = "numerical evidence, not proof"
 
 
-def _residual_terms(d_z: np.ndarray, d_zbar: np.ndarray) -> tuple:
-    """(uu + vv - 2 |<u, v>| floored at zero, uu, re, im) from the Wirtinger
-    partials (... x n), where re + i im = sum_j d_z f * d_zbar f; sums run in
-    a fixed order (see core).  An overflowed residual (inf - inf) stays NaN:
-    it must not read as a singular point."""
-    uu = vv = re = im = 0.0
-    for j in range(d_z.shape[-1]):
-        a, b = d_z[..., j], d_zbar[..., j]
-        uu = uu + (a.real * a.real + a.imag * a.imag)
-        vv = vv + (b.real * b.real + b.imag * b.imag)
-        re = re + (a.real * b.real - a.imag * b.imag)
-        im = im + (a.real * b.imag + a.imag * b.real)
-    # scaled modulus: re * re would underflow where |<u, v>| itself does not
-    big = np.maximum(np.abs(re), np.abs(im))
-    ratio = np.minimum(np.abs(re), np.abs(im)) / np.where(big > 0, big, 1.0)
-    return np.maximum(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0), uu, re, im
+def _residual_terms(re: np.ndarray, im: np.ndarray) -> tuple:
+    """(uu + vv - 2 |<u, v>| floored at zero, uu, p, q) from the kernel's
+    partial planes (2 x n x ...), where p + i q = sum_j d_z f * d_zbar f;
+    sums run in a fixed order (see core).  An overflowed residual (inf - inf)
+    stays NaN: it must not read as a singular point."""
+    uu = vv = p = q = 0.0
+    for j in range(re.shape[1]):
+        ar, ai, br, bi = re[0, j], im[0, j], re[1, j], im[1, j]
+        uu = uu + (ar * ar + ai * ai)
+        vv = vv + (br * br + bi * bi)
+        p = p + (ar * br - ai * bi)
+        q = q + (ar * bi + ai * br)
+    # scaled modulus: p * p would underflow where |<u, v>| itself does not
+    big = np.maximum(np.abs(p), np.abs(q))
+    ratio = np.minimum(np.abs(p), np.abs(q)) / np.where(big > 0, big, 1.0)
+    return np.maximum(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0), uu, p, q
 
 
 def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
@@ -65,8 +65,7 @@ def shell_residual_sq(arrays: PolynomialArrays, x: np.ndarray) -> np.ndarray:
     K x ... x 2n array of real points (x_1, y_1, ..., x_n, y_n), where the
     points x[k] belong to polynomial k of `arrays`."""
     z = np.ascontiguousarray(x, dtype=float).view(complex)
-    _, d_z, d_zbar = value_and_gradient_batch(arrays, z)
-    return _residual_terms(d_z, d_zbar)[0]
+    return _residual_terms(*value_and_gradient_batch(arrays, z, value=False)[1:])[0]
 
 
 def _project_tangent(g: np.ndarray, x: np.ndarray) -> np.ndarray:

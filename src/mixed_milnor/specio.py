@@ -1,6 +1,6 @@
 """Polynomial / family spec ingestion (JSON).
 
-Two accepted shapes:
+Two accepted shapes, with no other keys:
   {"n": 2, "monomials": [{"c": [re, im], "nu": [3, 0], "mu": [1, 0]}, ...]}
   {"family": "brieskorn" | "type_i" | "type_ii", "a": [...], "b": [...]}
 """
@@ -23,34 +23,46 @@ def _integers(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _clip(text: str) -> str:
+    """At most 60 characters of an echoed input: a huge integer has thousands."""
+    return text[:60] + "..." * (len(text) > 60)
+
+
 def _coefficient(value) -> complex:
     parts = value if isinstance(value, list) else [value, 0]
     finite = [type(v) in (int, float) and abs(v) <= sys.float_info.max for v in parts]
     if len(parts) != 2 or not all(finite):  # NaN, infinities and ints past the float range
-        got = repr(value)  # at most 60 characters of it: a huge integer has thousands
-        raise InputError(f"coefficient must be a finite number or [re, im], got {got[:60]}"
-                         f"{'...' * (len(got) > 60)}")
+        got = _clip(repr(value))
+        raise InputError(f"coefficient must be a finite number or [re, im], got {got}")
     return complex(parts[0], parts[1])
+
+
+def _known(data, keys: set, what: str) -> None:
+    # a misspelt key must not read as an absent one
+    if isinstance(data, dict) and (extra := sorted(set(data) - keys)):
+        raise InputError(f"{what} has unknown keys: {_clip(', '.join(map(repr, extra)))}")
+
+
+def _monomial(entry) -> MixedMonomial:
+    _known(entry, {"c", "nu", "mu"}, "monomial")
+    return MixedMonomial(
+        _coefficient(entry["c"]), _integers(entry["nu"], "nu"), _integers(entry["mu"], "mu")
+    )
 
 
 def parse_spec(data: dict) -> tuple[MixedPolynomial, Optional[DeformationFamily]]:
     if not isinstance(data, dict):
         raise InputError("spec must be a JSON object")
     if "family" in data:
+        _known(data, {"family", "a", "b"}, "family spec")
         a = _integers(data.get("a"), "a")
         b = _integers(data["b"], "b") if "b" in data else (0,) * len(a)
         fam = build_family(FamilySpec(data["family"], a, b))
         return fam.endpoint_mixed, fam
+    _known(data, {"n", "monomials"}, "polynomial spec")
     try:
         n = data["n"]
-        monomials = tuple(
-            MixedMonomial(
-                _coefficient(entry["c"]),
-                _integers(entry["nu"], "nu"),
-                _integers(entry["mu"], "mu"),
-            )
-            for entry in data["monomials"]
-        )
+        monomials = tuple(map(_monomial, data["monomials"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polynomial spec: {exc}") from exc
     if type(n) is not int:

@@ -46,7 +46,7 @@ def _margins(rows: PolynomialArrays, z: np.ndarray, t, index=None) -> np.ndarray
 
     Every point must lie on the variety f = 0 and away from the origin.
     """
-    d_z, d_zbar = require_on_level(rows, z, t=t, index=index)
+    re, im = require_on_level(rows, z, t=t, index=index)
     x = z.view(float)
     nrm = row_norm(x)
     if (nrm == 0).any():
@@ -55,7 +55,7 @@ def _margins(rows: PolynomialArrays, z: np.ndarray, t, index=None) -> np.ndarray
         )
     rows = np.empty((len(x), 3, x.shape[1]))
     rows[:, 0] = x
-    rows[:, 1:] = real_jacobian(d_z, d_zbar)
+    rows[:, 1:] = real_jacobian(re, im)
     norms = row_norm(rows)
     full = (norms > 0).all(axis=1)
     margins = np.zeros(len(x))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+import oracle
 from mixed_milnor import FamilySpec, build_family
 from mixed_milnor.core import (
     MixedMonomial, MixedPolynomial, polynomial_arrays, value_and_gradient_batch
@@ -18,8 +19,18 @@ def poly(n, terms):
 def partials(f, point):
     """(f, d_z f, d_zbar f) at one point: a K = 1 pass of the batched kernel."""
     z = np.array([point], dtype=complex)
-    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays([f]), z)
+    result = value_and_gradient_batch(polynomial_arrays([f]), z)
+    value, d_z, d_zbar = oracle.complex_partials(result)
     return complex(value[0]), d_z[0], d_zbar[0]
+
+
+def same_bits(a, b):
+    """The same shape, NaN where the other is NaN, and the same bits elsewhere
+    (so the same sign of every zero)."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
+        a[~nan].tobytes() == b[~nan].tobytes()
+    )
 
 
 def brieskorn(a, b=None):

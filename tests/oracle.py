@@ -1,6 +1,7 @@
 """Reference implementations, independent of the engines in `mixed_milnor`:
 evaluation and Wirtinger partials by plain loops over the monomials, the
-batched kernel over the dense grid of monomials and variables, the monotone
+batched kernel over the dense grid of monomials and variables, the real
+Jacobian and the shell residual terms from complex partials, the monotone
 root by a scalar bracket loop, the singularity residual from those partials,
 the connection velocity by a batched SVD of the constraint rows, and the
 polar action by Python's complex power and product, one coordinate at a
@@ -170,6 +171,46 @@ def dense_value_and_gradient_batch(
     d.real, d.imag = sum_leading(dr.swapaxes(0, 1)), sum_leading(di.swapaxes(0, 1))
     back = tuple(range(1, z.ndim)) + (0,)
     return value, d[0].transpose(back), d[1].transpose(back)
+
+
+def complex_partials(result: tuple) -> tuple:
+    """(f, d_z f, d_zbar f) from a kernel result (f, re, im): the partial
+    planes (2 x n x K x ...) rebuilt as complex(re, im), as K x ... x n arrays."""
+    value, re, im = result
+    d = np.empty(re.shape, dtype=complex)
+    d.real, d.imag = re, im
+    back = tuple(range(1, re.ndim - 1)) + (0,)
+    return value, d[0].transpose(back), d[1].transpose(back)
+
+
+def real_jacobian(d_z: np.ndarray, d_zbar: np.ndarray) -> np.ndarray:
+    """K x 2 x 2n real Jacobians from K x n Wirtinger partials: row 0 is the
+    gradient of Re f, row 1 that of Im f, in (x_1, y_1, ..., x_n, y_n)."""
+    plus, minus = d_z + d_zbar, d_z - d_zbar
+    J = np.empty((len(d_z), 2, 2 * d_z.shape[1]))
+    J[:, 0, 0::2] = plus.real
+    J[:, 0, 1::2] = -minus.imag
+    J[:, 1, 0::2] = plus.imag
+    J[:, 1, 1::2] = minus.real
+    return J
+
+
+def residual_terms(d_z: np.ndarray, d_zbar: np.ndarray) -> tuple:
+    """(uu + vv - 2 |<u, v>| floored at zero, uu, re, im) from the Wirtinger
+    partials (... x n), where re + i im = sum_j d_z f * d_zbar f; sums run in
+    a fixed order (see core).  An overflowed residual (inf - inf) stays NaN:
+    it must not read as a singular point."""
+    uu = vv = re = im = 0.0
+    for j in range(d_z.shape[-1]):
+        a, b = d_z[..., j], d_zbar[..., j]
+        uu = uu + (a.real * a.real + a.imag * a.imag)
+        vv = vv + (b.real * b.real + b.imag * b.imag)
+        re = re + (a.real * b.real - a.imag * b.imag)
+        im = im + (a.real * b.imag + a.imag * b.real)
+    # scaled modulus: re * re would underflow where |<u, v>| itself does not
+    big = np.maximum(np.abs(re), np.abs(im))
+    ratio = np.minimum(np.abs(re), np.abs(im)) / np.where(big > 0, big, 1.0)
+    return np.maximum(uu + vv - 2.0 * big * np.sqrt(1.0 + ratio * ratio), 0.0), uu, re, im
 
 
 def monotone_root(

@@ -227,6 +227,11 @@ def test_certify_smooth_bad_input_exits_2(family_spec, capsys, options):
         {"family": "brieskorn"},
         {"n": 1, "monomials": [{"c": 10**400, "nu": [1], "mu": [0]}]},  # past the float range
         {"n": 1, "monomials": [{"c": [0, -(10**400)], "nu": [1], "mu": [0]}]},
+        # unknown keys: a misspelt b, extra keys, and a family spec with monomials
+        {"family": "brieskorn", "a": [2, 3], "B": [1, 1]},
+        {"n": 1, "monomials": [{"c": [4, 0], "nu": [3], "mu": [1]}], "note": "x"},
+        {"n": 1, "monomials": [{"c": [4, 0], "nu": [3], "mu": [1], "m": [0]}]},
+        {"family": "brieskorn", "a": [2, 3], "n": 2, "monomials": []},
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, spec):
@@ -234,6 +239,16 @@ def test_malformed_spec_exits_2(tmp_path, capsys, spec):
     captured = capsys.readouterr()
     assert "input error" in captured.err
     assert captured.out == ""
+
+
+def test_unknown_spec_keys_are_named(tmp_path, capsys):
+    """The message names the unknown keys, at most 60 characters of them."""
+    long_keys = {"k" * 50 + str(i): 0 for i in range(3)}
+    spec = {"family": "brieskorn", "a": [2, 3], "B": [1, 1], **long_keys}
+    assert run(["analyze", _write(tmp_path / "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: family spec has unknown keys: 'B', 'kkk")
+    assert err.endswith("...\n") and len(err) < 140
 
 
 @pytest.mark.parametrize("coefficient", [10**4000, [0, -(10**4000)]], ids=["real", "pair"])

@@ -385,7 +385,8 @@ def test_fused_kernel_matches_scalar(polys, count, data):
     size = len(polys) * count * 2 * n
     x = np.array(data.draw(st.lists(_coordinate, min_size=size, max_size=size)))
     z = x.reshape(len(polys), count, 2 * n).view(complex)
-    value, d_z, d_zbar = value_and_gradient_batch(polynomial_arrays(polys), z)
+    result = value_and_gradient_batch(polynomial_arrays(polys), z)
+    value, d_z, d_zbar = oracle.complex_partials(result)
     assert value.shape == z.shape[:-1] and d_z.shape == d_zbar.shape == z.shape
     for k, p in enumerate(polys):
         for i in range(count):
@@ -428,7 +429,7 @@ def test_support_kernel_equals_the_dense_kernel(arrays, data):
     the same order, without the absent variables' factors 1 and zero terms
     (`==` makes the sign of a zero the one difference allowed)."""
     z = _points(data, len(arrays.C), arrays.n)
-    got = value_and_gradient_batch(arrays, z)
+    got = oracle.complex_partials(value_and_gradient_batch(arrays, z))
     want = oracle.dense_value_and_gradient_batch(arrays, z)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -441,13 +442,46 @@ def test_support_kernel_equals_the_dense_kernel(arrays, data):
 def test_each_kernel_row_computes_its_own_bits(arrays, data):
     """Row k of a batch gets the bits it gets alone and in any order of rows."""
     z = _points(data, len(arrays.C), arrays.n)
-    batch = value_and_gradient_batch(arrays, z)
+    batch = oracle.complex_partials(value_and_gradient_batch(arrays, z))
     order = data.draw(st.permutations(range(len(z))))
-    shuffled = value_and_gradient_batch(arrays.rows(order), z[order])
+    shuffled = oracle.complex_partials(value_and_gradient_batch(arrays.rows(order), z[order]))
     for k in range(len(z)):
-        alone = value_and_gradient_batch(arrays.rows([k]), z[k : k + 1])
+        alone = oracle.complex_partials(value_and_gradient_batch(arrays.rows([k]), z[k : k + 1]))
         for a, b, c in zip(batch, alone, shuffled):
             assert a[k].tobytes() == b[0].tobytes() == c[order.index(k)].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_arrays(), st.data())
+def test_kernel_planes_equal_the_dense_partials_componentwise(arrays, data):
+    """Plane [0] holds Re and Im of d_z f, plane [1] those of d_zbar f, as
+    2 x n x K x ... arrays; each component equals the dense grid's wherever
+    that component is finite."""
+    z = _points(data, len(arrays.C), arrays.n)
+    _, re, im = value_and_gradient_batch(arrays, z)
+    _, d_z, d_zbar = oracle.dense_value_and_gradient_batch(arrays, z)
+    want = np.moveaxis(np.stack([d_z, d_zbar]), -1, 1)
+    assert re.shape == im.shape == want.shape == (2, arrays.n) + z.shape[:-1]
+    for got, part in ((re, want.real), (im, want.imag)):
+        finite = np.isfinite(part)
+        assert np.array_equal(got[finite], part[finite])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_arrays(), st.data())
+def test_kernel_without_the_value_gives_the_same_planes(arrays, data):
+    """value=False returns None for f and the planes of the full call, bit for bit."""
+    z = _points(data, len(arrays.C), arrays.n)
+    full = value_and_gradient_batch(arrays, z)
+    none, re, im = value_and_gradient_batch(arrays, z, value=False)
+    assert none is None
+    assert (re.tobytes(), im.tobytes()) == (full[1].tobytes(), full[2].tobytes())
+    empty = polynomial_arrays([MixedPolynomial(arrays.n, ())])
+    for value in (True, False):
+        f, re, im = value_and_gradient_batch(empty, z[:1], value=value)
+        assert (f is None) is not value
+        assert re.shape == im.shape == (2, arrays.n) + z[:1].shape[:-1]
+        assert not re.any() and not im.any()
 
 
 def _assert_one_point_matches_oracle(p, point):

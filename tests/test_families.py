@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import brieskorn
 from mixed_milnor import (
     FamilySpec,
@@ -81,13 +82,15 @@ def test_members_rows_depend_on_their_own_t(kind, n, a, b, grid, seed):
     fam = build_family(FamilySpec(kind, a[:n], b[:n]))
     rows = fam.members(grid)
     z = rng_for(seed, "members").standard_normal((len(grid), 4, 2 * n)).view(complex)
-    value, d_z, d_zbar = value_and_gradient_batch(rows, z)
+    value, d_z, d_zbar = oracle.complex_partials(value_and_gradient_batch(rows, z))
     for k, t in enumerate(grid):
         one = fam.members([t])
         assert rows.C[k].tobytes() == one.C[0].tobytes()
         assert _blend(fam.endpoint_arrays, t).C[0].tobytes() == one.C[0].tobytes()
         if t < 1.0 or n == 2:
-            alone = value_and_gradient_batch(polynomial_arrays([fam.member(t)]), z[k : k + 1])
+            alone = oracle.complex_partials(
+                value_and_gradient_batch(polynomial_arrays([fam.member(t)]), z[k : k + 1])
+            )
             assert value[k].tobytes() == alone[0][0].tobytes()
             for got, want in zip((d_z[k], d_zbar[k]), alone[1:]):
                 assert (got + 0.0).tobytes() == (want[0] + 0.0).tobytes()

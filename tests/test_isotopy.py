@@ -83,7 +83,8 @@ def test_velocity_satisfies_constraints_exactly():
     assert abs(np.dot(x, v)) <= 1e-12
     # the constraint rows from the oracle's partials of f_t and its closed-form d f_t / dt
     grad = oracle.wirtinger_gradient(fam.member(t), z)
-    J = real_jacobian(np.array([grad.d_z]), np.array([grad.d_zbar]))[0]
+    d = np.array([grad.d_z, grad.d_zbar])[..., None]
+    J = real_jacobian(d.real, d.imag)[0]
     dft = oracle.evaluate(fam.endpoint_holomorphic, z) - oracle.evaluate(fam.endpoint_mixed, z)
     res = J @ v + np.array([dft.real, dft.imag])
     assert np.linalg.norm(res) <= 1e-10

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import oracle
 from mixed_milnor.errors import InputError, NumericalError
-from conftest import brieskorn
+from conftest import brieskorn, same_bits
 from mixed_milnor.numerics import (
     gram,
     monotone_roots,
     newton_on_sphere_batch,
     random_sphere_point,
+    real_jacobian,
     rng_for,
     rng_streams,
     row_dot,
@@ -189,3 +190,17 @@ def test_newton_batch_needs_one_row_per_start():
     starts = [(0.6, 0.8)] * 3
     with pytest.raises(InputError, match="3 starts do not fit 1 polynomial rows"):
         newton_on_sphere_batch(fam.members([0.5]), 0j, starts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_real_jacobian_on_planes_equals_the_complex_reference(n, k, data):
+    """The Jacobian written from the kernel's planes has the bits of the complex
+    reference at any partials: signed zeros, subnormals, infinities and NaN."""
+    size = 2 * 2 * n * k
+    partial = st.floats() | st.sampled_from([0.0, -0.0])
+    x = data.draw(st.lists(partial, min_size=size, max_size=size))
+    re, im = np.array(x).reshape(2, 2, n, k)
+    _, d_z, d_zbar = oracle.complex_partials((None, re, im))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(real_jacobian(re, im), oracle.real_jacobian(d_z, d_zbar))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, partials, poly, random_mixed
+from conftest import brieskorn, poly, random_mixed, same_bits
 from mixed_milnor import FamilySpec, build_family, certify_smooth_shell
 from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
 from mixed_milnor import singularity
@@ -31,8 +31,8 @@ from mixed_milnor.singularity import (
 def _residual(f, z):
     """The residual and |f| at one point: one kernel pass, then the shell
     search's squared residual from its partials."""
-    value, d_z, d_zbar = partials(f, z)
-    return math.sqrt(_residual_terms(d_z, d_zbar)[0]), abs(value)
+    value, re, im = value_and_gradient_batch(polynomial_arrays([f]), np.array([z], dtype=complex))
+    return math.sqrt(_residual_terms(re, im)[0][0]), abs(value[0])
 
 
 def _linear_with_gradients(u, v):
@@ -207,7 +207,7 @@ def test_batched_kernel_matches_scalar(fam, data):
         )
     ).reshape(len(ts), 1, 2 * fam.n)
     arrays = polynomial_arrays([fam.member(t) for t in ts])
-    _, d_z, d_zbar = value_and_gradient_batch(arrays, x.view(complex))
+    _, d_z, d_zbar = oracle.complex_partials(value_and_gradient_batch(arrays, x.view(complex)))
     res_sq = shell_residual_sq(arrays, x)
     # below the normal range a double has no relative precision left
     floor = np.finfo(float).tiny
@@ -557,6 +557,22 @@ def test_overflowed_residual_is_not_a_singular_point():
     with np.errstate(over="ignore", invalid="ignore"):
         residual = shell_residual_sq(arrays, np.array([[1e60, 0.0, 1e60, 0.0]]))
     assert np.isnan(residual).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+def test_residual_terms_on_planes_equal_the_complex_reference(n, batch, data):
+    """The residual terms read from the kernel's planes have the bits of the
+    complex reference, NaN for NaN, at partials with signed zeros, extra batch
+    axes, infinities and NaN."""
+    size = 2 * 2 * n * int(np.prod(batch))
+    partial = st.floats() | st.sampled_from([0.0, -0.0])
+    x = data.draw(st.lists(partial, min_size=size, max_size=size))
+    re, im = np.array(x).reshape([2, 2, n] + batch)
+    _, d_z, d_zbar = oracle.complex_partials((None, re, im))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = _residual_terms(re, im), oracle.residual_terms(d_z, d_zbar)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 def test_threshold_sets_the_verdict():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import brieskorn, count_calls, partials, poly
+from conftest import brieskorn, count_calls, poly
 from mixed_milnor import (
     FamilySpec,
     build_family,
@@ -23,7 +23,7 @@ from mixed_milnor import (
 from mixed_milnor.errors import InputError, PreconditionError
 from mixed_milnor.families import DeformationFamily
 from mixed_milnor import core, numerics
-from mixed_milnor.core import polynomial_arrays
+from mixed_milnor.core import polynomial_arrays, value_and_gradient_batch
 from mixed_milnor.transversality import (
     ATTEMPTS_PER_SAMPLE,
     DEFAULT_MARGIN_THRESHOLD,
@@ -49,8 +49,8 @@ def _real(z):
 
 def _real_jacobian(f, z):
     """The rows (grad Re f, grad Im f) at one point, from one kernel pass."""
-    _, d_z, d_zbar = partials(f, z)
-    return real_jacobian(d_z[None], d_zbar[None])[0]
+    _, re, im = value_and_gradient_batch(polynomial_arrays([f]), np.array([z], dtype=complex))
+    return real_jacobian(re, im)[0]
 
 
 def _sample(f, count, seed, label):
