@@ -250,7 +250,7 @@ def _require_writable(path: str) -> None:
 
 
 def _trace_link(args, poly, fam):
-    sample = sample_link(fam, args.t, args.radius, args.seeds, args.seed)
+    sample = sample_link(fam, args.t, args.radius)
     # one [re z1, im z1, re z2, im z2] row per traced point
     orbits = sample.orbits.view(float).tolist()
     if args.svg and not sample.flagged:
@@ -263,7 +263,7 @@ def _trace_link(args, poly, fam):
         _save(args.csv, lambda path: Path(path).write_text(csv, encoding="utf-8"))
     result = {
         **_fields(args, "t", "radius"),
-        **_fields(sample, "polar_weights", "seeds_used", "flagged", "component_count"),
+        **_fields(sample, "polar_weights", "flagged", "component_count"),
         "orbit_count": len(orbits),
         "orbits": orbits,
     }
@@ -353,11 +353,10 @@ SUBCOMMANDS = (
             FAMILY,
             _arg("--t", type=UNIT, default=0.0),
             RADIUS,
-            _arg("--seeds", type=COUNT, default=64),
             _arg("--svg", default=None),
             _arg("--csv", default=None),
         ),
-        ("family", "t", "radius", "seeds"),
+        ("family", "t", "radius"),
     ),
 )
 

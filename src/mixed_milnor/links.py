@@ -1,33 +1,27 @@
-"""Link sampling and exploration for n = 2 family members.
+"""Link tracing for n = 2 family members.
 
 K_t = V_t intersected with the sphere is a union of orbits of the polar
-circle action; orbit representatives are found on the fundamental torus
-(the two-term structure makes the modulus profile monotone) or, for chained
-kinds, by Newton-polished random sampling.  Each orbit traced at fixed
-angular resolution is one closed curve of the link.  The polar action runs
-as one array pass per orbit (`core.polar_orbit`), so the traced orbits are
-the rows of one array, and deduplication and projection work on arrays.
+circle action.  Every member is T_0 + T_1, where T_k = e^{i d_k.theta} A_k(rho)
+gathers the monomials of phase exponent d_k = nu - mu and A_k > 0, so the
+link is closed-form: the coordinate circles z_j = 0 with z_j dividing every
+live monomial, plus the torus |T_0| = |T_1|, d.theta = pi (mod 2 pi), d =
+d_0 - d_1, whose gcd(d) components are one polar orbit each.  The moduli are
+one monotone root, the phases exact, and nothing is sampled or merged.  Each
+orbit traced at fixed angular resolution is one closed curve of the link, and
+the traced orbits are the rows of one array (`core.polar_orbit`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import PolynomialArrays, detect_weights, polar_orbit, value_and_gradient_batch
+from .core import PolynomialArrays, detect_weights, polar_orbit
 from .errors import NumericalError, PreconditionError
 from .families import DeformationFamily
-from .numerics import (
-    level_tolerance,
-    monotone_roots,
-    newton_on_sphere_batch,
-    random_sphere_point,
-    rng_streams,
-)
+from .numerics import monotone_roots
 
 # points traced per orbit
 RESOLUTION = 720
@@ -40,95 +34,70 @@ class LinkSample:
     polar_weights: tuple[int, ...]
     orbits: np.ndarray  # orbits x RESOLUTION x 2 complex, one traced orbit per row
     component_count: int
-    seeds_used: int
-    flagged: bool  # set when no point of the link could be found
+    flagged: bool  # set when the link has no point
 
     @property
     def points(self) -> np.ndarray:
         return self.orbits.reshape(-1, 2)
 
 
-def _same_orbit(z, w, P: Sequence[int], merge_tol: float) -> bool:
-    """Exact polar-orbit membership: the moduli agree, and one of the p_j0 phases
-    phi with theta_w = theta_z + p_j0 phi (j0 z's first live coordinate) moves z onto w."""
-    if (np.abs(np.abs(z) - np.abs(w)) > merge_tol).any():
-        return False
-    live = np.flatnonzero(np.abs(z) > merge_tol)
-    if not live.size:
-        return True
-    j0, p0 = live[0], int(P[live[0]])
-    base = cmath.phase(w[j0]) - cmath.phase(z[j0])
-    phi = (base + 2.0 * math.pi * np.arange(p0)) / p0
-    return bool((np.abs(polar_orbit(P, np.exp(1j * phi), z) - w) <= merge_tol).all(axis=1).any())
+def _representatives(member: PolynomialArrays) -> np.ndarray:
+    """One point per component of the link on the unit sphere of the one-row
+    unit-scale `member`: the coordinate circles first, then the torus orbits.
+
+    On rho = (1, e^u) / sqrt(1 + e^{2u}) the profile log A_0 - log A_1 is
+    monotone in u; it is solved in |u| on the side its sign at u = 0 picks, so
+    a small modulus keeps its relative precision.  With d_j != 0, the phase
+    theta_j = (pi + 2 pi k) / |d_j| (the other one 0) has d.theta = +-(pi + 2 pi k),
+    and k mod gcd(d) labels the component, so k < gcd(d) meets each once."""
+    live = member.C[0] != 0
+    N, M, log_c = member.N[live], member.M[live], np.log(member.C[0, live].real)
+    common = (N + M).min(axis=0)  # the power of each |z_j| that every term carries
+    # the circle z_j = 0 (point e_{1-j}) lies in the link when z_j divides every monomial
+    circles = np.eye(2, dtype=complex)[common[::-1] > 0]
+    E = N + M - common  # so the profile's limits stay finite
+    phases, group = np.unique(N - M, axis=0, return_inverse=True)
+    if len(phases) == 1:
+        return circles
+    group = group.reshape(-1)
+
+    def profile(u: np.ndarray) -> np.ndarray:
+        half = 0.5 * np.logaddexp(0.0, 2.0 * u)
+        terms = log_c + np.stack([-half, u - half], axis=-1) @ E.T
+        return np.subtract(*(np.logaddexp.reduce(terms[:, group == k], axis=1) for k in (0, 1)))
+
+    # log rho is exactly (-|u|, 0) or (0, -|u|) at |u| = 1e300: the profile's limits
+    h0, *limits = profile(np.array([0.0, -1e300, 1e300]))
+    sign = float(np.sign(h0))
+    sides = [side for side, end in zip((-1.0, 1.0), limits) if sign * end < 0]
+    u = 0.0
+    if sign:
+        if not sides:  # the moduli equation has no root
+            return circles
+        side = sides[0]
+        u = side * float(monotone_roots(lambda s, k: -sign * profile(side * s), [0.0])[0])
+    half = 0.5 * float(np.logaddexp(0.0, 2.0 * u))
+    rho = np.exp([-half, u - half])
+    d = phases[0] - phases[1]
+    j = int(np.flatnonzero(d)[0])
+    theta = np.zeros((math.gcd(*d.tolist()), 2))
+    theta[:, j] = (math.pi + 2.0 * math.pi * np.arange(len(theta))) / abs(d[j])
+    return np.concatenate([circles, rho * np.exp(1j * theta)])
 
 
-def _brieskorn_representatives(fam: DeformationFamily, member: PolynomialArrays) -> np.ndarray:
-    """One representative per phase class on the fundamental torus of the
-    unit sphere for the one-row unit-scale `member`, whose u_j terms sum to
-    u_j^a_j amp_j(|u_j|): the modulus equation has a unique root by
-    monotonicity, the phase condition enumerates a_1 candidates at arg u_2 = 0."""
-    a1, a2 = fam.spec.a
-    terms = [np.flatnonzero(member.N[:, j]) for j in range(2)]
-
-    def amp(rho: np.ndarray, j: int) -> np.ndarray:
-        return sum(member.C[0, i].real * rho ** int(2 * member.M[i, j]) for i in terms[j])
-
-    def profile(rho1: np.ndarray, k) -> np.ndarray:
-        rho2 = np.sqrt(np.maximum(1.0 - rho1**2, 0.0))
-        return rho1**a1 * amp(rho1, 0) - rho2**a2 * amp(rho2, 1)
-
-    rho1 = float(monotone_roots(profile, [0.0], lo=1e-12, hi=1.0 - 1e-12)[0])
-    theta1 = (math.pi + 2.0 * math.pi * np.arange(a1)) / a1
-    rho2 = math.sqrt(max(1.0 - rho1**2, 0.0))
-    return np.stack([rho1 * np.exp(1j * theta1), np.full(a1, rho2 + 0j)], axis=-1)
-
-
-def _coordinate_circle_orbits(member: PolynomialArrays) -> np.ndarray:
-    """Whole coordinate circles of the unit sphere contained in the link
-    (chained kinds) of the one-row unit-scale `member`: each circle's point
-    at three phases, all six in one kernel pass."""
-    cands = np.array([(1.0, 0.0), (0.0, 1.0)], dtype=complex)
-    phases = np.exp(1j * np.array([0.0, 0.7, 2.1]))
-    z = (cands[:, None, :] * phases[:, None]).reshape(1, 6, 2)
-    value = value_and_gradient_batch(member, z)[0].reshape(2, 3)
-    on = (np.abs(value) <= level_tolerance(member, 1.0)).all(axis=1)
-    return cands[on]
-
-
-def sample_link(
-    fam: DeformationFamily,
-    t: float,
-    radius: float,
-    seeds: int = 64,
-    seed: int = 0,
-) -> LinkSample:
-    """Sample K_t = V_t on the sphere and partition it into polar orbits, found
-    on the unit sphere of f_t's unit-scale form and mapped back by the radius."""
+def sample_link(fam: DeformationFamily, t: float, radius: float) -> LinkSample:
+    """K_t = V_t on the sphere as its polar orbits, one traced orbit per
+    component: found on the unit sphere of f_t's unit-scale form and mapped
+    back by the radius."""
     if fam.n != 2:
         raise PreconditionError("link sampling is implemented for n = 2 only")
     weights = detect_weights(fam.member(float(t)))
     if not weights.has_polar:
         raise NumericalError("family member is unexpectedly not polar weighted")
     P = weights.polar_weights
-    member = fam.members([t]).on_sphere(radius)[0]
-    if fam.spec.kind == "brieskorn":
-        candidates = _brieskorn_representatives(fam, member)
-        seeds_used = 0
-    else:
-        rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
-        starts = np.array([random_sphere_point(rng, 2, 1.0) for rng in rngs])
-        found, hit = newton_on_sphere_batch(member.rows([0] * seeds), 0j, starts)
-        seeds_used = seeds
-        circles = _coordinate_circle_orbits(member)
-        candidates = np.concatenate([circles, found[hit]])
-    # Newton polish, then dedupe by exact orbit membership.
-    polished, hit = newton_on_sphere_batch(member.rows([0] * len(candidates)), 0j, candidates)
-    reps: list[np.ndarray] = []
-    for rep in polished[hit]:
-        if not any(_same_orbit(other, rep, P, 1e-4) for other in reps):
-            reps.append(rep)
+    reps = _representatives(fam.members([t]).on_sphere(radius)[0])
     lams = np.exp(1j * (2.0 * math.pi * np.arange(RESOLUTION) / RESOLUTION))
-    orbits = polar_orbit(P, lams, np.reshape(reps, (-1, 2)) * radius)
+    orbits = polar_orbit(P, lams, reps * radius)
     orbits.flags.writeable = False  # the sample is frozen, its points view included
     return LinkSample(
         t=float(t),
@@ -136,7 +105,6 @@ def sample_link(
         polar_weights=tuple(P),
         orbits=orbits,
         component_count=len(orbits),
-        seeds_used=seeds_used,
         flagged=not len(orbits),
     )
 

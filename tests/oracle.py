@@ -3,21 +3,38 @@ evaluation and Wirtinger partials by plain loops over the monomials, the
 batched kernel over the dense grid of monomials and variables, the real
 Jacobian and the shell residual terms from complex partials, the monotone
 root by a scalar bracket loop, the singularity residual from those partials,
-the connection velocity by a batched SVD of the constraint rows, and the
+the connection velocity by a batched SVD of the constraint rows, the
 polar action by Python's complex power and product, one coordinate at a
-time.  Tests compare the engines against these."""
+time, and the n = 2 link by Newton from seeded random starts, merged by
+orbit membership.  Tests compare the engines against these."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mixed_milnor.core import MixedPolynomial, PolynomialArrays, _cmul, sum_leading
+from mixed_milnor.core import (
+    MixedPolynomial,
+    PolynomialArrays,
+    _cmul,
+    detect_weights,
+    polar_orbit,
+    sum_leading,
+    value_and_gradient_batch,
+)
 from mixed_milnor.errors import InputError, NumericalError
+from mixed_milnor.families import DeformationFamily
 from mixed_milnor.isotopy import _cutoff
+from mixed_milnor.numerics import (
+    level_tolerance,
+    newton_on_sphere_batch,
+    random_sphere_point,
+    rng_streams,
+)
 
 
 @dataclass(frozen=True)
@@ -334,3 +351,44 @@ def polar_action(
     if len(P) != len(point):
         raise InputError("weight vector and point length mismatch")
     return tuple(complex(z) * lam ** int(p) for z, p in zip(point, P))
+
+
+def _same_orbit(z, w, P: Sequence[int], merge_tol: float) -> bool:
+    """Exact polar-orbit membership: the moduli agree, and one of the p_j0 phases
+    phi with theta_w = theta_z + p_j0 phi (j0 z's first live coordinate) moves z onto w."""
+    if (np.abs(np.abs(z) - np.abs(w)) > merge_tol).any():
+        return False
+    live = np.flatnonzero(np.abs(z) > merge_tol)
+    if not live.size:
+        return True
+    j0, p0 = live[0], int(P[live[0]])
+    base = cmath.phase(w[j0]) - cmath.phase(z[j0])
+    phi = (base + 2.0 * math.pi * np.arange(p0)) / p0
+    return bool((np.abs(polar_orbit(P, np.exp(1j * phi), z) - w) <= merge_tol).all(axis=1).any())
+
+
+def newton_link_representatives(
+    fam: DeformationFamily, t: float, seeds: int = 64, seed: int = 0
+) -> list[np.ndarray]:
+    """One point per polar orbit found on the link of f_t on the unit sphere:
+    the coordinate circles whose points at three phases pass the level test,
+    then Newton from `seeds` seeded random starts, all polished by Newton and
+    merged by `_same_orbit` under an absolute 1e-4 tolerance.  The tolerances
+    are absolute, so the count is trusted at radius 1 only."""
+    member = fam.members([t])
+    P = detect_weights(fam.member(t)).polar_weights
+    circles = np.array([(1.0, 0.0), (0.0, 1.0)], dtype=complex)
+    phases = np.exp(1j * np.array([0.0, 0.7, 2.1]))
+    on_circle = (circles[:, None, :] * phases[:, None]).reshape(6, 2)
+    value = value_and_gradient_batch(member.rows([0] * 6), on_circle)[0].reshape(2, 3)
+    circles = circles[(np.abs(value) <= level_tolerance(member, 1.0)).all(axis=1)]
+    rngs = rng_streams(seed, [f"link:seed:{k}" for k in range(seeds)])
+    starts = np.array([random_sphere_point(rng, 2, 1.0) for rng in rngs])
+    found, hit = newton_on_sphere_batch(member.rows([0] * seeds), 0j, starts)
+    candidates = np.concatenate([circles, found[hit]])
+    polished, hit = newton_on_sphere_batch(member.rows([0] * len(candidates)), 0j, candidates)
+    reps: list[np.ndarray] = []
+    for rep in polished[hit]:
+        if not any(_same_orbit(other, rep, P, 1e-4) for other in reps):
+            reps.append(rep)
+    return reps

@@ -12,6 +12,7 @@ import pytest
 
 import oracle
 from conftest import brieskorn
+from oracle import _same_orbit
 from mixed_milnor import (
     FamilySpec,
     build_family,
@@ -27,7 +28,6 @@ from mixed_milnor import (
 from mixed_milnor.cli import run
 from mixed_milnor.core import polar_orbit, polynomial_arrays
 from mixed_milnor.families import MilnorTubeSpec
-from mixed_milnor.links import _same_orbit
 from mixed_milnor.numerics import newton_on_sphere_batch, random_sphere_point, rng_for
 from mixed_milnor.transversality import _witnesses, sample_rows, solve_phi_rows
 from test_scaling import _random_simplicial

@@ -297,7 +297,6 @@ def test_unreadable_spec_exits_2(tmp_path, capsys, raw):
         ["trace-link", "--family", "{family}", "--t", "2"],
         ["trace-link", "--family", "{family}", "--t", "nan"],
         ["trace-link", "--family", "{family}", "--radius", "nan"],
-        ["trace-link", "--family", "{family}", "--seeds", "-1"],
     ],
 )
 def test_bad_option_exits_2(
@@ -413,11 +412,11 @@ def test_huge_and_tiny_spheres_run_clean(tmp_path, capsys, kind, b, radius, comm
     argv = {
         "certify-smooth": ["--t-grid", "0:1:0.5", "--restarts", "4"],
         "check-transversality": ["--samples", "4"],
-        "trace-link": ["--t", t or "0", "--seeds", "16"],
+        "trace-link": ["--t", t or "0"],
     }.get(subcommand, [])
     if subcommand == "build-isotopy":
         code, link = _run_json(
-            ["trace-link", "--family", spec, "--radius", radius, "--seeds", "16"],
+            ["trace-link", "--family", spec, "--radius", radius],
             tmp_path / "link.json",
         )
         assert code == 0
@@ -514,7 +513,7 @@ def test_unwritable_output_path_exits_2(
     calls = count_calls(monkeypatch, cli, "sample_link")
     path = str(tmp_path / "no-such-dir" / "x") if target == "missing" else str(tmp_path)
     csv = tmp_path / "ok.csv"
-    argv = ["trace-link", "--family", family_spec, "--seeds", "4", option, path]
+    argv = ["trace-link", "--family", family_spec, option, path]
     if option != "--csv":
         argv += ["--csv", str(csv)]
     assert run(argv) == 2
@@ -663,7 +662,7 @@ def test_build_isotopy_coarse_steps_accept_rk4_stage_states(tmp_path, family_spe
     from conftest import brieskorn
     from mixed_milnor import sample_link
 
-    pts = sample_link(brieskorn((2, 3), (1, 0)), 0.0, 1.0, seeds=16, seed=0).points
+    pts = sample_link(brieskorn((2, 3), (1, 0)), 0.0, 1.0).points
     rows = [[[z.real, z.imag] for z in pt] for pt in pts[:: max(1, len(pts) // 12)][:12]]
     argv = ["build-isotopy", "--family", family_spec, "--eta0", "0.1", "--steps", "20"]
     points = _write(tmp_path / "points.json", rows)

@@ -43,7 +43,7 @@ def _velocity(fam, t, points, tube):
 
 
 def _link_points(fam, count, t=0.0):
-    sample = sample_link(fam, t, 1.0, seeds=16, seed=0)
+    sample = sample_link(fam, t, 1.0)
     pts = sample.points
     step = max(1, len(pts) // count)
     return [pts[i] for i in range(0, len(pts), step)][:count]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import brieskorn, count_calls
+from oracle import _same_orbit
 from mixed_milnor import links
 from mixed_milnor import (
     FamilySpec,
@@ -20,12 +21,7 @@ from mixed_milnor import (
 )
 from mixed_milnor.core import polar_orbit
 from mixed_milnor.errors import InputError, PreconditionError
-from mixed_milnor.links import (
-    LinkSample,
-    _brieskorn_representatives,
-    _coordinate_circle_orbits,
-    _same_orbit,
-)
+from mixed_milnor.links import LinkSample
 from mixed_milnor.numerics import level_tolerance
 
 
@@ -51,8 +47,8 @@ def test_gcd_oracle_small_pairs():
 
 def test_constant_family_ignores_t():
     fam = brieskorn((2, 3))
-    s0 = sample_link(fam, 0.0, 1.0, seed=4)
-    s1 = sample_link(fam, 0.7, 1.0, seed=4)
+    s0 = sample_link(fam, 0.0, 1.0)
+    s1 = sample_link(fam, 0.7, 1.0)
     assert np.array_equal(s0.orbits, s1.orbits)
 
 
@@ -66,19 +62,49 @@ def test_sampled_points_lie_on_link():
         assert abs(math.sqrt(sum(abs(c) ** 2 for c in z)) - 1.0) <= 1e-10
 
 
+def _term_scale(f, z) -> float:
+    """S(z) = sum |c_i| |z^nu_i zbar^mu_i|, the size of f's evaluation error at z."""
+    return sum(
+        abs(m.coefficient) * math.prod(abs(w) ** (p + q) for w, p, q in zip(z, m.nu, m.mu))
+        for m in f.monomials
+    )
+
+
 @pytest.mark.parametrize(
-    "a, b", [((2, 3), (1, 0)), ((3, 5), (2, 1)), ((2, 4), (0, 1)), ((6, 6), (0, 0))]
+    "kind, a, b",
+    [
+        ("brieskorn", (2, 3), (1, 0)),
+        ("brieskorn", (3, 5), (2, 1)),
+        ("brieskorn", (2, 4), (0, 1)),
+        ("brieskorn", (6, 6), (0, 0)),
+        ("type_i", (2, 3), (1, 0)),
+        ("type_i", (3, 4), (1, 2)),
+        ("type_ii", (2, 2), (1, 1)),
+        ("type_ii", (3, 5), (2, 1)),
+    ],
 )
-def test_brieskorn_representatives_lie_on_link_before_polish(a, b):
-    fam = brieskorn(a, b)
+def test_representatives_lie_on_link(kind, a, b):
+    """Every representative, closed-form and never polished, is a zero of f_t
+    to within 1e-12 of its evaluation error bound S(z), on spheres from
+    1e-12 to 1e12; a coordinate circle's point is an exact zero."""
+    fam = build_family(FamilySpec(kind, a, b))
     for t in (0.0, 0.3, 1.0):
         f = fam.member(t)
-        for radius in (0.5, 1.0, 2.0):
+        for radius in (10.0**k for k in range(-12, 13, 3)):
             member = fam.members([t]).on_sphere(radius)[0]
-            for z in _brieskorn_representatives(fam, member) * radius:
-                tol = level_tolerance(fam.members([t]), np.linalg.norm(z))
-                assert abs(oracle.evaluate(f, z)) <= tol
+            for z in links._representatives(member) * radius:
+                assert abs(oracle.evaluate(f, z)) <= 1e-12 * _term_scale(f, z)
                 assert math.sqrt(sum(abs(c) ** 2 for c in z)) == pytest.approx(radius)
+
+
+def test_one_phase_group_is_its_coordinate_circles():
+    """type_ii (1, 1) has one phase exponent: f_t = z1 z2 (a positive real
+    amplitude), zero on the sphere only where z1 z2 is, so the link is its
+    two coordinate circles at every t."""
+    fam = build_family(FamilySpec("type_ii", (1, 1), (1, 1)))
+    for t in (0.0, 0.5, 1.0):
+        member = fam.members([t]).on_sphere(1.0)[0]
+        assert links._representatives(member).tolist() == [[1, 0], [0, 1]]
 
 
 def test_orbit_closure():
@@ -98,18 +124,8 @@ def test_component_count_stable_along_t():
         assert c0 == c1 == math.gcd(*a)
 
 
-def test_chained_kind_uses_seeded_sampling():
-    fam = build_family(FamilySpec("type_i", (2, 2), (1, 0)))
-    sample = sample_link(fam, 0.5, 1.0, seeds=32, seed=0)
-    assert sample.seeds_used == 32
-    assert sample.component_count >= 1
-    f = fam.member(0.5)
-    for z in sample.points:
-        assert abs(oracle.evaluate(f, z)) <= level_tolerance(fam.members([0.5]), np.linalg.norm(z))
-
-
 def test_count_components_empty_sample():
-    empty = LinkSample(0.0, 1.0, (1, 1), (), 0, 0, True)
+    empty = LinkSample(0.0, 1.0, (1, 1), (), 0, True)
     with pytest.raises(PreconditionError):
         project_svg(empty, "/tmp/unused.svg")
 
@@ -151,23 +167,6 @@ def test_svg_skips_the_projection_pole(tmp_path):
     assert [line.split('"')[1].count(",") for line in lines] == [R + 1, R, R + 1]
 
 
-@pytest.mark.parametrize(
-    "kind, b, expected",
-    [
-        ("brieskorn", (1, 0), []),
-        ("type_i", (1, 0), [(1.0, 0)]),
-        ("type_ii", (1, 1), [(1.0, 0), (0, 1.0)]),
-    ],
-)
-def test_coordinate_circles_in_one_kernel_pass(monkeypatch, kind, b, expected):
-    """Both coordinate circles of the unit sphere at three phases each: six
-    points, one pass."""
-    f = build_family(FamilySpec(kind, (2, 3), b)).members([0.5]).on_sphere(2.0)[0]
-    calls = count_calls(monkeypatch, links, "value_and_gradient_batch")
-    assert _coordinate_circle_orbits(f).tolist() == [list(map(complex, c)) for c in expected]
-    assert len(calls) == 1
-
-
 def _bits(values) -> list:
     """The IEEE bit patterns of complex values, so -0.0 differs from 0.0."""
     return np.asarray(values, dtype=complex).view(np.uint64).tolist()
@@ -186,7 +185,7 @@ def test_traced_points_are_the_oracle_action_bitwise(monkeypatch, kind, a, b, t)
     """Point k of each traced orbit is Python's z * lam_k ** p at
     lam_k = cmath.exp(2j pi k / R), coordinate by coordinate, and is read-only."""
     calls = count_calls(monkeypatch, links, "polar_orbit")
-    sample = sample_link(build_family(FamilySpec(kind, a, b)), t, 1.0, seeds=16, seed=3)
+    sample = sample_link(build_family(FamilySpec(kind, a, b)), t, 1.0)
     P, _, reps = calls[-1]
     R = links.RESOLUTION
     assert sample.orbits.shape == (len(reps), R, 2) and len(reps) >= 1
@@ -205,12 +204,14 @@ def test_traced_points_are_the_oracle_action_bitwise(monkeypatch, kind, a, b, t)
     st.floats(-10.0, 10.0),
 )
 def test_same_orbit_agrees_with_the_oracle_action(a, i, j, phi):
-    """The fundamental-torus representatives k and k' of T(a1, a2) lie on one
-    orbit exactly when gcd(a1, a2) divides k - k'; moving one of them by the
-    oracle's action at a random phase keeps it on its orbit."""
+    """The a1 fundamental-torus points k of T(a1, a2), arg z1 = (pi + 2 pi k) / a1
+    and z2 > 0, lie on one orbit exactly when gcd(a1, a2) divides k - k';
+    moving one of them by the oracle's action at a random phase keeps it on
+    its orbit."""
     fam = brieskorn(a)
     P = detect_weights(fam.member(1.0)).polar_weights
-    reps = _brieskorn_representatives(fam, fam.members([1.0]))
+    first = links._representatives(fam.members([1.0]))[0]
+    reps = first * np.stack([np.exp(2j * math.pi * np.arange(a[0]) / a[0]), np.ones(a[0])], -1)
     z, w = reps[i % len(reps)], reps[j % len(reps)]
     moved = oracle.polar_action(P, cmath.exp(1j * phi), w)
     expected = (i % len(reps) - j % len(reps)) % math.gcd(*a) == 0
@@ -234,42 +235,40 @@ def test_same_orbit_with_a_zero_coordinate(P, rho, theta, phi):
     assert _same_orbit((0j, 0j), (0j, 0j), P, 1e-4)
 
 
-# (kind, a, b) -> the oracle count of g's link, which every t shares
+# (kind, a, b) -> the closed-form count of g's link, which every t shares
 _COUNT_FAMILIES = {
     ("brieskorn", (2, 3), (1, 0)): 1,  # gcd(a1, a2)
     ("brieskorn", (2, 4), (1, 1)): 2,
     ("type_i", (2, 3), (1, 0)): 3,  # 1 + gcd(a1, a2 - 1): g = z2 (z1^a1 + z2^(a2 - 1))
     ("type_i", (2, 3), (1, 1)): 3,
+    ("type_i", (3, 4), (1, 2)): 4,
     ("type_ii", (2, 2), (1, 1)): 3,  # 2 + gcd(a1 - 1, a2 - 1): g = z1 z2 (z1^(a1-1) + z2^(a2-1))
+    ("type_ii", (3, 5), (2, 1)): 4,
+    ("type_ii", (1, 1), (1, 1)): 2,  # one phase exponent: the coordinate circles alone
 }
-_RADII = [10.0**k for k in range(-12, 13, 2)]
-# cells that still miscount: a level or merge test on the unit scale that
-# does not scale with the member (ROADMAP item 3)
-_MISCOUNTS = {
-    ("brieskorn", (2, 4), (1, 1)): {
-        (r, t) for r in (1e-12, 1e-10) for t in (0.0, 0.5, 1.0)
-    } | {(r, t) for r in (1e-8, 1e-6) for t in (0.5, 1.0)} | {(1e10, 1.0), (1e12, 1.0)},
-    ("type_i", (2, 3), (1, 0)): {(r, 0.0) for r in (1e-12, 1e-10, 1e-8, 1e-6)}
-    | {(r, t) for r in (1e6, 1e8, 1e10, 1e12) for t in (0.0, 0.5)},
-}
+_RADII = [10.0**k for k in range(-12, 13, 2)] + [1e-70, 1e-40, 1e40, 1e70]
 
 
 def _count_cases():
     for (kind, a, b), want in _COUNT_FAMILIES.items():
-        # type_ii along t is the paper's open case: its g end only
-        for t in (1.0,) if kind == "type_ii" else (0.0, 0.5, 1.0):
+        for t in (0.0, 0.5, 1.0):
             for r in _RADII:
-                marks = ()
-                if (r, t) in _MISCOUNTS.get((kind, a, b), ()):
-                    reason = "ROADMAP item 3: unit-scale level and merge tests miscount here"
-                    marks = pytest.mark.xfail(strict=True, reason=reason)
-                case = f"{kind}{a}{b}-t{t}-r{r:g}"
-                yield pytest.param(kind, a, b, t, r, want, marks=marks, id=case)
+                yield pytest.param(kind, a, b, t, r, want, id=f"{kind}{a}{b}-t{t}-r{r:g}")
 
 
 @pytest.mark.parametrize("kind, a, b, t, radius, want", list(_count_cases()))
 def test_component_counts_over_radii_match_the_oracle(kind, a, b, t, radius, want):
     """On the unit-scale form the link count of every member matches g's
-    oracle from radius 1e-12 to 1e12."""
+    closed form from radius 1e-70 to 1e70."""
     fam = build_family(FamilySpec(kind, a, b))
     assert sample_link(fam, t, radius).component_count == want
+
+
+@pytest.mark.parametrize("kind, a, b", list(_COUNT_FAMILIES))
+def test_newton_sampler_counts_the_same_at_radius_one(kind, a, b):
+    """The seeded Newton sampler with its orbit merge, an independent route
+    to the components, counts what the closed form gives on the unit sphere."""
+    fam = build_family(FamilySpec(kind, a, b))
+    for t in (0.0, 0.5, 1.0):
+        want = sample_link(fam, t, 1.0).component_count
+        assert len(oracle.newton_link_representatives(fam, t)) == want

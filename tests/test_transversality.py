@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -521,7 +521,8 @@ def test_conjecture_search_reports_failures_per_t():
 
 def _solve_phi_reference(a, b, tau, w_abs, r):
     """One row of `solve_phi_rows` by scalar code: closed forms, else the
-    oracle's scalar `monotone_root` on the scalar closure."""
+    oracle's scalar `monotone_root` on the scalar closure, divided by
+    max(tau, c) so that a subnormal tau or c keeps full precision."""
     if r == 1.0:
         return 1.0
     c = (1.0 - tau) * w_abs ** (2 * b)
@@ -529,6 +530,8 @@ def _solve_phi_reference(a, b, tau, w_abs, r):
         return r ** (1.0 / a)
     if tau == 0.0:
         return r ** (1.0 / (a + 2 * b))
+
+    tau, c = tau / max(tau, c), c / max(tau, c)
 
     def fn(s):
         return s**a * (tau + c * s ** (2 * b))
@@ -552,6 +555,8 @@ _phi_rows = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.lists(_phi_rows, min_size=1, max_size=12),
 )
+# a subnormal tau with c underflowing to 0: the root is r to double precision
+@example(1, 1, [(0.0, 1.0, 1.0), (2.2250738585e-313, 1e-300, 3.0)])
 def test_lockstep_solve_phi_matches_the_scalar_reference(a, b, rows):
     tau, w_abs, r = (np.array(col) for col in zip(*rows))
     s, slope = solve_phi_rows(a, b, tau, w_abs, r)
